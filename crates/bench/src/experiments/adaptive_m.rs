@@ -68,7 +68,7 @@ impl Experiment for AdaptiveM {
                 let basis = QuantizedBasis::quantize(&d.basis);
                 let h = HybridQuantized { basis, coeffs };
                 let bits = h.basis.size_bits() + ternary_storage_bits(&h.coeffs);
-                let err = w.relative_error(&h.to_decomposed().reconstruct());
+                let err = h.reconstruction_error(&w);
                 Ok((bits, err))
             };
 

@@ -5,7 +5,7 @@
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
 use crate::{compress_cached, run_escalate, tline};
 use escalate_core::pipeline::{accuracy_proxy, CompressionConfig};
-use escalate_core::ModelCompression;
+use escalate_core::{EscalateError, ModelCompression};
 use escalate_models::ModelProfile;
 use escalate_sim::SimConfig;
 
@@ -46,7 +46,9 @@ impl Experiment for Fig12 {
                 "comp(x)"
             );
             for m in 4..=8usize {
-                let sim_cfg = SimConfig::default().with_m(m);
+                let sim_cfg = SimConfig::default()
+                    .with_m(m)
+                    .map_err(EscalateError::from)?;
                 let cfg = CompressionConfig {
                     m,
                     ..CompressionConfig::default()

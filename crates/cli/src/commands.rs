@@ -365,11 +365,13 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
             expected: "a file path (use ./true for a file literally named true)",
         }));
     }
-    let mut cfg = if m == 6 {
-        SimConfig::default()
-    } else {
-        SimConfig::default().with_m(m)
-    };
+    let mut cfg = SimConfig::default().with_m(m).map_err(|_| {
+        CliError::Args(ArgError::BadValue {
+            option: "m".into(),
+            value: m.to_string(),
+            expected: "a basis count from 1 to 1024",
+        })
+    })?;
     cfg.threads = threads;
     cfg.schedule = schedule;
 

@@ -51,3 +51,19 @@ fn compress_produces_summary() {
     assert!(stdout.contains("compression"));
     assert!(stdout.contains("proxy top-1"));
 }
+
+#[test]
+fn out_of_range_m_fails_cleanly() {
+    // 0 once tripped an assert; 2^59 overflowed `N_PE · M` into a divide
+    // by zero. Both must be ordinary flag errors, before any compression.
+    for m in ["0", "576460752303423488"] {
+        let (ok, _, stderr) = run(&["simulate", "MobileNet", "--m", m, "--seeds", "1"]);
+        assert!(!ok, "--m {m} must fail");
+        assert!(stderr.starts_with("error: --m:"), "{stderr}");
+        assert!(
+            stderr.contains(&escalate_sim::MAX_M.to_string()),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}

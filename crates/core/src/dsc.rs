@@ -54,26 +54,25 @@ pub fn decompose_dsc(
         c,
         "pointwise weights must have C columns"
     );
-    let k = pw_weights.rows();
-
     let (ce_prime, basis) = decompose_depthwise(dw_weights, m)?;
-    let m = basis.shape()[0];
-
-    // Eq. (5): Ce(k, c, m) = W_PW(k, c) · Ce'(c, m).
-    let mut coeffs = Tensor::zeros(&[k, c, m]);
-    for ki in 0..k {
-        for ci in 0..c {
-            let w = pw_weights.get(ki, ci);
-            for mi in 0..m {
-                coeffs.set(&[ki, ci, mi], w * ce_prime.get(ci, mi));
-            }
-        }
-    }
     Ok(Decomposed {
         basis,
-        coeffs,
+        coeffs: fold_pointwise(pw_weights, &ce_prime),
         captured_energy: 1.0,
     })
+}
+
+/// Eq. (5): `Ce(k, c, m) = W_PW(k, c) · Ce'(c, m)`, built row by row from
+/// the pointwise rows and the `C×M` depthwise coefficients.
+fn fold_pointwise(pw_weights: &Matrix, ce_prime: &Matrix) -> Tensor {
+    let (k, c, m) = (pw_weights.rows(), ce_prime.rows(), ce_prime.cols());
+    let mut data = Vec::with_capacity(k * c * m);
+    for ki in 0..k {
+        for (ci, &w) in pw_weights.row(ki).iter().enumerate() {
+            data.extend(ce_prime.row(ci).iter().map(|&e| w * e));
+        }
+    }
+    Tensor::from_vec(&[k, c, m], data)
 }
 
 /// Reference DSC forward pass: depthwise convolution followed by pointwise.
@@ -161,6 +160,29 @@ mod tests {
                     assert!((d.coeff(k, c, m) - expect).abs() < 1e-6);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn slice_fold_is_bit_identical_to_the_per_element_fold() {
+        for (c, k, m) in [(3, 4, 4), (6, 5, 9), (1, 7, 1), (8, 1, 3)] {
+            let (dw, pw, _) = setup(c, k);
+            let (ce_prime, _) = decompose_depthwise(&dw, m).unwrap();
+            let mut reference = Tensor::zeros(&[k, c, m]);
+            for ki in 0..k {
+                for ci in 0..c {
+                    let w = pw.get(ki, ci);
+                    for mi in 0..m {
+                        reference.set(&[ki, ci, mi], w * ce_prime.get(ci, mi));
+                    }
+                }
+            }
+            let folded = fold_pointwise(&pw, &ce_prime);
+            assert_eq!(folded.shape(), reference.shape());
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&folded), bits(&reference), "c={c} k={k} m={m}");
+            let d = decompose_dsc(&dw, &pw, m).unwrap();
+            assert_eq!(bits(&d.coeffs), bits(&reference));
         }
     }
 

@@ -183,13 +183,11 @@ pub fn accuracy_proxy(baseline_top1: f64, mean_weight_error: f64) -> f64 {
 /// (8-bit positive scale + 2-bit quotient).
 pub fn ternary_storage_bits(coeffs: &TernaryCoeffs) -> usize {
     let [k, _, _] = coeffs.shape();
-    let mut bits = k * (8 + 2);
-    for ki in 0..k {
-        let dense: Vec<f32> = coeffs.slice(ki).iter().map(|&v| v as f32).collect();
-        // Nonzero ternary values cost 1 bit (the sign).
-        bits += TwoLevelSparseMap::encode(&dense).size_bits(1);
-    }
-    bits
+    // Nonzero ternary values cost 1 bit (the sign).
+    k * (8 + 2)
+        + (0..k)
+            .map(|ki| TwoLevelSparseMap::size_bits_of(coeffs.slice(ki), 1))
+            .sum::<usize>()
 }
 
 /// Compresses one regular convolution layer via kernel decomposition.
@@ -231,7 +229,13 @@ pub fn compress_layer_artifact(
         let _t = escalate_obs::span("pipeline.decompose");
         decompose(&w, m)?
     };
-    let (stats, hybrid) = compress_decomposed(&layer.name, &w, &d, cfg, target_sparsity)?;
+    let (stats, hybrid) = compress_decomposed(
+        &layer.name,
+        ErrorReference::Weights(&w),
+        &d,
+        cfg,
+        target_sparsity,
+    )?;
     Ok(CompressedLayer {
         shape: layer.clone(),
         fused_pointwise: None,
@@ -240,16 +244,32 @@ pub fn compress_layer_artifact(
     })
 }
 
+/// What [`compress_decomposed`] measures a unit's weight error against.
+enum ErrorReference<'a> {
+    /// A regular convolution's `K×C×R×S` weights, compared with the
+    /// quantized reconstruction `Ce · B`.
+    Weights(&'a Tensor),
+    /// A depthwise unit, fused (Eq. (5)) or standalone, whose original
+    /// weights do not have the reconstruction's shape: the error is taken
+    /// on the coefficients instead. Carries the original parameter count.
+    Coeffs(usize),
+}
+
 /// Shared tail of the compression paths: ternarize (optionally retrain),
-/// quantize the basis, and account storage.
+/// quantize the basis, and account storage. No reconstruction or
+/// dequantized tensor is materialized; the weight error is accumulated
+/// straight from the quantized form.
 fn compress_decomposed(
     name: &str,
-    original: &Tensor,
+    reference: ErrorReference<'_>,
     d: &Decomposed,
     cfg: &CompressionConfig,
     target_sparsity: f64,
 ) -> Result<(LayerCompression, HybridQuantized), EscalateError> {
-    let t = threshold_for_sparsity(&d.coeffs, target_sparsity);
+    let t = {
+        let _t = escalate_obs::span("pipeline.threshold");
+        threshold_for_sparsity(&d.coeffs, target_sparsity)
+    };
     let coeffs = if cfg.qat_epochs > 0 {
         let _t = escalate_obs::span("pipeline.qat");
         retrain_coeffs(
@@ -269,21 +289,10 @@ fn compress_decomposed(
     let hybrid = HybridQuantized { basis, coeffs };
 
     let _t = escalate_obs::span("pipeline.reconstruct");
-    let dec = hybrid.to_decomposed();
-    // `reconstruct()` always produces a `[K, C, R, S]` tensor, so which
-    // branch runs is known from the geometry alone — the DSC fold (whose
-    // "original" is the flattened (dw, pw) pair) never materializes the
-    // reconstruction it would immediately discard.
-    let recon_shape = [dec.k(), dec.c(), dec.r(), dec.s()];
-    let weight_error = if original.shape() == &recon_shape[..] {
-        original.relative_error(&dec.reconstruct())
-    } else {
-        // DSC fold: error is measured against the decomposed-then-
-        // reconstructed coefficients instead.
-        d.coeffs.relative_error(&dec.coeffs)
+    let (weight_error, original_params) = match reference {
+        ErrorReference::Weights(w) => (hybrid.reconstruction_error(w), w.len()),
+        ErrorReference::Coeffs(params) => (hybrid.coeffs.dequantized_error(&d.coeffs), params),
     };
-
-    let original_params = original.len();
     let coeff_total = hybrid.coeffs.ternary.len();
     let coeff_nnz = hybrid.coeffs.nnz();
     let compressed_bits = hybrid.basis.size_bits() + ternary_storage_bits(&hybrid.coeffs);
@@ -313,12 +322,15 @@ fn compress_pointwise(
     // Rank is irrelevant at RS=1.
     let w = synth_weights(layer, 1, 1.0, seed, cfg.reuse_units);
     let coeffs3 = w.reshape(&[layer.k, layer.c, 1]);
-    let t = threshold_for_sparsity(&coeffs3, target_sparsity);
+    let t = {
+        let _t = escalate_obs::span("pipeline.threshold");
+        threshold_for_sparsity(&coeffs3, target_sparsity)
+    };
     let coeffs = {
         let _t = escalate_obs::span("pipeline.quant");
         TernaryCoeffs::ternarize(&coeffs3, t)?
     };
-    let weight_error = coeffs3.relative_error(&coeffs.dequantize());
+    let weight_error = coeffs.dequantized_error(&coeffs3);
     let original_params = w.len();
     let coeff_nnz = coeffs.nnz();
     let stats = LayerCompression {
@@ -763,12 +775,13 @@ fn compress_unit_fresh(
             };
             // The "original" for accounting is the dw + pw pair.
             let orig_params = dw_w.len() + pw_w.as_slice().len();
-            let orig = Tensor::from_vec(&[orig_params], {
-                let mut v = dw_w.as_slice().to_vec();
-                v.extend_from_slice(pw_w.as_slice());
-                v
-            });
-            let (mut stats, hybrid) = compress_decomposed(&dw.name, &orig, &d, cfg, *target)?;
+            let (mut stats, hybrid) = compress_decomposed(
+                &dw.name,
+                ErrorReference::Coeffs(orig_params),
+                &d,
+                cfg,
+                *target,
+            )?;
             stats.name = format!("{}+{}", dw.name, pw.name);
             Ok(CompressedLayer {
                 shape: dw.clone(),
@@ -800,7 +813,13 @@ fn compress_unit_fresh(
                 coeffs,
                 captured_energy: 1.0,
             };
-            let (stats, hybrid) = compress_decomposed(&layer.name, &dw_w, &d, cfg, *target)?;
+            let (stats, hybrid) = compress_decomposed(
+                &layer.name,
+                ErrorReference::Coeffs(dw_w.len()),
+                &d,
+                cfg,
+                *target,
+            )?;
             Ok(CompressedLayer {
                 shape: layer.clone(),
                 fused_pointwise: None,
@@ -974,5 +993,75 @@ mod tests {
         let bits = ternary_storage_bits(&t);
         assert!(bits >= 4 * 10, "must include per-filter scale bits");
         assert!(bits >= t.nnz(), "must include sign bits");
+    }
+
+    #[test]
+    fn counted_storage_bits_match_the_encoded_map() {
+        // Slice lengths on and off the 16-bit chunk boundary, at sparsity
+        // from none to total.
+        for (shape, t) in [
+            ([4, 8, 6], 0.0f32),
+            ([4, 8, 6], 0.6),
+            ([3, 5, 3], 0.3),
+            ([2, 16, 1], 0.9),
+            ([3, 7, 1], 0.99),
+        ] {
+            let c = Tensor::from_fn(&shape, |i| {
+                ((i[0] * 37 + i[1] * 11 + i[2] * 5) as f32 * 0.913).sin()
+            });
+            let coeffs = TernaryCoeffs::ternarize(&c, t).unwrap();
+            let encoded: usize = (0..shape[0])
+                .map(|k| {
+                    let dense: Vec<f32> = coeffs.slice(k).iter().map(|&v| v as f32).collect();
+                    TwoLevelSparseMap::encode(&dense).size_bits(1)
+                })
+                .sum();
+            assert_eq!(
+                ternary_storage_bits(&coeffs),
+                shape[0] * 10 + encoded,
+                "{shape:?} t={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_unit_errors_match_the_materialized_reconstruction() {
+        // Conv units against `relative_error(to_decomposed().reconstruct())`,
+        // fused DSC units against the dequantized coefficients — bit for
+        // bit, through the whole unit path.
+        let cfg = CompressionConfig::default();
+        for target in [0.3, 0.8, 0.97] {
+            let conv = small_layer();
+            let art = compress_layer_artifact(&conv, &cfg, target, 3).unwrap();
+            let h = art.quantized.as_ref().unwrap();
+            let w = synth::weights(&conv, cfg.weight_rank, cfg.weight_noise, 3);
+            assert_eq!(
+                art.stats.weight_error.to_bits(),
+                w.relative_error(&h.to_decomposed().reconstruct()).to_bits()
+            );
+
+            let dw = LayerShape::dwconv("dw", 24, 8, 8, 3, 1, 1);
+            let pw = LayerShape::pwconv("pw", 24, 40, 8, 8);
+            let unit = UnitPlan::Dsc {
+                dw: dw.clone(),
+                pw: pw.clone(),
+                seed: 5,
+                pw_seed: 6,
+                target,
+            };
+            let art = compress_unit_fresh(&unit, &cfg).unwrap();
+            let h = art.quantized.as_ref().unwrap();
+            let dw_w = synth::weights(&dw, cfg.weight_rank, cfg.weight_noise, 5);
+            let pw_w = synth::pointwise_weights(pw.c, pw.k, 6);
+            let d = decompose_dsc(&dw_w, &pw_w, cfg.m).unwrap();
+            assert_eq!(
+                art.stats.weight_error.to_bits(),
+                d.coeffs.relative_error(&h.coeffs.dequantize()).to_bits()
+            );
+            assert_eq!(
+                art.stats.original_params,
+                dw_w.len() + pw_w.as_slice().len()
+            );
+        }
     }
 }

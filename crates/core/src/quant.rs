@@ -12,7 +12,7 @@
 
 use crate::decompose::Decomposed;
 use crate::error::EscalateError;
-use escalate_tensor::Tensor;
+use escalate_tensor::{RelativeError, Tensor};
 
 /// Linearly (symmetrically) quantizes a tensor to the given bit width,
 /// returning the dequantized tensor and the storage cost in bits.
@@ -315,28 +315,62 @@ impl TernaryCoeffs {
 
     /// Dequantizes to a full `K×C×M` tensor.
     pub fn dequantize(&self) -> Tensor {
+        Tensor::from_vec(&self.shape, self.dequantized_values().collect())
+    }
+
+    /// The dequantized values in row-major `K×C×M` order.
+    fn dequantized_values(&self) -> impl Iterator<Item = f32> + '_ {
         let [_, c, m] = self.shape;
-        let slice_len = c * m;
-        let data = self
-            .ternary
-            .iter()
+        // An empty slice length means no values at all; `chunks` needs 1+.
+        self.ternary
+            .chunks((c * m).max(1))
             .enumerate()
-            .map(|(i, &v)| {
-                let ki = i / slice_len;
-                match v {
-                    1 => self.w_pos[ki],
-                    -1 => -self.w_neg(ki),
-                    _ => 0.0,
-                }
+            .flat_map(move |(ki, slice)| {
+                let (pos, neg) = self.levels(ki);
+                slice.iter().map(move |&v| level(v, pos, neg))
             })
-            .collect();
-        Tensor::from_vec(&self.shape, data)
     }
 
     /// The ternary slice (length `C*M`) for output channel `k`.
     pub fn slice(&self, k: usize) -> &[i8] {
         let [_, c, m] = self.shape;
         &self.ternary[k * c * m..(k + 1) * c * m]
+    }
+
+    /// The values `+1` and `-1` dequantize to in output channel `k`.
+    fn levels(&self, k: usize) -> (f32, f32) {
+        (self.w_pos[k], -self.w_neg(k))
+    }
+
+    /// Relative error of the dequantized coefficients against `reference`,
+    /// the float coefficients they were ternarized from: the bits of
+    /// `reference.relative_error(&self.dequantize())` without
+    /// materializing the dequantized tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reference` is not `K×C×M`.
+    pub fn dequantized_error(&self, reference: &Tensor) -> f32 {
+        assert_eq!(
+            reference.shape(),
+            &self.shape[..],
+            "dequantized_error requires the coefficient shape"
+        );
+        let mut acc = RelativeError::default();
+        for (&r, q) in reference.as_slice().iter().zip(self.dequantized_values()) {
+            acc.push(r, q);
+        }
+        acc.value()
+    }
+}
+
+/// The dequantized value of ternary `v` given its channel's levels.
+#[inline]
+fn level(v: i8, pos: f32, neg: f32) -> f32 {
+    match v {
+        1 => pos,
+        -1 => neg,
+        _ => 0.0,
     }
 }
 
@@ -345,7 +379,12 @@ impl TernaryCoeffs {
 ///
 /// Eq. (4) zeroes an element when `|c| ≤ t · max|slice|`, so the smallest
 /// sufficient `t` is the target-quantile of the per-element ratios
-/// `|c| / max|slice|` — computed exactly in one pass plus a sort.
+/// `|c| / max|slice|` — computed exactly in one pass plus a linear-time
+/// selection. The ratios are never negative (no `-0.0` either), so
+/// [`f32::total_cmp`] orders them as `<` does and the selected order
+/// statistic is the one a full sort would put at that index. A ratio is
+/// NaN only when the slice holds non-finite values; `total_cmp` ranks it
+/// above every number.
 pub fn threshold_for_sparsity(coeffs: &Tensor, target: f64) -> f32 {
     let shape: [usize; 3] = coeffs.shape().try_into().expect("coeffs must be K*C*M");
     let [k, c, m] = shape;
@@ -363,12 +402,12 @@ pub fn threshold_for_sparsity(coeffs: &Tensor, target: f64) -> f32 {
     if ratios.is_empty() {
         return 0.0;
     }
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let n = ratios.len();
     let idx = ((target * n as f64).ceil() as usize)
         .min(n)
         .saturating_sub(1);
-    ratios[idx].clamp(0.0, 0.999)
+    let (_, &mut t, _) = ratios.select_nth_unstable_by(idx, f32::total_cmp);
+    t.clamp(0.0, 0.999)
 }
 
 /// A fully hybrid-quantized decomposed layer: 8-bit basis plus ternary
@@ -416,6 +455,51 @@ impl HybridQuantized {
             coeffs: self.coeffs.dequantize(),
             captured_energy: 1.0,
         }
+    }
+
+    /// Relative error of the quantized reconstruction `Ce · B` against the
+    /// original `K×C×R×S` weights: the bits of
+    /// `original.relative_error(&self.to_decomposed().reconstruct())`
+    /// without materializing either. Each kernel is rebuilt in one `R·S`
+    /// scratch row by the loop of [`Matrix::matmul`](escalate_tensor::Matrix::matmul),
+    /// including its skip of zero coefficients, and compared in the
+    /// original's row-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `original` is not `K×C×R×S`.
+    pub fn reconstruction_error(&self, original: &Tensor) -> f32 {
+        let [k, c, m] = self.coeffs.shape;
+        let [_, r, s] = self.basis.shape;
+        assert_eq!(
+            original.shape(),
+            &[k, c, r, s][..],
+            "reconstruction_error requires the reconstruction's shape"
+        );
+        let rs = r * s;
+        let basis = self.basis.dequantize();
+        let basis = basis.as_slice();
+        let mut row = vec![0.0f32; rs];
+        let mut acc = RelativeError::default();
+        for ki in 0..k {
+            let (pos, neg) = self.coeffs.levels(ki);
+            for i in ki * c..(ki + 1) * c {
+                row.fill(0.0);
+                for (mi, &v) in self.coeffs.ternary[i * m..(i + 1) * m].iter().enumerate() {
+                    let a = level(v, pos, neg);
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (d, &b) in row.iter_mut().zip(&basis[mi * rs..(mi + 1) * rs]) {
+                        *d += a * b;
+                    }
+                }
+                for (&o, &w) in original.as_slice()[i * rs..(i + 1) * rs].iter().zip(&row) {
+                    acc.push(o, w);
+                }
+            }
+        }
+        acc.value()
     }
 }
 
@@ -568,6 +652,104 @@ mod tests {
             let got = TernaryCoeffs::ternarize(&c, t).unwrap().sparsity();
             assert!((got - target).abs() < 0.02, "target={target} got={got}");
         }
+    }
+
+    /// The full-sort form of [`threshold_for_sparsity`], kept as the oracle
+    /// for the selection.
+    fn threshold_by_sort(coeffs: &Tensor, target: f64) -> f32 {
+        let [k, c, m]: [usize; 3] = coeffs.shape().try_into().unwrap();
+        let slice_len = c * m;
+        let mut ratios = Vec::new();
+        for ki in 0..k {
+            let slice = &coeffs.as_slice()[ki * slice_len..(ki + 1) * slice_len];
+            let max = slice.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+            if max == 0.0 {
+                ratios.extend(std::iter::repeat_n(0.0f32, slice.len()));
+            } else {
+                ratios.extend(slice.iter().map(|&v| v.abs() / max));
+            }
+        }
+        if ratios.is_empty() {
+            return 0.0;
+        }
+        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let n = ratios.len();
+        let idx = ((target * n as f64).ceil() as usize)
+            .min(n)
+            .saturating_sub(1);
+        ratios[idx].clamp(0.0, 0.999)
+    }
+
+    #[test]
+    fn threshold_selection_matches_the_sort_reference() {
+        let smooth = Tensor::from_fn(&[8, 16, 6], |i| {
+            ((i[0] * 769 + i[1] * 97 + i[2] * 13) as f32 * 0.7315).sin()
+        });
+        // Few distinct magnitudes: long runs of tied ratios.
+        let tied = coeffs(6, 9, 5);
+        // Whole output channels of zeros (ratio 0 for every element), and
+        // signed zeros inside live channels.
+        let zero_slices = Tensor::from_fn(&[5, 4, 3], |i| match i[0] {
+            1 | 3 => 0.0,
+            _ if i[2] == 1 => -0.0,
+            _ => ((i[0] + 2 * i[1] + i[2]) % 4) as f32 - 1.5,
+        });
+        let all_zero = Tensor::zeros(&[3, 4, 2]);
+        let empty = Tensor::zeros(&[0, 4, 2]);
+        let targets = [0.0, 1e-9, 0.25, 0.5, 0.8, 0.95, 1.0, -0.5, 1.5, f64::NAN];
+        for t in [&smooth, &tied, &zero_slices, &all_zero, &empty] {
+            for target in targets {
+                assert_eq!(
+                    threshold_for_sparsity(t, target).to_bits(),
+                    threshold_by_sort(t, target).to_bits(),
+                    "shape {:?} target {target}",
+                    t.shape()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dequantized_error_is_bit_identical_to_the_materialized_form() {
+        for (c, t) in [
+            (coeffs(4, 6, 5), 0.3f32),
+            (coeffs(3, 4, 2), 0.0),
+            (Tensor::zeros(&[2, 3, 4]), 0.5),
+        ] {
+            let q = TernaryCoeffs::ternarize(&c, t).unwrap();
+            assert_eq!(
+                q.dequantized_error(&c).to_bits(),
+                c.relative_error(&q.dequantize()).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn reconstruction_error_is_bit_identical_to_the_materialized_form() {
+        let w = Tensor::from_fn(&[8, 4, 3, 3], |i| {
+            (((i[0] * 31 + i[1] * 17 + i[2] * 5 + i[3]) % 23) as f32 - 11.0) * 0.05
+        });
+        for m in [1usize, 4, 6, 9] {
+            let d = decompose(&w, m).unwrap();
+            // Thresholds from keep-everything to near-total pruning, so
+            // rows with every coefficient skipped are covered too.
+            for t in [0.0f32, 0.05, 0.5, 0.95] {
+                let h = HybridQuantized::quantize(&d, t).unwrap();
+                assert_eq!(
+                    h.reconstruction_error(&w).to_bits(),
+                    w.relative_error(&h.to_decomposed().reconstruct()).to_bits(),
+                    "m={m} t={t}"
+                );
+            }
+        }
+        let zeros = Tensor::zeros(&[2, 3, 3, 3]);
+        let h = HybridQuantized::quantize(&decompose(&zeros, 2).unwrap(), 0.1).unwrap();
+        assert_eq!(
+            h.reconstruction_error(&zeros).to_bits(),
+            zeros
+                .relative_error(&h.to_decomposed().reconstruct())
+                .to_bits()
+        );
     }
 
     #[test]

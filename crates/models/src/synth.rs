@@ -65,9 +65,8 @@ pub fn weights(layer: &LayerShape, rank: usize, noise: f32, seed: u64) -> Tensor
     // Long-tailed combination coefficients: most kernels are dominated by
     // one or two latent components, which is what magnitude pruning of the
     // projected coefficients exploits.
-    let mut data = Vec::with_capacity(k * c * rs);
-    for _ in 0..k * c {
-        let mut kernel = vec![0.0f32; rs];
+    let mut data = vec![0.0f32; k * c * rs];
+    for kernel in data.chunks_exact_mut(rs) {
         for l in &latent {
             // Laplace-like heavy tail: sign * exp-distributed magnitude.
             let mag = -gaussian(&mut rng).abs().ln_1p() + gaussian(&mut rng).abs().powi(2) * 0.4;
@@ -79,7 +78,6 @@ pub fn weights(layer: &LayerShape, rank: usize, noise: f32, seed: u64) -> Tensor
         for kv in kernel.iter_mut() {
             *kv += noise * gaussian(&mut rng);
         }
-        data.extend_from_slice(&kernel);
     }
 
     // Normalize to a He-like fan-in scale so outputs are well-conditioned.
@@ -247,6 +245,43 @@ mod tests {
         let l = LayerShape::conv("l", 2, 2, 8, 8, 3, 1, 1);
         let a = activations(&l, 1.0, 5);
         assert_eq!(a.nnz(), 0);
+    }
+
+    /// 64-bit FNV-1a over the little-endian bit patterns of `values`.
+    fn fnv1a(values: &[f32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn synthesized_bits_are_pinned() {
+        // Every compression golden rests on these exact draws: a changed
+        // RNG draw order or float op in the generators fails here in
+        // milliseconds instead of in the full `report --all --check`.
+        let conv = LayerShape::conv("c", 16, 32, 8, 8, 3, 1, 1);
+        let pw = LayerShape::pwconv("p", 24, 16, 8, 8);
+        let dw = LayerShape::dwconv("d", 32, 8, 8, 3, 1, 1);
+        let grouped = LayerShape::grouped_conv("g", 16, 8, 8, 8, 3, 1, 1, 4);
+        let digests = [
+            fnv1a(weights(&conv, 6, 0.05, 42).as_slice()),
+            fnv1a(weights(&pw, 1, 1.0, 7).as_slice()),
+            fnv1a(weights(&dw, 6, 0.05, 11).as_slice()),
+            fnv1a(weights(&grouped, 3, 0.1, 13).as_slice()),
+            fnv1a(pointwise_weights(24, 40, 17).as_slice()),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0x87c1_c7c1_84ee_6ec9,
+                0xb76b_17ee_daed_69e6,
+                0xc5d4_3780_bdc2_4406,
+                0x86e1_cdec_4aff_5e96,
+                0x3582_cd1e_30c4_518c,
+            ]
+        );
     }
 
     #[test]

@@ -51,11 +51,7 @@ impl CompiledJob {
                 profile: resolve(model)?,
                 cfg: SimConfig {
                     schedule: ScheduleKind::parse(schedule)?,
-                    ..if *m == 6 {
-                        SimConfig::default()
-                    } else {
-                        SimConfig::default().with_m(*m)
-                    }
+                    ..SimConfig::default().with_m(*m).map_err(|e| e.to_string())?
                 },
                 seeds: *seeds,
                 results: Mutex::new((0..ACCELERATOR_NAMES.len()).map(|_| None).collect()),

@@ -103,6 +103,45 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
 }
 
 #[test]
+fn an_out_of_range_m_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let _guard = lock();
+    let handle = start(ServeOptions::default()).expect("start");
+    let port = handle.port();
+
+    // Both once panicked the connection thread inside job compilation
+    // (an assert, and an overflow into a divide by zero), so the client
+    // saw EOF instead of an error frame.
+    let mut conn = Raw::connect(port);
+    for m in [0, 1usize << 59] {
+        conn.send(
+            &Request::Simulate {
+                model: "MobileNet".into(),
+                m,
+                seeds: 1,
+                schedule: "serial".into(),
+            }
+            .to_line(),
+        );
+        let reply = conn.recv().expect("error frame, not EOF");
+        assert_eq!(frame_type(&reply), "error", "{reply}");
+        assert!(
+            json_string_field(&reply, "message")
+                .unwrap_or_default()
+                .contains(&format!("m = {m}")),
+            "{reply}"
+        );
+    }
+    conn.send(&Request::Ping.to_line());
+    let reply = conn.recv().expect("pong");
+    assert_eq!(frame_type(&reply), "pong", "{reply}");
+    drop(conn);
+    assert_eq!(wait_for_counter(port, "serve.bad_requests", 2), 2);
+
+    assert_eq!(shutdown(port), 0, "no job was accepted");
+    handle.join().expect("clean exit");
+}
+
+#[test]
 fn oversized_requests_are_rejected_without_buffering_them() {
     let _guard = lock();
     let handle = start(ServeOptions::default()).expect("start");

@@ -1,5 +1,13 @@
 //! Accelerator configuration (paper Table 2).
 
+use crate::error::SimError;
+
+/// Largest basis count [`SimConfig::with_m`] accepts. Compression clamps
+/// `M` to each layer's kernel area, so this only has to sit above any
+/// kernel a network can describe while keeping `N_PE · l · M` far from
+/// overflow.
+pub const MAX_M: usize = 1024;
+
 /// Whole-network schedule mode: how per-layer work shares the PE array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {
@@ -167,11 +175,17 @@ impl SimConfig {
 
     /// A design-space variant with `m` basis kernels, shrinking `l` to keep
     /// the multiplier budget constant (the Figure 12 trade-off).
-    pub fn with_m(&self, m: usize) -> SimConfig {
-        assert!(m > 0, "m must be positive");
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidBasisCount`] unless `1 ≤ m ≤ MAX_M`.
+    pub fn with_m(&self, m: usize) -> Result<SimConfig, SimError> {
+        if !(1..=MAX_M).contains(&m) {
+            return Err(SimError::InvalidBasisCount { m });
+        }
         let budget = self.total_macs();
         let l = (budget / (self.n_pe * m)).max(1);
-        SimConfig { m, l, ..*self }
+        Ok(SimConfig { m, l, ..*self })
     }
 
     /// Cycle time in nanoseconds.
@@ -279,7 +293,7 @@ mod tests {
     fn with_m_preserves_mac_budget_approximately() {
         let base = SimConfig::default();
         for m in [4usize, 5, 6, 7, 8] {
-            let v = base.with_m(m);
+            let v = base.with_m(m).unwrap();
             assert!(v.total_macs() <= base.total_macs());
             assert!(v.l >= 1);
             // Within one slice of the budget.
@@ -290,7 +304,19 @@ mod tests {
     #[test]
     fn larger_m_means_smaller_l() {
         let base = SimConfig::default();
-        assert!(base.with_m(8).l <= base.with_m(4).l);
+        assert!(base.with_m(8).unwrap().l <= base.with_m(4).unwrap().l);
+    }
+
+    #[test]
+    fn with_m_rejects_out_of_range_counts() {
+        let base = SimConfig::default();
+        // 2^59 once overflowed `N_PE · M` into a divide by zero.
+        for m in [0, MAX_M + 1, 1 << 59, usize::MAX] {
+            assert_eq!(base.with_m(m), Err(SimError::InvalidBasisCount { m }));
+        }
+        assert_eq!(base.with_m(MAX_M).unwrap().l, 1);
+        // M = 6 is the default design point.
+        assert_eq!(base.with_m(6).unwrap(), base);
     }
 
     #[test]

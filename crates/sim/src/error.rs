@@ -42,6 +42,11 @@ pub enum SimError {
         /// `(C, X, Y)` the feature map provides.
         got: [usize; 3],
     },
+    /// A basis count `M` outside `1..=MAX_M`.
+    InvalidBasisCount {
+        /// The rejected count.
+        m: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -72,6 +77,13 @@ impl std::fmt::Display for SimError {
                     f,
                     "layer {layer}: feature map is {}x{}x{} but the workload expects {}x{}x{}",
                     got[0], got[1], got[2], expected[0], expected[1], expected[2]
+                )
+            }
+            SimError::InvalidBasisCount { m } => {
+                write!(
+                    f,
+                    "basis count m = {m} is out of range: expected 1 to {}",
+                    crate::config::MAX_M
                 )
             }
         }

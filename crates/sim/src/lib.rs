@@ -103,7 +103,7 @@ pub mod workload;
 
 pub use accel::{schedule_for, Accelerator, Escalate, LayerPipelined, LayerSerial, Schedule};
 pub use ca::{LayerPlan, PositionCost, PositionKernel, MAX_BATCH};
-pub use config::{DesignPoint, ScheduleKind, SimConfig};
+pub use config::{DesignPoint, ScheduleKind, SimConfig, MAX_M};
 pub use context::{LayerContext, NoopObserver, SimObserver};
 pub use engine::{simulate_layer, simulate_model};
 pub use error::SimError;

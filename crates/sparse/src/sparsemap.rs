@@ -214,8 +214,50 @@ impl TwoLevelSparseMap {
     /// Storage cost in bits: one presence bit per chunk, 16 mask bits per
     /// stored chunk, and `value_bits` per nonzero.
     pub fn size_bits(&self, value_bits: usize) -> usize {
-        self.total_chunks() + self.stored_chunks() * CHUNK_BITS + self.nnz() * value_bits
+        two_level_bits(
+            self.total_chunks(),
+            self.stored_chunks(),
+            self.nnz(),
+            value_bits,
+        )
     }
+
+    /// The [`size_bits`](Self::size_bits) that encoding the integer codes
+    /// `dense` (such as ternary coefficients) as `f32` would report,
+    /// counted from their nonzero pattern without building the map.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use escalate_sparse::TwoLevelSparseMap;
+    ///
+    /// let ternary: Vec<i8> = vec![0, 1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    /// let dense: Vec<f32> = ternary.iter().map(|&v| f32::from(v)).collect();
+    /// assert_eq!(
+    ///     TwoLevelSparseMap::size_bits_of(&ternary, 1),
+    ///     TwoLevelSparseMap::encode(&dense).size_bits(1),
+    /// );
+    /// ```
+    pub fn size_bits_of(dense: &[i8], value_bits: usize) -> usize {
+        let mut stored = 0;
+        let mut nnz = 0;
+        for chunk in dense.chunks(CHUNK_BITS) {
+            let n = chunk.iter().filter(|&&v| v != 0).count();
+            stored += usize::from(n > 0);
+            nnz += n;
+        }
+        two_level_bits(dense.len().div_ceil(CHUNK_BITS), stored, nnz, value_bits)
+    }
+}
+
+/// The 2-level size rule, shared by the encoded map and the counting path.
+fn two_level_bits(
+    total_chunks: usize,
+    stored_chunks: usize,
+    nnz: usize,
+    value_bits: usize,
+) -> usize {
+    total_chunks + stored_chunks * CHUNK_BITS + nnz * value_bits
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub mod matrix;
 pub mod tensor;
 
 pub use matrix::Matrix;
-pub use tensor::Tensor;
+pub use tensor::{RelativeError, Tensor};
 
 /// Error type for shape and numerical failures in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

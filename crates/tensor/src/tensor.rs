@@ -258,17 +258,11 @@ impl Tensor {
             self.shape, other.shape,
             "relative_error requires identical shapes"
         );
-        let mut num = 0.0f32;
-        let mut den = 0.0f32;
-        for (a, b) in self.data.iter().zip(&other.data) {
-            num += (a - b) * (a - b);
-            den += a * a;
+        let mut acc = RelativeError::default();
+        for (&a, &b) in self.data.iter().zip(&other.data) {
+            acc.push(a, b);
         }
-        if den == 0.0 {
-            num.sqrt()
-        } else {
-            (num / den).sqrt()
-        }
+        acc.value()
     }
 
     /// Checks element-wise closeness within an absolute + relative tolerance.
@@ -294,6 +288,48 @@ impl Default for Tensor {
 impl std::fmt::Display for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Tensor{:?}", self.shape)
+    }
+}
+
+/// The running sums behind [`Tensor::relative_error`], for callers that
+/// produce the approximation one value at a time instead of as a tensor.
+/// Pushing the pairs in the reference's row-major order gives the same
+/// bits as `relative_error`.
+///
+/// # Examples
+///
+/// ```
+/// use escalate_tensor::{RelativeError, Tensor};
+///
+/// let a = Tensor::from_vec(&[2], vec![3.0, 4.0]);
+/// let b = Tensor::from_vec(&[2], vec![3.0, 3.0]);
+/// let mut acc = RelativeError::default();
+/// acc.push(3.0, 3.0);
+/// acc.push(4.0, 3.0);
+/// assert_eq!(acc.value().to_bits(), a.relative_error(&b).to_bits());
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RelativeError {
+    num: f32,
+    den: f32,
+}
+
+impl RelativeError {
+    /// Adds one `(reference, approximation)` pair.
+    #[inline]
+    pub fn push(&mut self, reference: f32, approx: f32) {
+        self.num += (reference - approx) * (reference - approx);
+        self.den += reference * reference;
+    }
+
+    /// `‖reference − approx‖ / ‖reference‖`, or the absolute distance when
+    /// the reference is all zeros.
+    pub fn value(&self) -> f32 {
+        if self.den == 0.0 {
+            self.num.sqrt()
+        } else {
+            (self.num / self.den).sqrt()
+        }
     }
 }
 

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "M", "l", "cycles", "latency(us)", "comp(x)", "proxy top-1"
     );
     for m in 3..=9usize {
-        let sim_cfg = SimConfig::default().with_m(m);
+        let sim_cfg = SimConfig::default().with_m(m)?;
         let cfg = CompressionConfig {
             m,
             ..CompressionConfig::default()

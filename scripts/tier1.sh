@@ -25,6 +25,11 @@ cargo test -q --offline -p escalate-sim --features simd
 # test matrix (unit + doc tests) explicitly so a workspace-level filter
 # can never silently drop it.
 cargo test -q --offline -p escalate-obs
+# Benchmark smoke: one iteration of every perfbench workload at smoke
+# size, untraced and traced, with output digests checked and the metric
+# catalogue matched against BENCHMARK.json. perfbench is its own
+# workspace, so the --workspace passes above never reach it.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # Criterion's `--test` mode runs each kernel benchmark once, unmeasured:
 # a smoke check that the scalar/word-parallel/batched differential
 # assertion and the bench wiring stay green without paying for real
@@ -33,7 +38,7 @@ cargo bench --offline -p escalate-bench --bench position_kernel \
   --features escalate-sim/simd -- --test
 # Golden-diff regression check over the full corpus: all 19 golden
 # experiments must stay byte-identical to the committed results/ files
-# (~75 s in release on a single core; the per-experiment dev-profile
+# (~45 s in release on a 2-core host; the per-experiment dev-profile
 # round-trips live in crates/bench/tests/report.rs).
 ./target/release/report --all --check
 # Resumable design-space sweep smoke on the frontier-golden grid: run

@@ -171,8 +171,12 @@ fn m_tradeoff_direction() {
             model_name: "r18".into(),
             layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
         };
-        let run =
-            escalate_bench::run_escalate(&profile, &artifacts, &SimConfig::default().with_m(m), 1);
+        let run = escalate_bench::run_escalate(
+            &profile,
+            &artifacts,
+            &SimConfig::default().with_m(m).unwrap(),
+            1,
+        );
         assert!(run.cycles > last_cycles, "latency should grow with M");
         assert!(
             stats.compression_ratio() < last_comp,
