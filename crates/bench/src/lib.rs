@@ -386,10 +386,10 @@ fn workload_cache() -> &'static WorkloadCache {
 /// most once per process, compressing through [`compress_cached`] first.
 /// The workload — per-layer coefficient bitmasks, shapes, sparsities — is
 /// a pure function of the artifacts, i.e. hardware-invariant: every
-/// design point of a sweep sharing `(network, M)` simulates the very same
-/// workload, so rebuilding it per point is pure overhead. Hits and misses
-/// count as `sweep.derived_hits` / `sweep.derived_misses` alongside the
-/// sim-side derived-state cache; the cache shares the artifact cache's
+/// design point of a sweep sharing `(network, M)`, and every repeated
+/// simulate job, simulates the very same workload, so rebuilding it is
+/// pure overhead. Hits and misses count as `bench.workload_hits` /
+/// `bench.workload_misses`; the cache shares the artifact cache's
 /// capacity policy ([`CACHE_CAP_ENV`]).
 ///
 /// # Errors
@@ -410,20 +410,36 @@ pub fn workload_cached(
     })?;
     escalate_obs::counter_add(
         if look.hit {
-            "sweep.derived_hits"
+            "bench.workload_hits"
         } else {
-            "sweep.derived_misses"
+            "bench.workload_misses"
         },
         1,
     );
     Ok(look.value)
 }
 
+/// The cached ESCALATE workload of `profile` compressed at `sim_cfg.m`
+/// with the default compression settings.
+fn escalate_workload(
+    profile: &ModelProfile,
+    sim_cfg: &SimConfig,
+) -> Result<Arc<Workload>, EscalateError> {
+    workload_cached(
+        profile,
+        &CompressionConfig {
+            m: sim_cfg.m,
+            ..CompressionConfig::default()
+        },
+    )
+}
+
 /// Runs all four accelerators on one model.
 ///
 /// The four simulations are independent, so they run concurrently (nested
-/// joins on the global pool) unless `sim_cfg.threads == 1`; compression
-/// goes through the per-process artifact cache.
+/// joins on the global pool) unless `sim_cfg.threads == 1`; the ESCALATE
+/// workload comes from the per-process workload cache
+/// ([`workload_cached`]).
 ///
 /// # Errors
 ///
@@ -435,13 +451,7 @@ pub fn run_model(
 ) -> Result<ModelRun, EscalateError> {
     let _t = escalate_obs::span_labeled("bench.model", &profile.name);
     escalate_core::par::configure_threads(sim_cfg.threads);
-    let artifacts = compress_cached(
-        profile,
-        &CompressionConfig {
-            m: sim_cfg.m,
-            ..CompressionConfig::default()
-        },
-    )?;
+    let workload = escalate_workload(profile, sim_cfg)?;
     let bw = BaselineWorkload::for_profile(profile);
     let caps = BufferCaps::baseline(64 * 1024);
     let (eyeriss, scnn, sparten) = (Eyeriss::default(), Scnn::default(), SparTen::default());
@@ -450,7 +460,7 @@ pub fn run_model(
     };
     let (escalate, (eyeriss, (scnn, sparten))) = if sim_cfg.threads == 1 {
         (
-            run_escalate(profile, &artifacts, sim_cfg, seeds),
+            run_escalate_workload(&workload, sim_cfg, seeds),
             (
                 run_base(&eyeriss, 1),
                 (run_base(&scnn, 1), run_base(&sparten, 1)),
@@ -458,7 +468,7 @@ pub fn run_model(
         )
     } else {
         rayon::join(
-            || run_escalate(profile, &artifacts, sim_cfg, seeds),
+            || run_escalate_workload(&workload, sim_cfg, seeds),
             || {
                 rayon::join(
                     || run_base(&eyeriss, 0),
@@ -483,7 +493,7 @@ pub const ACCELERATOR_NAMES: [&str; 4] = ["Eyeriss", "SCNN", "SparTen", "ESCALAT
 /// Runs one of the four accelerators by name — the unit-sized slice of
 /// [`run_model`] for callers (the serve daemon's simulate plan) that fan
 /// the comparison out as independent work units. Each arm takes exactly
-/// the code path `run_model` takes for that design (artifact cache,
+/// the code path `run_model` takes for that design (workload cache,
 /// baseline workload, buffer pricing), and every stage is
 /// order-preserving with per-seed RNGs, so assembling the four results
 /// into a [`ModelRun`] is bit-identical to one `run_model` call at any
@@ -501,14 +511,8 @@ pub fn run_accelerator_by_name(
 ) -> Result<AccelRun, EscalateError> {
     escalate_core::par::configure_threads(sim_cfg.threads);
     if name == "ESCALATE" {
-        let artifacts = compress_cached(
-            profile,
-            &CompressionConfig {
-                m: sim_cfg.m,
-                ..CompressionConfig::default()
-            },
-        )?;
-        return Ok(run_escalate(profile, &artifacts, sim_cfg, seeds));
+        let workload = escalate_workload(profile, sim_cfg)?;
+        return Ok(run_escalate_workload(&workload, sim_cfg, seeds));
     }
     let (eyeriss, scnn, sparten) = (Eyeriss::default(), Scnn::default(), SparTen::default());
     let model: &dyn LayerModel = match name {

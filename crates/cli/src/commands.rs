@@ -312,11 +312,30 @@ fn cmd_network(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
+/// The `--m` flag error: a basis count outside `1..=MAX_M`.
+fn bad_basis_count(m: usize) -> CliError {
+    CliError::Args(ArgError::BadValue {
+        option: "m".into(),
+        value: m.to_string(),
+        expected: "a basis count from 1 to 1024",
+    })
+}
+
+/// `--m` (default 6), rejected at flag parsing unless in `1..=MAX_M`.
+fn m_arg(args: &ParsedArgs) -> Result<usize, CliError> {
+    let m = args.get_or("m", 6usize)?;
+    if (1..=escalate_sim::MAX_M).contains(&m) {
+        Ok(m)
+    } else {
+        Err(bad_basis_count(m))
+    }
+}
+
 fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known(&["m", "qat", "seed", "layers", "out"])?;
     let p = model_arg(args)?;
     let cfg = CompressionConfig {
-        m: args.get_or("m", 6usize)?,
+        m: m_arg(args)?,
         qat_epochs: args.get_or("qat", 0usize)?,
         seed: args.get_or("seed", 42u64)?,
         ..CompressionConfig::default()
@@ -352,7 +371,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known(&["m", "seeds", "threads", "metrics", "network", "schedule"])?;
     let p = model_arg(args)?;
     let schedule = schedule_arg(args)?;
-    let m = args.get_or("m", 6usize)?;
+    let m = m_arg(args)?;
     let seeds = args.get_or("seeds", input_seeds())?;
     let threads = args.get_or("threads", 0usize)?;
     let metrics_path = args.options.get("metrics").cloned();
@@ -365,13 +384,9 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
             expected: "a file path (use ./true for a file literally named true)",
         }));
     }
-    let mut cfg = SimConfig::default().with_m(m).map_err(|_| {
-        CliError::Args(ArgError::BadValue {
-            option: "m".into(),
-            value: m.to_string(),
-            expected: "a basis count from 1 to 1024",
-        })
-    })?;
+    let mut cfg = SimConfig::default()
+        .with_m(m)
+        .map_err(|_| bad_basis_count(m))?;
     cfg.threads = threads;
     cfg.schedule = schedule;
 
@@ -863,6 +878,9 @@ mod tests {
             "\"metrics\":",
             "sim.cycles",
             "bench.model/MobileNet",
+            "bench.workload_",
+            "sim.mask_draw",
+            "ca.plan_compile",
         ] {
             assert!(json.contains(needle), "missing {needle} in manifest");
         }

@@ -53,6 +53,22 @@ fn compress_produces_summary() {
 }
 
 #[test]
+fn compress_out_of_range_m_fails_at_flag_parsing() {
+    // `compress --m 0` used to compress until the first layer and report
+    // "basis count 0 exceeds kernel area 9".
+    for m in ["0", "1025", "576460752303423488"] {
+        let (ok, _, stderr) = run(&["compress", "MobileNet", "--m", m]);
+        assert!(!ok, "--m {m} must fail");
+        assert!(stderr.starts_with("error: --m:"), "{stderr}");
+        assert!(
+            stderr.contains(&escalate_sim::MAX_M.to_string()),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("exceeds"), "{stderr}");
+    }
+}
+
+#[test]
 fn out_of_range_m_fails_cleanly() {
     // 0 once tripped an assert; 2^59 overflowed `N_PE · M` into a divide
     // by zero. Both must be ordinary flag errors, before any compression.

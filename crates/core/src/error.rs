@@ -8,7 +8,7 @@ use escalate_tensor::TensorError;
 pub enum EscalateError {
     /// A numerical routine in the tensor substrate failed.
     Numeric(TensorError),
-    /// The requested basis count is invalid for the layer.
+    /// The requested basis count is outside `1..=rs` for the layer.
     InvalidBasisCount {
         /// Requested number of basis kernels.
         m: usize,
@@ -38,7 +38,10 @@ impl std::fmt::Display for EscalateError {
         match self {
             EscalateError::Numeric(e) => write!(f, "numeric failure: {e}"),
             EscalateError::InvalidBasisCount { m, rs } => {
-                write!(f, "basis count {m} exceeds kernel area {rs}")
+                write!(
+                    f,
+                    "basis count {m} outside 1..={rs} (1 to the kernel area R·S = {rs})"
+                )
             }
             EscalateError::NotDecomposable { layer } => {
                 write!(f, "layer {layer} cannot be decomposed")
@@ -86,6 +89,17 @@ mod tests {
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn basis_count_errors_name_the_valid_range() {
+        // `--m 0` once read "basis count 0 exceeds kernel area 9".
+        for m in [0, 10] {
+            let msg = EscalateError::InvalidBasisCount { m, rs: 9 }.to_string();
+            assert!(msg.contains(&format!("basis count {m}")), "{msg}");
+            assert!(msg.contains("1..=9"), "{msg}");
+            assert!(!msg.contains("exceeds"), "{msg}");
         }
     }
 

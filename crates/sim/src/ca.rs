@@ -22,8 +22,8 @@
 //!   positions per pass over the bound coefficient words, concentration
 //!   drains run on the bitmask
 //!   [`MaskConcentration`](escalate_sparse::MaskConcentration) model, and
-//!   (behind the `simd` cargo feature) the whole batch is recompiled with
-//!   `popcnt`/`bmi2`/`avx2` enabled and dispatched at runtime.
+//!   on x86_64 the whole batch is recompiled with `popcnt`/`bmi2`/`avx2`
+//!   enabled and dispatched at runtime.
 //!   `tests/kernel_diff.rs` pins every path byte-for-byte equal to the
 //!   scalar reference.
 //!
@@ -37,7 +37,7 @@
 use crate::config::SimConfig;
 use escalate_sparse::{dilute_into, ConcentrationBuffer, DilutionInput, MaskConcentration};
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 use crate::simd;
 
 /// Unit activation values: the timing model only cares which positions are
@@ -266,6 +266,7 @@ impl LayerPlan {
         channels: &[usize],
         mask: impl Fn(usize, usize) -> &'m [u64],
     ) -> LayerPlan {
+        let _span = escalate_obs::span("ca.plan_compile");
         let words = c.div_ceil(64);
         let mut plan = LayerPlan {
             c,
@@ -329,7 +330,7 @@ impl LayerPlan {
 /// Per-word OR fold, through the AVX2 lane helper when the `simd` fast
 /// path is live.
 fn or_words(dst: &mut [u64], src: &[u64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::enabled() {
         // SAFETY: avx2 availability is part of `simd::enabled`.
         unsafe { simd::or_words_into(dst, src) };
@@ -346,7 +347,7 @@ fn or_words(dst: &mut [u64], src: &[u64]) {
 /// fast path.
 #[inline(always)]
 fn filter_mask(inter: u64, aw: u64, fast: bool) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if fast {
         // SAFETY: the batch entry dispatched here only after
         // `simd::enabled()` confirmed bmi2.
@@ -437,7 +438,7 @@ impl DrainBuf {
 ///    `push_holes` calls, trailing holes are elided (they can never
 ///    drain a row), and drains run on the bitmask
 ///    [`MaskConcentration`] rows;
-/// 4. **`std::arch` dispatch** (`simd` feature) — the whole batch is
+/// 4. **`std::arch` dispatch** (x86_64) — the whole batch is
 ///    recompiled with `popcnt`/`bmi2`/`avx2` enabled and selected by a
 ///    runtime `is_x86_feature_detected!` gate, with the portable
 ///    `u64::count_ones` path as the everywhere-correct fallback.
@@ -614,7 +615,7 @@ impl PositionKernel {
     /// `n × words` long, `out` is shorter than `n`, or any mask has bits
     /// at or above `c`.
     pub fn cost_batch(&mut self, acts: &[u64], n: usize, out: &mut [PositionCost]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if simd::enabled() {
             // SAFETY: popcnt/bmi2/avx2 presence verified by the runtime
             // gate inside `simd::enabled`.
@@ -627,7 +628,7 @@ impl PositionKernel {
     /// The batch body recompiled with the x86 bit-manipulation features
     /// enabled, so every `count_ones` is a hardware `popcnt` and the
     /// filter build is a `pext`.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt", enable = "bmi2", enable = "avx2")]
     unsafe fn cost_batch_x86(&mut self, acts: &[u64], n: usize, out: &mut [PositionCost]) {
         self.cost_batch_impl(acts, n, out, true);

@@ -143,13 +143,12 @@ impl<'a> LayerContext<'a> {
     /// the per-channel coefficient-count distribution (`cfg.sample_channels`
     /// of them, or every channel when `K` is smaller), because the counts
     /// are heavy-tailed and a fixed stride can land on unrepresentative
-    /// channels.
+    /// channels. Reads the workload's cached [`CoefMasks::nnz_order`].
     pub fn sample_channels(&self, cfg: &SimConfig) -> Vec<usize> {
         let sk = self.k_total.min(cfg.sample_channels.max(1));
-        let mut order: Vec<usize> = (0..self.k_total).collect();
-        order.sort_by_key(|&k| self.masks.nnz_for_channel(k));
+        let order = self.masks.nnz_order();
         (0..sk)
-            .map(|i| order[((2 * i + 1) * self.k_total) / (2 * sk)])
+            .map(|i| order[((2 * i + 1) * self.k_total) / (2 * sk)] as usize)
             .collect()
     }
 }
@@ -322,25 +321,28 @@ pub fn run_positions_with(
         kernel.install_plan(LayerPlan::build(ctx.c, ctx.m, sampled_k, mask));
         agg.plan_compiles = 1;
     }
-    // The batch buffers are reused across every sampled channel; all
+    // The mask block is reused across every sampled channel; all
     // channel-invariant work (coefficient copies, union masks, skip
     // tables) was precomputed by the plan, so `bind_planned` is a few
     // memcpys.
-    let mut batch = vec![0u64; MAX_BATCH * ctx.words];
+    let mut block = vec![0u64; sp * ctx.words];
     let mut costs = [PositionCost::default(); MAX_BATCH];
     for (idx, &k) in sampled_k.iter().enumerate() {
         kernel.bind_planned(idx);
+        {
+            // The channel's masks, drawn in position order before any is
+            // costed: Bernoulli sources consume their RNG stream exactly
+            // as the one-position-at-a-time walk did.
+            let _draw = escalate_obs::span("sim.mask_draw");
+            for p in 0..sp {
+                source.mask_into(p, &mut block[p * ctx.words..(p + 1) * ctx.words]);
+            }
+        }
         let mut k_pos_cycles = 0.0f64;
         let mut p = 0usize;
         while p < sp {
             let n = MAX_BATCH.min(sp - p);
-            for b in 0..n {
-                // Masks are materialized in position order, so Bernoulli
-                // sources consume their RNG stream exactly as the
-                // unbatched walk did.
-                source.mask_into(p + b, &mut batch[b * ctx.words..(b + 1) * ctx.words]);
-            }
-            kernel.cost_batch(&batch[..n * ctx.words], n, &mut costs);
+            kernel.cost_batch(&block[p * ctx.words..(p + n) * ctx.words], n, &mut costs);
             for (b, cost) in costs.iter().enumerate().take(n) {
                 let pos_cycles = ctx.mac_row.position_cycles(cost.ca_cycles);
                 k_pos_cycles += pos_cycles as f64;
@@ -598,6 +600,31 @@ mod tests {
         let mut sorted = all.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn channel_sample_matches_the_re_sorting_sampler() {
+        // The historical sampler re-sorted all K channels per call; the
+        // cached order must pick the very same channels.
+        let resort = |ctx: &LayerContext, cfg: &SimConfig| -> Vec<usize> {
+            let sk = ctx.k_total.min(cfg.sample_channels.max(1));
+            let mut order: Vec<usize> = (0..ctx.k_total).collect();
+            order.sort_by_key(|&k| ctx.masks.nnz_for_channel(k));
+            (0..sk)
+                .map(|i| order[((2 * i + 1) * ctx.k_total) / (2 * sk)])
+                .collect()
+        };
+        for (c, k) in [(32, 64), (70, 9), (16, 1), (130, 33)] {
+            let lw = workload(c, k, 6, 8);
+            for sample_channels in [0, 1, 8, 1000] {
+                let cfg = SimConfig {
+                    sample_channels,
+                    ..SimConfig::default()
+                };
+                let ctx = LayerContext::new(&lw, &cfg).unwrap();
+                assert_eq!(ctx.sample_channels(&cfg), resort(&ctx, &cfg), "c={c} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -94,7 +94,6 @@ pub mod masks;
 pub mod observe;
 pub mod psum;
 pub mod shared;
-#[cfg(feature = "simd")]
 pub mod simd;
 pub mod slice;
 pub mod stats;

@@ -9,8 +9,9 @@
 //! cursor so the shared position loop in [`crate::context`] is written
 //! once.
 
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Extracts the per-position activation nonzero masks from a `C×X×Y`
@@ -132,40 +133,10 @@ impl<'a> MaskSource<'a> {
         }
     }
 
-    /// The activation mask for position `pos` of the current channel walk.
-    ///
-    /// Bernoulli sources draw into `buf` (advancing the RNG stream and
-    /// ignoring `pos`); trace sources return the stored mask unbuffered.
-    pub fn mask<'b>(&'b mut self, pos: usize, buf: &'b mut [u64]) -> &'b [u64]
-    where
-        'a: 'b,
-    {
-        match self {
-            MaskSource::Bernoulli {
-                rng, c, keep_prob, ..
-            } => {
-                draw_act_mask_into(rng, *c, *keep_prob, buf);
-                buf
-            }
-            MaskSource::Trace { masks } => &masks[pos],
-            MaskSource::Materialized {
-                words,
-                words_per_mask,
-                cursor,
-                ..
-            } => {
-                let at = *cursor * *words_per_mask;
-                *cursor += 1;
-                &words[at..at + *words_per_mask]
-            }
-        }
-    }
-
-    /// [`MaskSource::mask`], materialized into `buf` unconditionally — the
-    /// form the batched position walk uses to pack several masks
-    /// back-to-back. Bernoulli sources consume exactly the same RNG
-    /// stream as [`MaskSource::mask`]; trace sources copy the stored
-    /// words.
+    /// Writes the activation mask for position `pos` of the current
+    /// channel walk into `buf`. Bernoulli sources draw the next mask of
+    /// their RNG stream and materialized sources replay it (both ignore
+    /// `pos`); trace sources copy the stored mask of `pos`.
     ///
     /// # Panics
     ///
@@ -191,15 +162,34 @@ impl<'a> MaskSource<'a> {
 }
 
 /// Draws a Bernoulli activation mask into a caller-owned buffer. Consumes
-/// exactly one `gen_bool` per input channel, so equal `(rng state, c,
-/// keep_prob)` always produce identical masks and identical successor
-/// states.
+/// exactly one `next_u64` per input channel — the draw `gen_bool` makes —
+/// so equal `(rng state, c, keep_prob)` always produce identical masks and
+/// identical successor states. Each word is assembled branch-free from
+/// the [`Bernoulli`] verdicts; words past `c` are zeroed.
+///
+/// # Panics
+///
+/// Panics if `mask` holds fewer than `c` bits, or if `c > 0` and
+/// `keep_prob` is NaN (with `gen_bool`'s message).
 pub(crate) fn draw_act_mask_into(rng: &mut StdRng, c: usize, keep_prob: f64, mask: &mut [u64]) {
+    assert!(
+        mask.len() * 64 >= c,
+        "mask buffer shorter than {c} channels"
+    );
     mask.fill(0);
-    for ci in 0..c {
-        if rng.gen_bool(keep_prob.clamp(0.0, 1.0)) {
-            mask[ci / 64] |= 1u64 << (ci % 64);
+    if c == 0 {
+        return;
+    }
+    let p = keep_prob.clamp(0.0, 1.0);
+    let coin =
+        Bernoulli::new(p).unwrap_or_else(|_| panic!("gen_bool probability {p} not in [0, 1]"));
+    for (wi, word) in mask.iter_mut().enumerate() {
+        let bits = c.saturating_sub(wi * 64).min(64);
+        let mut w = 0u64;
+        for b in 0..bits {
+            w |= u64::from(coin.sample(rng)) << b;
         }
+        *word = w;
     }
 }
 
@@ -207,9 +197,11 @@ pub(crate) fn draw_act_mask_into(rng: &mut StdRng, c: usize, keep_prob: f64, mas
 mod tests {
     use super::*;
     use escalate_tensor::Tensor;
+    use rand::Rng;
 
-    /// Reference allocating draw the property test compares
-    /// [`draw_act_mask_into`] against.
+    /// Reference per-bit draw (the historical form: one `gen_bool` branch
+    /// per channel, allocating) the word-at-a-time [`draw_act_mask_into`]
+    /// is compared against.
     fn draw_act_mask(rng: &mut StdRng, c: usize, words: usize, keep_prob: f64) -> Vec<u64> {
         let mut mask = vec![0u64; words];
         for ci in 0..c {
@@ -218,6 +210,63 @@ mod tests {
             }
         }
         mask
+    }
+
+    /// The panic message of `f`, if it panicked.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(e) => e
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        })
+    }
+
+    #[test]
+    fn word_draw_matches_per_bit_draw_at_the_edges() {
+        let keeps = [0.0, 1.0, 0.5, 1e-20, 1.0 - f64::EPSILON / 2.0];
+        for &c in &[0usize, 1, 63, 64, 65, 1024] {
+            let words = c.div_ceil(64).max(1);
+            for &keep in &keeps {
+                for seed in [0u64, 1, 0xdead_beef] {
+                    let mut r_ref = StdRng::seed_from_u64(seed);
+                    let mut r_new = StdRng::seed_from_u64(seed);
+                    let mut mask = vec![u64::MAX; words]; // deliberately dirty
+                    for draw in 0..3 {
+                        let expect = draw_act_mask(&mut r_ref, c, words, keep);
+                        draw_act_mask_into(&mut r_new, c, keep, &mut mask);
+                        assert_eq!(mask, expect, "c={c} keep={keep} seed={seed} draw {draw}");
+                        assert_eq!(r_new, r_ref, "successor state c={c} keep={keep}");
+                    }
+                }
+            }
+        }
+        // NaN panics with gen_bool's message whenever a bit is drawn, and
+        // draws nothing (no panic) for an empty channel set — as before.
+        for &c in &[0usize, 1, 64, 65] {
+            let words = c.div_ceil(64).max(1);
+            let reference = panic_message(|| {
+                draw_act_mask(&mut StdRng::seed_from_u64(5), c, words, f64::NAN);
+            });
+            let fast = panic_message(|| {
+                draw_act_mask_into(
+                    &mut StdRng::seed_from_u64(5),
+                    c,
+                    f64::NAN,
+                    &mut vec![0; words],
+                );
+            });
+            assert_eq!(fast, reference, "c={c}");
+            assert_eq!(reference.is_some(), c > 0, "c={c}");
+        }
+        assert_eq!(
+            panic_message(|| {
+                draw_act_mask_into(&mut StdRng::seed_from_u64(5), 3, f64::NAN, &mut [0]);
+            })
+            .as_deref(),
+            Some("gen_bool probability NaN not in [0, 1]")
+        );
     }
 
     #[test]
@@ -231,7 +280,8 @@ mod tests {
         let mut buf = vec![0u64; words];
         for p in 0..2 * sp {
             let expect = draw_act_mask(&mut rng, c, words, 0.5);
-            assert_eq!(source.mask(p % sp, &mut buf), &expect[..], "draw {p}");
+            source.mask_into(p % sp, &mut buf);
+            assert_eq!(buf, expect, "draw {p}");
         }
     }
 
@@ -240,9 +290,10 @@ mod tests {
         let masks = vec![vec![0b101u64], vec![0b010u64], vec![0b111u64]];
         let mut source = MaskSource::trace(&masks);
         assert_eq!(source.positions(), 3);
-        let mut buf = vec![u64::MAX]; // must be ignored
+        let mut buf = vec![u64::MAX]; // must be overwritten
         for (p, m) in masks.iter().enumerate() {
-            assert_eq!(source.mask(p, &mut buf), &m[..]);
+            source.mask_into(p, &mut buf);
+            assert_eq!(&buf, m);
         }
     }
 

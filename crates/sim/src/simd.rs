@@ -1,10 +1,10 @@
-//! `std::arch` fast paths for the position kernel (the `simd` feature).
+//! `std::arch` fast paths for the position kernel.
 //!
 //! Everything here is a *speed* path, never a *result* path: each
 //! intrinsic computes bit-for-bit what the portable code computes
 //! (`_pext_u64` is exactly [`escalate_sparse::gather_bits`] with the
-//! operands in pext order; `_mm256_or_si256` is four `|`s), so enabling
-//! the feature can never change a simulation. `tests/kernel_diff.rs`
+//! operands in pext order; `_mm256_or_si256` is four `|`s), so taking
+//! the fast path can never change a simulation. `tests/kernel_diff.rs`
 //! pins the equivalence by running the kernel with the dispatch forced
 //! off against the default dispatch.
 //!

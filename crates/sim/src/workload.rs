@@ -12,6 +12,11 @@ use escalate_models::{LayerShape, ModelProfile};
 
 /// Per-layer coefficient bitmasks: for each output channel `k` and basis
 /// index `m`, one bit per input channel `c` (set when `Ce(k,c,m) ≠ 0`).
+///
+/// Also holds the seed-invariant per-layer state the sampled engine reads
+/// on every walk — the channels in stable nonzero-count order and the
+/// total nonzero count — computed once here instead of per layer per
+/// seed.
 #[derive(Debug, Clone)]
 pub struct CoefMasks {
     k: usize,
@@ -20,6 +25,12 @@ pub struct CoefMasks {
     words_per_mask: usize,
     /// Masks laid out `[k][m][word]`.
     words: Vec<u64>,
+    /// Channel ids stably sorted by nonzero count (ties keep id order),
+    /// as `u32` to halve its share of the workload caches (a sweep holds
+    /// one workload per network and M).
+    nnz_order: Vec<u32>,
+    /// Total nonzero coefficients.
+    total_nnz: usize,
 }
 
 impl CoefMasks {
@@ -39,12 +50,26 @@ impl CoefMasks {
                 }
             }
         }
+        let stride = m * words_per_mask;
+        let nnz: Vec<usize> = (0..k)
+            .map(|ki| {
+                words[ki * stride..(ki + 1) * stride]
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum()
+            })
+            .collect();
+        let k32 = u32::try_from(k).expect("the mask words of K channels fit in memory");
+        let mut nnz_order: Vec<u32> = (0..k32).collect();
+        nnz_order.sort_by_key(|&ki| nnz[ki as usize]);
         CoefMasks {
             k,
             c,
             m,
             words_per_mask,
             words,
+            nnz_order,
+            total_nnz: nnz.iter().sum(),
         }
     }
 
@@ -88,7 +113,13 @@ impl CoefMasks {
 
     /// Total nonzero coefficients.
     pub fn total_nnz(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.total_nnz
+    }
+
+    /// Channel ids in stable ascending order of
+    /// [`CoefMasks::nnz_for_channel`] (equal counts keep id order).
+    pub(crate) fn nnz_order(&self) -> &[u32] {
+        &self.nnz_order
     }
 }
 
@@ -217,6 +248,38 @@ mod tests {
         let masks = CoefMasks::from_ternary(&t);
         let sum: usize = (0..5).map(|k| masks.nnz_for_channel(k)).sum();
         assert_eq!(sum, masks.total_nnz());
+    }
+
+    #[test]
+    fn cached_channel_order_and_total_match_a_recount() {
+        // Skewed per-channel densities with many ties, multi-word masks.
+        for &(k, c, m) in &[
+            (1usize, 1usize, 1usize),
+            (7, 70, 3),
+            (40, 130, 6),
+            (64, 9, 1),
+        ] {
+            let t = Tensor::from_fn(&[k, c, m], |i| {
+                let h = (i[0] * 31 + i[1] * 7 + i[2] * 3) % 11;
+                if h < i[0] % 5 {
+                    1.0
+                } else {
+                    0.0
+                }
+            });
+            let masks = CoefMasks::from_ternary(&TernaryCoeffs::ternarize(&t, 0.0).unwrap());
+            // The historical per-walk form: a stable sort keyed by a fresh
+            // popcount on every comparison, and a recount of every word.
+            let mut order: Vec<u32> = (0..k as u32).collect();
+            order.sort_by_key(|&ki| masks.nnz_for_channel(ki as usize));
+            assert_eq!(masks.nnz_order(), &order[..], "k={k} c={c} m={m}");
+            let recount: usize = (0..k)
+                .flat_map(|ki| (0..m).map(move |mi| (ki, mi)))
+                .flat_map(|(ki, mi)| masks.mask(ki, mi).iter())
+                .map(|w| w.count_ones() as usize)
+                .sum();
+            assert_eq!(masks.total_nnz(), recount, "k={k} c={c} m={m}");
+        }
     }
 
     #[test]

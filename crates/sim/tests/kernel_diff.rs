@@ -1,7 +1,6 @@
 //! Differential suite: the batched word-parallel [`PositionKernel`] —
 //! through ad-hoc binds, compiled [`LayerPlan`]s, every batch shape, and
-//! (when built with `--features simd`) both sides of the `std::arch`
-//! dispatch — against the scalar reference [`position_cost_scalar`],
+//! both sides of the `std::arch` dispatch — against the scalar reference [`position_cost_scalar`],
 //! byte-for-byte equal [`PositionCost`]s across random channel counts,
 //! mask patterns, concentration windows, and bus widths — including
 //! multi-word channels and the empty/dense extremes.
@@ -197,12 +196,11 @@ proptest! {
     }
 }
 
-// With `--features simd`: the runtime-dispatched `std::arch` path and the
-// forced-portable path produce byte-identical costs on the same inputs.
-// On hosts without the instructions the dispatch already takes the
-// portable path and this reduces to a self-comparison (still valid, just
-// not discriminating).
-#[cfg(feature = "simd")]
+// The runtime-dispatched `std::arch` path and the forced-portable path
+// produce byte-identical costs on the same inputs. On hosts without the
+// instructions (and off x86_64) the dispatch already takes the portable
+// path and this reduces to a self-comparison (still valid, just not
+// discriminating).
 proptest! {
     #[test]
     fn simd_dispatch_matches_portable(

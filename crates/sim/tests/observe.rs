@@ -166,4 +166,12 @@ fn installed_recorder_does_not_perturb_results() {
     // three layers each.
     assert_eq!(reg.counter("sim.layers"), 6);
     assert_eq!(reg.counter("sim.cycles"), 2 * baseline.total_cycles());
+    // A mask-draw span per sampled channel (8 of each decomposed layer's
+    // K ≥ 16, two passes) and plan-compile spans. Lower bounds only: the
+    // proptest above runs concurrently, and its spans also reach the
+    // global recorder.
+    let spans = reg.snapshot().spans;
+    let count = |name: &str| spans.get(name).map_or(0, |s| s.count);
+    assert!(count("sim.mask_draw") >= 2 * 2 * seq.sample_channels as u64);
+    assert!(count("ca.plan_compile") > 0);
 }

@@ -426,6 +426,12 @@ impl MaskConcentration {
     /// the adder tree consumed — bit-identical to
     /// [`ConcentrationStats::rows_drained`] of a [`ConcentrationBuffer`]
     /// fed the same hole/mask stream.
+    ///
+    /// Runs in `O(rows · (1 + look_ahead))`. The slot buffer drops every
+    /// row emptied by donations after each head pop. Here the whole tail
+    /// is compacted once, after the first pop; from then on only the
+    /// popped head's look-ahead window is compacted, toward the tail, so
+    /// the rows behind it stay in place.
     pub fn drain(&mut self) -> usize {
         let full = if self.width == 64 {
             u64::MAX
@@ -488,17 +494,26 @@ impl MaskConcentration {
                 drained += 1;
             }
             start += 1;
-            // Compact rows drained empty by donations, exactly like the
-            // slot buffer recycles all-None rows after each head pop.
-            let mut w = start;
-            for r in start..self.rows.len() {
+            // Drop rows emptied by donations, shifting the survivors toward
+            // the tail. After the first pop that is the whole tail (the
+            // pushed stream may hold hole rows anywhere); after later pops
+            // (`start` only grows past 1) every row behind the head was
+            // non-empty, and only the popped head's window can have lost
+            // its last element.
+            let end = if start == 1 {
+                self.rows.len()
+            } else {
+                start + depth - 1
+            };
+            let mut w = end;
+            for r in (start..end).rev() {
                 let row = self.rows[r];
                 if row != 0 {
+                    w -= 1;
                     self.rows[w] = row;
-                    w += 1;
                 }
             }
-            self.rows.truncate(w);
+            start = w;
         }
         self.rows.clear();
         self.cursor = 0;
@@ -738,6 +753,114 @@ mod tests {
                 .collect();
             let _ = trial;
             diff_drain(width, la, ls, &ops);
+        }
+    }
+
+    /// The historical drain: identical donor fills, but every remaining
+    /// row is re-compacted after each head pop (`O(rows²)` per drain).
+    fn drain_full_compaction(buf: &mut MaskConcentration) -> usize {
+        let full = if buf.width == 64 {
+            u64::MAX
+        } else {
+            (1u64 << buf.width) - 1
+        };
+        let mut drained = 0usize;
+        let mut start = 0usize;
+        while start < buf.rows.len() {
+            let live = &mut buf.rows[start..];
+            let depth = live.len().min(1 + buf.look_ahead);
+            if depth > 1 {
+                let mut avail = 0u64;
+                for &r in &live[1..depth] {
+                    avail |= r;
+                }
+                if avail != 0 {
+                    let mut reach = avail;
+                    for d in 1..=buf.look_aside {
+                        reach |= (avail << d) | (avail >> d);
+                    }
+                    let mut holes = !live[0] & full & reach;
+                    'hole: while holes != 0 {
+                        let col = holes.trailing_zeros() as usize;
+                        holes &= holes - 1;
+                        for r in 1..depth {
+                            if live[r] >> col & 1 == 1 {
+                                live[r] &= !(1u64 << col);
+                                live[0] |= 1u64 << col;
+                                continue 'hole;
+                            }
+                        }
+                        for r in 1..depth {
+                            for d in 1..=buf.look_aside {
+                                if col >= d && live[r] >> (col - d) & 1 == 1 {
+                                    live[r] &= !(1u64 << (col - d));
+                                    live[0] |= 1u64 << col;
+                                    continue 'hole;
+                                }
+                                if col + d < buf.width && live[r] >> (col + d) & 1 == 1 {
+                                    live[r] &= !(1u64 << (col + d));
+                                    live[0] |= 1u64 << col;
+                                    continue 'hole;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if live[0] != 0 {
+                drained += 1;
+            }
+            start += 1;
+            let mut w = start;
+            for r in start..buf.rows.len() {
+                let row = buf.rows[r];
+                if row != 0 {
+                    buf.rows[w] = row;
+                    w += 1;
+                }
+            }
+            buf.rows.truncate(w);
+        }
+        buf.rows.clear();
+        buf.cursor = 0;
+        drained
+    }
+
+    #[test]
+    fn window_drain_matches_full_compaction_drain() {
+        let mut state = 0x0dd_ba11_cafe_f00du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        for trial in 0..4000 {
+            let width = 1 + trial % 64;
+            let la = [0usize, 1, 4, 8][trial / 64 % 4];
+            let ls = [0usize, 1, 2][trial / 256 % 3];
+            let mut fast = MaskConcentration::new(width, la, ls);
+            // Leading hole rows on a third of the trials.
+            if next() % 3 == 0 {
+                fast.push_holes(width * (1 + (next() % 4) as usize));
+            }
+            for _ in 0..(1 + next() % 24) {
+                let n = 1 + (next() % 64) as usize;
+                let limit = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+                match next() % 5 {
+                    0 => fast.push_holes(n),
+                    1 => fast.push_mask(next() & limit, n),
+                    _ => fast.push_mask(next() & next() & next() & limit, n),
+                }
+            }
+            let mut reference = fast.clone();
+            let rows = fast.pending_rows();
+            assert_eq!(
+                fast.drain(),
+                drain_full_compaction(&mut reference),
+                "trial {trial}: w={width} la={la} ls={ls} rows={rows}"
+            );
+            assert_eq!(fast.pending_rows(), 0);
         }
     }
 

@@ -15,12 +15,6 @@ cd "$(dirname "$0")/.."
 # binaries and test targets.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The `simd` feature compiles the std::arch batch-kernel path; dispatch
-# is at runtime (is_x86_feature_detected!), so this build+test pass is
-# safe on hosts without the intrinsics — it just takes the portable
-# fallback there. The kernel_diff proptests force the fast path off and
-# on to pin the two monomorphizations byte-identical.
-cargo test -q --offline -p escalate-sim --features simd
 # The observability crate is dependency-free and cheap: exercise its full
 # test matrix (unit + doc tests) explicitly so a workspace-level filter
 # can never silently drop it.
@@ -33,9 +27,10 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # Criterion's `--test` mode runs each kernel benchmark once, unmeasured:
 # a smoke check that the scalar/word-parallel/batched differential
 # assertion and the bench wiring stay green without paying for real
-# measurement (with the simd dispatch compiled in).
-cargo bench --offline -p escalate-bench --bench position_kernel \
-  --features escalate-sim/simd -- --test
+# measurement (the std::arch dispatch is compiled in on x86_64; the
+# kernel_diff proptests force it off and on to pin both paths
+# byte-identical).
+cargo bench --offline -p escalate-bench --bench position_kernel -- --test
 # Golden-diff regression check over the full corpus: all 19 golden
 # experiments must stay byte-identical to the committed results/ files
 # (~45 s in release on a 2-core host; the per-experiment dev-profile
@@ -107,6 +102,5 @@ for _ in $(seq 1 300); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.1; 
 grep -q "drained — 4 jobs done, 0 failed" "$SERVE_DIR/serve.txt"
 cargo fmt --check
 cargo clippy --all-targets --offline --workspace -- -D warnings
-cargo clippy --all-targets --offline -p escalate-sim --features simd -- -D warnings
 
 echo "tier-1: OK"
