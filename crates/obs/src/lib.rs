@@ -19,7 +19,8 @@
 //!    the [`Registry`] take one short mutex each; code on a per-position
 //!    hot path (millions of events per layer) should fold events into
 //!    plain local fields and flush once per layer — see
-//!    `escalate_sim::observe::ObsObserver` for the canonical adapter.
+//!    `escalate_sim::observe::ObsObserver` for the canonical adapter, and
+//!    [`SpanBatch`] for spans timed inside such a loop.
 //!
 //! Metric names are dot-separated static strings (`"sim.ca_adds"`,
 //! `"pipeline.decompose"`); labeled variants append `/label`
@@ -52,7 +53,7 @@ pub mod registry;
 pub use histogram::Histogram;
 pub use json::JsonWriter;
 pub use jsonl::{json_f64_field, json_string_field, json_u64_field, JsonlWriter};
-pub use registry::{Registry, Snapshot, SpanStats, SpanTimer};
+pub use registry::{Registry, Snapshot, SpanBatch, SpanStats, SpanTimer};
 
 use std::sync::{Arc, RwLock};
 
@@ -122,6 +123,13 @@ pub fn span(name: &'static str) -> SpanTimer {
     SpanTimer::start(global(), name, None)
 }
 
+/// Starts a [`SpanBatch`] against the global recorder: a hot loop times
+/// each instance locally and the batch records them all in one flush when
+/// it drops. When no recorder is installed it never reads the clock.
+pub fn span_batch(name: &'static str) -> SpanBatch {
+    SpanBatch::start(global(), name)
+}
+
 /// [`span`] with a dynamic label: the span records under `name/label`.
 /// The label is only copied when a recorder is installed.
 pub fn span_labeled(name: &'static str, label: &str) -> SpanTimer {
@@ -144,6 +152,7 @@ mod tests {
         observe("t.noop", 1);
         drop(span("t.noop"));
         drop(span_labeled("t.noop", "x"));
+        span_batch("t.noop").time(|| ());
 
         let reg = Arc::new(Registry::new());
         assert!(install(Arc::clone(&reg)).is_none());
@@ -152,12 +161,14 @@ mod tests {
         observe("t.hist", 9);
         drop(span("t.span"));
         drop(span_labeled("t.span", "x"));
+        span_batch("t.batch").time(|| ());
         assert_eq!(reg.counter("t.global"), 2);
         assert_eq!(reg.counter("t.global/lbl"), 3);
         let snap = reg.snapshot();
         assert_eq!(snap.histograms["t.hist"].count(), 1);
         assert_eq!(snap.spans["t.span"].count, 1);
         assert_eq!(snap.spans["t.span/x"].count, 1);
+        assert_eq!(snap.spans["t.batch"].count, 1);
 
         // Replacing returns the old registry; uninstall empties the slot.
         let other = Arc::new(Registry::new());

@@ -327,17 +327,19 @@ pub fn run_positions_with(
     // memcpys.
     let mut block = vec![0u64; sp * ctx.words];
     let mut costs = [PositionCost::default(); MAX_BATCH];
+    // One `sim.mask_draw` instance per sampled channel, flushed once per
+    // walk.
+    let mut draws = escalate_obs::span_batch("sim.mask_draw");
     for (idx, &k) in sampled_k.iter().enumerate() {
         kernel.bind_planned(idx);
-        {
-            // The channel's masks, drawn in position order before any is
-            // costed: Bernoulli sources consume their RNG stream exactly
-            // as the one-position-at-a-time walk did.
-            let _draw = escalate_obs::span("sim.mask_draw");
+        // The channel's masks, drawn in position order before any is
+        // costed: Bernoulli sources consume their RNG stream exactly as
+        // the one-position-at-a-time walk did.
+        draws.time(|| {
             for p in 0..sp {
                 source.mask_into(p, &mut block[p * ctx.words..(p + 1) * ctx.words]);
             }
-        }
+        });
         let mut k_pos_cycles = 0.0f64;
         let mut p = 0usize;
         while p < sp {
