@@ -5,8 +5,7 @@
 //! [`registry`] lists all of them; the `report` runner (and the
 //! `escalate report` CLI subcommand) drive the registry to print, export
 //! (JSON), regenerate (`--update`) or regression-check (`--check`) the
-//! golden corpus under `results/`. The historical standalone binaries
-//! (`fig8`, `table1`, …) survive as thin wrappers over [`run_bin`].
+//! golden corpus under `results/`; `report NAME` runs one entry.
 
 mod context;
 mod runner;
@@ -135,27 +134,6 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
 /// Looks an experiment up by registry name.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     registry().iter().copied().find(|e| e.name() == name)
-}
-
-/// Entry point of the thin standalone wrappers: runs the named experiment
-/// with default context plus the process's positional arguments, prints
-/// its text, and maps failures to a nonzero exit.
-pub fn run_bin(name: &str) -> std::process::ExitCode {
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    let ctx = ExpContext {
-        args: std::env::args().skip(1).collect(),
-        ..ExpContext::default()
-    };
-    match exp.run(&ctx) {
-        Ok(table) => {
-            print!("{}", table.render_text());
-            std::process::ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {name}: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]

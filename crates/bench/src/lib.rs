@@ -3,11 +3,12 @@
 //! Shared experiment harness for regenerating the paper's tables and
 //! figures.
 //!
-//! Each table/figure has a dedicated binary in `src/bin/` (`table1`,
-//! `fig7`–`fig13`, `table4`, plus the ablation studies); this library
-//! holds the common plumbing: compressing a model, building the
-//! accelerator workloads, running all four simulators over multiple input
-//! seeds, and attaching energy breakdowns.
+//! Each table/figure is an entry of the experiment registry
+//! ([`experiments`], run by the `report` binary: `report table1`,
+//! `report fig8`, …); this library holds the common plumbing:
+//! compressing a model, building the accelerator workloads, running all
+//! four simulators over multiple input seeds, and attaching energy
+//! breakdowns.
 //!
 //! Orchestration lives in two layers: [`plan`] is the shared run-plan
 //! machinery (work-unit enumeration, deterministic parallel execution,
@@ -15,14 +16,13 @@
 //! two consumers — the paper's experiment registry and the design-space
 //! sweep behind `escalate sweep`.
 
-pub mod cache;
 pub mod experiments;
 pub mod plan;
 pub mod render;
 pub mod sweep;
 
-use cache::SingleFlightCache;
 use escalate_baselines::{BaselineSim, BaselineWorkload, Eyeriss, LayerModel, Scnn, SparTen};
+use escalate_core::cache::SingleFlightCache;
 use escalate_core::pipeline::CompressionConfig;
 use escalate_core::{compress_model_artifacts, CompressedLayer, EscalateError};
 use escalate_energy::{layer_energy, model_energy, BufferCaps, EnergyBreakdown, UnitEnergy};
@@ -191,7 +191,6 @@ fn artifact_cache() -> &'static ArtifactCache {
 pub fn set_artifact_cache_capacity(capacity: usize) -> u64 {
     let evicted = artifact_cache().set_capacity(capacity);
     if evicted > 0 {
-        ARTIFACT_EVICTIONS.fetch_add(evicted, std::sync::atomic::Ordering::Relaxed);
         escalate_obs::counter_add("bench.cache_evictions", evicted);
     }
     evicted
@@ -207,14 +206,12 @@ pub fn artifact_cache_capacity() -> usize {
     artifact_cache().capacity()
 }
 
-/// Running total of artifact-cache evictions, independent of whether a
-/// metrics recorder is installed — the sweep's thrash warning reads this
-/// to report how much recompression an undersized cache actually caused.
-static ARTIFACT_EVICTIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Total artifact-cache evictions since process start.
+/// Total artifact-cache evictions since process start, independent of
+/// whether a metrics recorder is installed — the sweep's thrash warning
+/// reads this to report how much recompression an undersized cache
+/// actually caused.
 pub fn artifact_cache_evictions() -> u64 {
-    ARTIFACT_EVICTIONS.load(std::sync::atomic::Ordering::Relaxed)
+    artifact_cache().evictions()
 }
 
 /// Compresses a model at most once per process for each distinct
@@ -253,7 +250,6 @@ pub fn compress_cached(
         1,
     );
     if look.evicted > 0 {
-        ARTIFACT_EVICTIONS.fetch_add(look.evicted, std::sync::atomic::Ordering::Relaxed);
         escalate_obs::counter_add("bench.cache_evictions", look.evicted);
     }
     Ok(look.value)

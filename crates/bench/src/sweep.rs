@@ -431,17 +431,14 @@ impl RunPlan for SweepPlan {
         let mut cfg = point.to_config();
         cfg.threads = self.opts.threads;
         cfg.schedule = self.opts.schedule;
-        // The sweep's whole point is thousands of design points over a few
-        // `(network, M)` pairs: share every hardware-invariant derived
-        // artifact — compression, the workload, activation masks, compiled
-        // position plans — across points. Results are bit-identical to a
-        // cold run (the caches replay/verify, never approximate).
-        cfg.share_derived = true;
+        // Thousands of design points over a few `(network, M)` pairs
+        // share the cached workload (and through the process-wide caches,
+        // activation masks, compiled plans and walks); results are
+        // bit-identical to a cold run.
         let workload = crate::workload_cached(
             &profile,
             &CompressionConfig {
                 m: cfg.m,
-                reuse_units: true,
                 ..CompressionConfig::default()
             },
         )?;

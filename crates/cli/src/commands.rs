@@ -352,7 +352,7 @@ fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
             .iter()
             .map(|a| LayerArtifact {
                 stats: a.stats.clone(),
-                quantized: a.quantized.clone(),
+                quantized: a.quantized.as_deref().cloned(),
             })
             .collect();
         write_artifacts(std::io::BufWriter::new(file), &arts)

@@ -277,7 +277,7 @@ mod tests {
         vec![
             LayerArtifact {
                 stats: a.stats.clone(),
-                quantized: a.quantized,
+                quantized: a.quantized.as_deref().cloned(),
             },
             LayerArtifact {
                 stats: LayerCompression {

@@ -1,12 +1,15 @@
-//! Capacity-bounded single-flight memoization.
+//! Capacity-bounded single-flight memoization: the one cache type behind
+//! every process-wide cache in the workspace (compression artifacts,
+//! served workloads, `M`-invariant units, activation masks, compiled
+//! layer plans, folded walk sums).
 //!
-//! [`SingleFlightCache`] keeps the per-key single-flight semantics the
-//! artifact cache has always had — the first caller for a key runs the
-//! computation while holding that key's slot lock, concurrent callers for
-//! the same key block on the slot (not the whole map) and read the
-//! finished value, errors are never cached, and a panic poisons only its
-//! own slot — and adds an LRU capacity bound so a long-running process
-//! (the `escalate serve` daemon) cannot grow the cache without limit.
+//! [`SingleFlightCache`] has per-key single-flight semantics — the first
+//! caller for a key runs the computation while holding that key's slot
+//! lock, concurrent callers for the same key block on the slot (not the
+//! whole map) and read the finished value, errors are never cached, and a
+//! panic poisons only its own slot — and an LRU capacity bound so a
+//! long-running process (the `escalate serve` daemon) cannot grow the
+//! cache without limit.
 //!
 //! Eviction never touches an *in-flight* entry: a caller computing or
 //! waiting on a slot holds a clone of its `Arc`, so any entry with an
@@ -18,6 +21,7 @@
 //! insertion once slots settle.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -36,7 +40,8 @@ pub struct Lookup<V> {
     pub value: V,
     /// Whether the value was already cached (no compute ran).
     pub hit: bool,
-    /// Entries evicted by this lookup to stay within capacity.
+    /// Entries evicted by this lookup to stay within capacity (only a
+    /// miss inserts, so a hit never evicts).
     pub evicted: u64,
 }
 
@@ -60,6 +65,8 @@ struct Inner<K, V> {
     tick: u64,
     /// Maximum resident entries; `0` means unbounded.
     capacity: usize,
+    /// Entries evicted since the cache was created.
+    evictions: u64,
 }
 
 impl<K: Hash + Eq + Clone, V> Inner<K, V> {
@@ -87,6 +94,7 @@ impl<K: Hash + Eq + Clone, V> Inner<K, V> {
                 None => break,
             }
         }
+        self.evictions += evicted;
         evicted
     }
 }
@@ -105,6 +113,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
                 entries: HashMap::new(),
                 tick: 0,
                 capacity,
+                evictions: 0,
             }),
         }
     }
@@ -124,6 +133,11 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
         lock_recover(&self.inner).capacity
     }
 
+    /// Entries evicted since the cache was created.
+    pub fn evictions(&self) -> u64 {
+        lock_recover(&self.inner).evictions
+    }
+
     /// Whether `key` is resident (never touches LRU order).
     pub fn contains(&self, key: &K) -> bool {
         lock_recover(&self.inner).entries.contains_key(key)
@@ -137,11 +151,19 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
         inner.evict_over_capacity()
     }
 
+    /// [`SingleFlightCache::get_or_compute`] for a computation that
+    /// cannot fail.
+    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> Lookup<V> {
+        let Ok(look) = self.get_or_compute(key, || Ok::<V, Infallible>(compute()));
+        look
+    }
+
     /// Returns the cached value for `key`, or runs `compute` exactly once
     /// across concurrent callers and caches the result. Errors are not
-    /// cached (the slot stays empty; the next caller retries), and a
-    /// panic inside `compute` poisons only that key's slot, which later
-    /// callers recover from.
+    /// cached: a caller already waiting on the slot retries the compute,
+    /// and with no waiter the empty slot is dropped so it neither counts
+    /// as resident nor displaces a settled entry. A panic inside `compute`
+    /// poisons only that key's slot, which later callers recover from.
     ///
     /// # Errors
     ///
@@ -151,30 +173,48 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Lookup<V>, E> {
-        let (slot, evicted) = {
+        let slot = {
             let mut inner = lock_recover(&self.inner);
             inner.tick += 1;
             let tick = inner.tick;
-            let entry = inner.entries.entry(key).or_default();
+            let entry = inner.entries.entry(key.clone()).or_default();
             entry.last_used = tick;
-            let slot = Arc::clone(&entry.slot);
-            (slot, inner.evict_over_capacity())
+            Arc::clone(&entry.slot)
         };
         let mut guard = lock_recover(&slot);
         if let Some(hit) = guard.as_ref() {
             return Ok(Lookup {
                 value: hit.clone(),
                 hit: true,
-                evicted,
+                evicted: 0,
             });
         }
-        let v = compute()?;
-        *guard = Some(v.clone());
-        Ok(Lookup {
-            value: v,
-            hit: false,
-            evicted,
-        })
+        match compute() {
+            Ok(v) => {
+                *guard = Some(v.clone());
+                drop(guard);
+                // Evict only once the value has settled, so a failed
+                // compute never displaces anything. Our own `Arc` keeps
+                // the new entry out of the victim set.
+                let evicted = lock_recover(&self.inner).evict_over_capacity();
+                Ok(Lookup {
+                    value: v,
+                    hit: false,
+                    evicted,
+                })
+            }
+            Err(e) => {
+                drop(guard);
+                let mut inner = lock_recover(&self.inner);
+                // The map's reference plus ours: no caller is waiting to
+                // retry through this slot, and new callers can only take
+                // one under the map lock held here.
+                if Arc::strong_count(&slot) == 2 {
+                    inner.entries.remove(&key);
+                }
+                Err(e)
+            }
+        }
     }
 }
 
@@ -211,12 +251,23 @@ mod tests {
         let cache: SingleFlightCache<u32, u64> = SingleFlightCache::new(0);
         let err = cache.get_or_compute(1u32, || Err::<u64, &str>("boom"));
         assert_eq!(err.unwrap_err(), "boom");
+        // A failed compute leaves nothing resident behind it.
+        assert!(!cache.contains(&1));
+        assert_eq!(cache.len(), 0);
         let look = cache.get_or_compute(1u32, || Ok::<u64, &str>(7)).unwrap();
         assert_eq!(look.value, 7);
         assert!(
             !look.hit,
             "the retry must recompute, not read a cached error"
         );
+        // Under a cap, a failed key must not displace a settled one.
+        let capped: SingleFlightCache<u32, u64> = SingleFlightCache::new(1);
+        capped.get_or_compute(1u32, || Ok::<u64, &str>(1)).unwrap();
+        assert!(capped
+            .get_or_compute(2u32, || Err::<u64, &str>("boom"))
+            .is_err());
+        assert!(capped.contains(&1) && !capped.contains(&2));
+        assert_eq!(capped.evictions(), 0);
     }
 
     #[test]

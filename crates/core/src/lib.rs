@@ -23,9 +23,12 @@
 //! - [`dsc`] — decomposition of depthwise-separable convolutions and the
 //!   Hadamard fold of pointwise weights into the coefficients (Eq. (5)),
 //! - [`pipeline`] — the whole-model compression pipeline with exact
-//!   SparseMap storage accounting (regenerates Table 1).
+//!   SparseMap storage accounting (regenerates Table 1),
+//! - [`cache`] — the one bounded single-flight memo map every
+//!   process-wide cache of the workspace is built on.
 
 pub mod artifact;
+pub mod cache;
 pub mod decompose;
 pub mod dsc;
 pub mod error;

@@ -11,6 +11,7 @@
 //! (§3.2), FC layers are not counted (§5.1.2), and depthwise/pointwise
 //! pairs are folded through Eq. (5).
 
+use crate::cache::SingleFlightCache;
 use crate::decompose::{decompose, Decomposed};
 use crate::dsc::decompose_dsc;
 use crate::error::EscalateError;
@@ -18,10 +19,9 @@ use crate::qat::{retrain_coeffs, QatConfig};
 use crate::quant::{threshold_for_sparsity, HybridQuantized, QuantizedBasis, TernaryCoeffs};
 use escalate_models::{synth, LayerKind, LayerShape, ModelProfile};
 use escalate_sparse::TwoLevelSparseMap;
-use escalate_tensor::{Matrix, Tensor};
+use escalate_tensor::Tensor;
 use rayon::prelude::*;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the compression pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -38,14 +38,6 @@ pub struct CompressionConfig {
     pub qat_epochs: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Share `M`-invariant intermediates across repeated compressions of
-    /// the same model (synthetic weights; whole pointwise/dense units,
-    /// which never consult `M`) through bounded process-global caches.
-    /// Purely a time/memory trade — every cached value is a deterministic
-    /// function of its key, so results are bit-identical either way.
-    /// Design-space sweeps opt in; one-shot compressions should leave it
-    /// off and skip the resident cache footprint.
-    pub reuse_units: bool,
 }
 
 impl Default for CompressionConfig {
@@ -57,7 +49,6 @@ impl Default for CompressionConfig {
             weight_noise: 0.05,
             qat_epochs: 0,
             seed: 42,
-            reuse_units: false,
         }
     }
 }
@@ -216,13 +207,7 @@ pub fn compress_layer_artifact(
     target_sparsity: f64,
     seed: u64,
 ) -> Result<CompressedLayer, EscalateError> {
-    let w = synth_weights(
-        layer,
-        cfg.weight_rank,
-        cfg.weight_noise,
-        seed,
-        cfg.reuse_units,
-    );
+    let w = synth_weights(layer, cfg.weight_rank, cfg.weight_noise, seed);
     let rs = layer.r * layer.s;
     let m = cfg.m.min(rs);
     let d = {
@@ -240,7 +225,7 @@ pub fn compress_layer_artifact(
         shape: layer.clone(),
         fused_pointwise: None,
         stats,
-        quantized: Some(hybrid),
+        quantized: Some(Arc::new(hybrid)),
     })
 }
 
@@ -315,12 +300,11 @@ fn compress_decomposed(
 /// basis).
 fn compress_pointwise(
     layer: &LayerShape,
-    cfg: &CompressionConfig,
     target_sparsity: f64,
     seed: u64,
 ) -> Result<(LayerCompression, HybridQuantized), EscalateError> {
     // Rank is irrelevant at RS=1.
-    let w = synth_weights(layer, 1, 1.0, seed, cfg.reuse_units);
+    let w = synth_weights(layer, 1, 1.0, seed);
     let coeffs3 = w.reshape(&[layer.k, layer.c, 1]);
     let t = {
         let _t = escalate_obs::span("pipeline.threshold");
@@ -355,7 +339,7 @@ fn compress_dense(
     cfg: &CompressionConfig,
     seed: u64,
 ) -> Result<LayerCompression, EscalateError> {
-    let w = synth_weights(layer, layer.r * layer.s, 0.3, seed, cfg.reuse_units);
+    let w = synth_weights(layer, layer.r * layer.s, 0.3, seed);
     let (deq, bits) = crate::quant::quantize_linear(&w, cfg.basis_bits)?;
     Ok(LayerCompression {
         name: layer.name.clone(),
@@ -411,8 +395,9 @@ pub struct CompressedLayer {
     /// Storage/accuracy accounting.
     pub stats: LayerCompression,
     /// The quantized decomposed weights; `None` for the dense fallback
-    /// (first layer).
-    pub quantized: Option<HybridQuantized>,
+    /// (first layer). Shared, so a cached unit and every artifact list
+    /// holding it point at one payload.
+    pub quantized: Option<Arc<HybridQuantized>>,
 }
 
 impl CompressedLayer {
@@ -557,135 +542,21 @@ fn plan_units(profile: &ModelProfile, cfg: &CompressionConfig) -> Vec<UnitPlan> 
     plan
 }
 
-/// Default bound of each [`CompressionConfig::reuse_units`] cache
-/// (entries). Sized for a sweep alternating between a couple of
-/// MobileNet-class networks (≈30 units each); eviction is LRU, so even a
-/// larger zoo just loses cross-network reuse, never correctness.
-const DEFAULT_REUSE_CAP: usize = 128;
+/// Bound of the `M`-invariant unit cache (entries). Sized for a sweep
+/// alternating between a couple of MobileNet-class networks (≈30 units
+/// each); eviction is LRU, so a larger zoo just loses cross-network
+/// reuse, never correctness.
+const UNIT_CACHE_CAP: usize = 128;
 
-/// A minimal bounded map with LRU eviction by access stamp (the same
-/// shape as the simulator's derived-state cache). Eviction scans for the
-/// stalest entry, which is fine because it only runs when full.
-struct ReuseCache<V> {
-    entries: HashMap<String, (V, u64)>,
-    stamp: u64,
-    capacity: usize,
+fn unit_cache() -> &'static SingleFlightCache<String, CompressedLayer> {
+    static CACHE: OnceLock<SingleFlightCache<String, CompressedLayer>> = OnceLock::new();
+    CACHE.get_or_init(|| SingleFlightCache::new(UNIT_CACHE_CAP))
 }
 
-impl<V: Clone> ReuseCache<V> {
-    fn new(capacity: usize) -> Self {
-        ReuseCache {
-            entries: HashMap::new(),
-            stamp: 0,
-            capacity,
-        }
-    }
-
-    fn get(&mut self, key: &str) -> Option<V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(key).map(|(v, s)| {
-            *s = stamp;
-            v.clone()
-        })
-    }
-
-    fn insert(&mut self, key: String, value: V) {
-        self.stamp += 1;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, s))| *s)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.entries.remove(&stalest);
-            }
-        }
-        self.entries.insert(key, (value, self.stamp));
-    }
-}
-
-/// The three opt-in reuse caches: synthetic weight tensors and pointwise
-/// weight matrices (`M`-invariant for every unit kind), and finished
-/// `M`-invariant units (pointwise/dense, which never consult `M`).
-struct ReuseCaches {
-    weights: Mutex<ReuseCache<Arc<Tensor>>>,
-    pointwise: Mutex<ReuseCache<Arc<Matrix>>>,
-    units: Mutex<ReuseCache<Arc<CompressedLayer>>>,
-}
-
-fn reuse_caches() -> &'static ReuseCaches {
-    static CACHES: OnceLock<ReuseCaches> = OnceLock::new();
-    CACHES.get_or_init(|| ReuseCaches {
-        weights: Mutex::new(ReuseCache::new(DEFAULT_REUSE_CAP)),
-        pointwise: Mutex::new(ReuseCache::new(DEFAULT_REUSE_CAP)),
-        units: Mutex::new(ReuseCache::new(DEFAULT_REUSE_CAP)),
-    })
-}
-
-/// [`synth::weights`], shared across design points when `reuse` is set.
-/// The key carries everything the synthesis reads (the full layer shape,
-/// rank, noise bits, seed), so a hit is the bit-identical tensor the
-/// miss path would have built. Concurrent misses may both synthesize —
-/// the result is deterministic, so last-write-wins is harmless.
-fn synth_weights(
-    layer: &LayerShape,
-    rank: usize,
-    noise: f32,
-    seed: u64,
-    reuse: bool,
-) -> Arc<Tensor> {
+/// [`synth::weights`] under the `pipeline.synth` span.
+fn synth_weights(layer: &LayerShape, rank: usize, noise: f32, seed: u64) -> Tensor {
     let _t = escalate_obs::span("pipeline.synth");
-    if !reuse {
-        return Arc::new(synth::weights(layer, rank, noise, seed));
-    }
-    let key = format!("{layer:?}|r{rank}|n{:08x}|s{seed}", noise.to_bits());
-    if let Some(hit) = reuse_caches()
-        .weights
-        .lock()
-        .expect("weight reuse cache poisoned")
-        .get(&key)
-    {
-        escalate_obs::counter_add("pipeline.synth_hits", 1);
-        return hit;
-    }
-    let w = Arc::new(synth::weights(layer, rank, noise, seed));
-    escalate_obs::counter_add("pipeline.synth_misses", 1);
-    reuse_caches()
-        .weights
-        .lock()
-        .expect("weight reuse cache poisoned")
-        .insert(key, Arc::clone(&w));
-    w
-}
-
-/// [`synth::pointwise_weights`] with the same opt-in sharing as
-/// [`synth_weights`].
-fn synth_pointwise(c: usize, k: usize, seed: u64, reuse: bool) -> Arc<Matrix> {
-    let _t = escalate_obs::span("pipeline.synth");
-    if !reuse {
-        return Arc::new(synth::pointwise_weights(c, k, seed));
-    }
-    let key = format!("pw|c{c}|k{k}|s{seed}");
-    if let Some(hit) = reuse_caches()
-        .pointwise
-        .lock()
-        .expect("pointwise reuse cache poisoned")
-        .get(&key)
-    {
-        escalate_obs::counter_add("pipeline.synth_hits", 1);
-        return hit;
-    }
-    let w = Arc::new(synth::pointwise_weights(c, k, seed));
-    escalate_obs::counter_add("pipeline.synth_misses", 1);
-    reuse_caches()
-        .pointwise
-        .lock()
-        .expect("pointwise reuse cache poisoned")
-        .insert(key, Arc::clone(&w));
-    w
+    synth::weights(layer, rank, noise, seed)
 }
 
 /// The unit-cache key for units whose artifact never consults `M` —
@@ -705,40 +576,26 @@ fn m_invariant_unit_key(unit: &UnitPlan, cfg: &CompressionConfig) -> Option<Stri
 }
 
 /// Compresses one planned unit (pure function of the plan and config),
-/// sharing `M`-invariant units across calls when
-/// [`CompressionConfig::reuse_units`] is set.
+/// sharing `M`-invariant units across calls through a process-wide cache
+/// (`pipeline.unit_hits` / `pipeline.unit_misses`). A cached unit is a
+/// deterministic function of its key, so sharing never changes results.
 fn compress_unit(
     unit: &UnitPlan,
     cfg: &CompressionConfig,
 ) -> Result<CompressedLayer, EscalateError> {
-    let cache_key = if cfg.reuse_units {
-        if let Some(key) = m_invariant_unit_key(unit, cfg) {
-            if let Some(hit) = reuse_caches()
-                .units
-                .lock()
-                .expect("unit reuse cache poisoned")
-                .get(&key)
-            {
-                escalate_obs::counter_add("pipeline.unit_hits", 1);
-                return Ok((*hit).clone());
-            }
-            Some(key)
-        } else {
-            None
-        }
-    } else {
-        None
+    let Some(key) = m_invariant_unit_key(unit, cfg) else {
+        return compress_unit_fresh(unit, cfg);
     };
-    let out = compress_unit_fresh(unit, cfg)?;
-    if let Some(key) = cache_key {
-        escalate_obs::counter_add("pipeline.unit_misses", 1);
-        reuse_caches()
-            .units
-            .lock()
-            .expect("unit reuse cache poisoned")
-            .insert(key, Arc::new(out.clone()));
-    }
-    Ok(out)
+    let look = unit_cache().get_or_compute(key, || compress_unit_fresh(unit, cfg))?;
+    escalate_obs::counter_add(
+        if look.hit {
+            "pipeline.unit_hits"
+        } else {
+            "pipeline.unit_misses"
+        },
+        1,
+    );
+    Ok(look.value)
 }
 
 /// The uncached body of [`compress_unit`].
@@ -760,14 +617,11 @@ fn compress_unit_fresh(
             pw_seed,
             target,
         } => {
-            let dw_w = synth_weights(
-                dw,
-                cfg.weight_rank,
-                cfg.weight_noise,
-                *seed,
-                cfg.reuse_units,
-            );
-            let pw_w = synth_pointwise(pw.c, pw.k, *pw_seed, cfg.reuse_units);
+            let dw_w = synth_weights(dw, cfg.weight_rank, cfg.weight_noise, *seed);
+            let pw_w = {
+                let _t = escalate_obs::span("pipeline.synth");
+                synth::pointwise_weights(pw.c, pw.k, *pw_seed)
+            };
             let m = cfg.m.min(dw.r * dw.s);
             let d = {
                 let _t = escalate_obs::span("pipeline.decompose");
@@ -787,7 +641,7 @@ fn compress_unit_fresh(
                 shape: dw.clone(),
                 fused_pointwise: Some(pw.clone()),
                 stats,
-                quantized: Some(hybrid),
+                quantized: Some(Arc::new(hybrid)),
             })
         }
         UnitPlan::DwOnly {
@@ -795,13 +649,7 @@ fn compress_unit_fresh(
             seed,
             target,
         } => {
-            let dw_w = synth_weights(
-                layer,
-                cfg.weight_rank,
-                cfg.weight_noise,
-                *seed,
-                cfg.reuse_units,
-            );
+            let dw_w = synth_weights(layer, cfg.weight_rank, cfg.weight_noise, *seed);
             let m = cfg.m.min(layer.r * layer.s);
             let (ce, basis) = {
                 let _t = escalate_obs::span("pipeline.decompose");
@@ -824,7 +672,7 @@ fn compress_unit_fresh(
                 shape: layer.clone(),
                 fused_pointwise: None,
                 stats,
-                quantized: Some(hybrid),
+                quantized: Some(Arc::new(hybrid)),
             })
         }
         UnitPlan::Pointwise {
@@ -832,12 +680,12 @@ fn compress_unit_fresh(
             seed,
             target,
         } => {
-            let (stats, hybrid) = compress_pointwise(layer, cfg, *target, *seed)?;
+            let (stats, hybrid) = compress_pointwise(layer, *target, *seed)?;
             Ok(CompressedLayer {
                 shape: layer.clone(),
                 fused_pointwise: None,
                 stats,
-                quantized: Some(hybrid),
+                quantized: Some(Arc::new(hybrid)),
             })
         }
         UnitPlan::Conv {
@@ -857,22 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn synth_reuse_returns_the_identical_tensor() {
-        let layer = small_layer();
-        let a = synth_weights(&layer, 3, 0.1, 0xfeed_2001, true);
-        let b = synth_weights(&layer, 3, 0.1, 0xfeed_2001, true);
-        assert!(Arc::ptr_eq(&a, &b), "repeat lookup must share the tensor");
-        // The cached tensor is the one the uncached path would build.
-        let fresh = synth_weights(&layer, 3, 0.1, 0xfeed_2001, false);
-        assert_eq!(a.as_slice(), fresh.as_slice());
-        // Any key component change misses.
-        let c = synth_weights(&layer, 4, 0.1, 0xfeed_2001, true);
-        assert!(!Arc::ptr_eq(&a, &c));
-        let d = synth_weights(&layer, 3, 0.1, 0xfeed_2002, true);
-        assert!(!Arc::ptr_eq(&a, &d));
-    }
-
-    #[test]
     fn m_invariant_units_are_shared_across_m_bit_identically() {
         let layer = LayerShape::conv("pw-reuse-test", 24, 32, 8, 8, 1, 1, 0);
         let unit = UnitPlan::Pointwise {
@@ -880,19 +712,21 @@ mod tests {
             seed: 0xfeed_2100,
             target: 0.8,
         };
-        let at = |m: usize, reuse: bool| CompressionConfig {
+        let at = |m: usize| CompressionConfig {
             m,
-            reuse_units: reuse,
             ..CompressionConfig::default()
         };
         // A pointwise unit never consults M, so design points that differ
-        // only in M share one artifact — and it matches a cold build
-        // field-for-field (f32/f64 debug formatting round-trips, so equal
-        // strings mean equal bits).
-        let cold = compress_unit(&unit, &at(4, true)).unwrap();
-        let warm = compress_unit(&unit, &at(7, true)).unwrap();
-        let fresh = compress_unit(&unit, &at(7, false)).unwrap();
-        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        // only in M share one artifact — payload and all — and it matches
+        // a fresh build field-for-field (f32/f64 debug formatting
+        // round-trips, so equal strings mean equal bits).
+        let cold = compress_unit(&unit, &at(4)).unwrap();
+        let warm = compress_unit(&unit, &at(7)).unwrap();
+        let fresh = compress_unit_fresh(&unit, &at(7)).unwrap();
+        assert!(Arc::ptr_eq(
+            cold.quantized.as_ref().unwrap(),
+            warm.quantized.as_ref().unwrap()
+        ));
         assert_eq!(format!("{warm:?}"), format!("{fresh:?}"));
         // A conv unit is M-dependent: never unit-cached (the bench
         // layer's per-(model, M) artifact cache covers exact repeats).
@@ -901,9 +735,9 @@ mod tests {
             seed: 0xfeed_2101,
             target: 0.8,
         };
-        assert!(m_invariant_unit_key(&conv, &at(4, true)).is_none());
-        let m4 = compress_unit(&conv, &at(4, true)).unwrap();
-        let m6 = compress_unit(&conv, &at(6, true)).unwrap();
+        assert!(m_invariant_unit_key(&conv, &at(4)).is_none());
+        let m4 = compress_unit(&conv, &at(4)).unwrap();
+        let m6 = compress_unit(&conv, &at(6)).unwrap();
         assert_ne!(m4.stats.compressed_bits, m6.stats.compressed_bits);
     }
 

@@ -116,16 +116,6 @@ pub struct SimConfig {
     /// RNG seeding. This knob configures the host simulator, not the
     /// modeled hardware.
     pub threads: usize,
-    /// Opt-in to the process-wide derived-state cache ([`crate::shared`]):
-    /// hardware-invariant per-layer artifacts — materialized Bernoulli
-    /// activation masks and compiled [`crate::ca::LayerPlan`]s — are
-    /// shared across runs keyed by everything that determines them.
-    /// Results are bit-identical either way (cached masks replay the
-    /// exact RNG stream; cached plans are verified word-for-word before
-    /// reuse); sharing only changes speed. Design-space sweeps enable it;
-    /// the default is off. This knob configures the host simulator, not
-    /// the modeled hardware.
-    pub share_derived: bool,
     /// Whole-network schedule mode (see [`ScheduleKind`]). The default
     /// layer-serial mode reproduces the paper's evaluation and every
     /// existing golden bit-for-bit.
@@ -151,7 +141,6 @@ impl Default for SimConfig {
             dram_bytes_per_cycle: 64.0,
             sample_channels: 8,
             threads: 0,
-            share_derived: false,
             schedule: ScheduleKind::default(),
         }
     }

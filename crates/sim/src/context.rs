@@ -256,10 +256,11 @@ thread_local! {
 /// every fidelity that aggregates per-position costs drives.
 ///
 /// Uses a thread-local [`PositionKernel`] (rebuilt only when `cfg`'s
-/// kernel-relevant knobs change), which also caches the compiled
-/// [`LayerPlan`] — repeated walks of the same layer (seed sweeps,
-/// fidelity comparisons) reuse the plan instead of recompiling it;
-/// [`run_positions_with`] is the same walk against a caller-owned kernel.
+/// kernel-relevant knobs change), which also holds the last compiled
+/// [`LayerPlan`] — repeated walks of the same layer on one thread reuse
+/// it instead of recompiling. Any other plan is compiled locally, so this
+/// walk touches no process-wide state (the tests' cold oracle);
+/// [`run_positions_shared`] is the sampled engine's variant.
 pub fn run_positions(
     ctx: &LayerContext,
     cfg: &SimConfig,
@@ -267,32 +268,52 @@ pub fn run_positions(
     source: &mut MaskSource,
     obs: &mut dyn SimObserver,
 ) -> PositionAggregate {
+    with_thread_kernel(cfg, |kernel| {
+        walk(ctx, sampled_k, source, obs, kernel, false)
+    })
+}
+
+/// [`run_positions`] with plans the thread's kernel does not hold drawn
+/// from the process-wide plan cache ([`crate::shared::cached_plan`]), so
+/// every simulation of a layer — other input seeds, other design points,
+/// other threads — shares one compiled plan.
+pub fn run_positions_shared(
+    ctx: &LayerContext,
+    cfg: &SimConfig,
+    sampled_k: &[usize],
+    source: &mut MaskSource,
+    obs: &mut dyn SimObserver,
+) -> PositionAggregate {
+    with_thread_kernel(cfg, |kernel| {
+        walk(ctx, sampled_k, source, obs, kernel, true)
+    })
+}
+
+fn with_thread_kernel<T>(cfg: &SimConfig, f: impl FnOnce(&mut PositionKernel) -> T) -> T {
     KERNEL_CACHE.with(|cell| {
         let mut slot = cell.borrow_mut();
         let kernel = match slot.as_mut() {
             Some(k) if k.matches(cfg) => k,
             _ => slot.insert(PositionKernel::new(cfg)),
         };
-        run_positions_with(ctx, cfg, sampled_k, source, obs, kernel)
+        f(kernel)
     })
 }
 
-/// [`run_positions`] against a caller-owned [`PositionKernel`] (which must
-/// have been built from an equivalent config). Compiles a [`LayerPlan`]
-/// for the sampled channels — or reuses the kernel's installed plan when
-/// it matches word-for-word — and walks positions in batches of
+/// The walk behind [`run_positions`]: reuses the kernel's installed plan
+/// when it matches word-for-word, else takes one from the plan cache
+/// (`shared_plans`) or compiles it, and walks positions in batches of
 /// [`MAX_BATCH`]; the per-position fold order (and hence every f64
 /// accumulation feeding [`assemble_stats`]) is identical to a
 /// one-position-at-a-time walk.
-pub fn run_positions_with(
+fn walk(
     ctx: &LayerContext,
-    cfg: &SimConfig,
     sampled_k: &[usize],
     source: &mut MaskSource,
     obs: &mut dyn SimObserver,
     kernel: &mut PositionKernel,
+    shared_plans: bool,
 ) -> PositionAggregate {
-    assert!(kernel.matches(cfg), "kernel built from a different config");
     let _span = escalate_obs::span("ca.kernel");
     let sp = source.positions();
     let mut agg = PositionAggregate {
@@ -306,10 +327,10 @@ pub fn run_positions_with(
         .is_some_and(|p| p.matches(ctx.c, ctx.m, sampled_k, mask))
     {
         agg.plan_reuses = 1;
-    } else if cfg.share_derived {
-        // The derived-state cache verifies a candidate word-for-word
-        // (same gate as the local reuse above) before handing it out, so
-        // a hit is a true reuse; a miss built and published a fresh plan.
+    } else if shared_plans {
+        // The plan cache verifies a candidate word-for-word (same gate as
+        // the local reuse above) before handing it out, so a hit is a true
+        // reuse; anything else was compiled for this walk.
         let (plan, hit) = crate::shared::cached_plan(ctx.c, ctx.m, sampled_k, mask);
         kernel.install_shared_plan(plan);
         if hit {

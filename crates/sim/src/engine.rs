@@ -13,8 +13,8 @@
 use crate::accel::{Accelerator, Escalate};
 use crate::config::SimConfig;
 use crate::context::{
-    assemble_stats, run_positions, LayerContext, NoopObserver, PositionAggregate, SimObserver,
-    TrafficInputs,
+    assemble_stats, run_positions, run_positions_shared, LayerContext, NoopObserver,
+    PositionAggregate, SimObserver, TrafficInputs,
 };
 use crate::fallback::simulate_dense;
 use crate::masks::{layer_seed, MaskSource};
@@ -50,6 +50,49 @@ pub fn simulate_layer_observed(
     seed: u64,
     obs: &mut dyn SimObserver,
 ) -> LayerStats {
+    simulate_layer_with(lw, cfg, seed, obs, shared_walk)
+}
+
+/// [`simulate_layer`] without the process-wide caches: live Bernoulli
+/// masks ([`MaskSource::bernoulli`]) walked with locally compiled plans
+/// ([`run_positions`]). Bit-identical to the shared walk by construction;
+/// the cold oracle the tests hold the caches to.
+pub fn simulate_layer_cold(lw: &LayerWorkload, cfg: &SimConfig, seed: u64) -> LayerStats {
+    simulate_layer_with(lw, cfg, seed, &mut NoopObserver, cold_walk)
+}
+
+/// One sampled walk: `(ctx, cfg, layer seed, keep probability, positions
+/// per channel, sampled channels, observer)`.
+type Walk = fn(
+    &LayerContext,
+    &SimConfig,
+    u64,
+    f64,
+    usize,
+    &[usize],
+    &mut dyn SimObserver,
+) -> PositionAggregate;
+
+fn cold_walk(
+    ctx: &LayerContext,
+    cfg: &SimConfig,
+    layer_seed: u64,
+    keep_prob: f64,
+    sp: usize,
+    sampled_k: &[usize],
+    obs: &mut dyn SimObserver,
+) -> PositionAggregate {
+    let mut source = MaskSource::bernoulli(layer_seed, ctx.c, keep_prob, sp);
+    run_positions(ctx, cfg, sampled_k, &mut source, obs)
+}
+
+fn simulate_layer_with(
+    lw: &LayerWorkload,
+    cfg: &SimConfig,
+    seed: u64,
+    obs: &mut dyn SimObserver,
+    walk: Walk,
+) -> LayerStats {
     let stats = match &lw.mode {
         WorkloadMode::Dense => simulate_dense(&lw.shape, cfg, lw.weight_bytes),
         WorkloadMode::Decomposed(_) => {
@@ -57,13 +100,8 @@ pub fn simulate_layer_observed(
             let keep_prob = 1.0 - lw.act_sparsity;
             let sampled_k = ctx.sample_channels(cfg);
             let sp = lw.positions().clamp(1, SAMPLE_POSITIONS);
-            let agg = if cfg.share_derived {
-                shared_walk(&ctx, lw, cfg, seed, keep_prob, sp, &sampled_k, obs)
-            } else {
-                let mut source =
-                    MaskSource::bernoulli(layer_seed(seed, &lw.name), ctx.c, keep_prob, sp);
-                run_positions(&ctx, cfg, &sampled_k, &mut source, obs)
-            };
+            let ls = layer_seed(seed, &lw.name);
+            let agg = walk(&ctx, cfg, ls, keep_prob, sp, &sampled_k, obs);
 
             // Traffic estimated from the profiled sparsity: nonzero
             // payload plus the SparseMap bit mask.
@@ -84,10 +122,11 @@ pub fn simulate_layer_observed(
     stats
 }
 
-/// The [`SimConfig::share_derived`] walk: serve the folded sums from the
-/// cross-point walk cache when an earlier design point already performed
-/// this exact walk, otherwise run it against cached masks and publish
-/// the sums.
+/// The sampled walk through the process-wide derived-state caches
+/// ([`crate::shared`]): serve the folded sums from the walk cache when an
+/// earlier simulation already performed this exact walk, otherwise run it
+/// against cached masks and a shared plan and publish the sums. The
+/// results are bit-identical to the live walk ([`simulate_layer_cold`]).
 ///
 /// A hit reassembles the [`PositionAggregate`] bit-for-bit: the cached
 /// per-channel sums are the walk's own f64 folds, and the one
@@ -96,18 +135,15 @@ pub fn simulate_layer_observed(
 /// positive slice size is monotone, so the max of the products is the
 /// product of the max. The walk counts as a plan reuse (the cached sums
 /// embody a previously compiled plan's output).
-#[allow(clippy::too_many_arguments)]
 fn shared_walk(
     ctx: &LayerContext,
-    lw: &LayerWorkload,
     cfg: &SimConfig,
-    seed: u64,
+    ls: u64,
     keep_prob: f64,
     sp: usize,
     sampled_k: &[usize],
     obs: &mut dyn SimObserver,
 ) -> PositionAggregate {
-    let ls = layer_seed(seed, &lw.name);
     let key = crate::shared::walk_key(
         ctx.c,
         ctx.m,
@@ -116,32 +152,33 @@ fn shared_walk(
         ls,
         keep_prob,
         sp,
-        lw.shape.r * lw.shape.s,
+        ctx.lw.shape.r * ctx.lw.shape.s,
         cfg,
     );
-    if let Some(sums) = crate::shared::cached_walk(&key) {
-        let agg = PositionAggregate {
-            sum_pos_cycles: sums.sum_pos_cycles,
-            sum_matched: sums.sum_matched,
-            sum_gather: sums.sum_gather,
-            sum_idle: sums.sum_idle,
-            max_mean_pos: sums.max_mean_pos,
-            max_block_time: sums.max_mean_pos * ctx.positions_per_slice() as f64,
-            sampled_channels: sampled_k.len(),
-            positions_per_channel: sp,
-            plan_compiles: 0,
-            plan_reuses: 1,
-        };
-        obs.on_walk(&agg);
+    let (sums, walked) = crate::shared::cached_walk(key, || {
+        // The walk consumes exactly `sampled_k.len() × sp` masks of the
+        // layer's Bernoulli stream, so the materialized block is
+        // bit-identical to the live draw.
+        let (words, _hit) = crate::shared::cached_masks(ls, ctx.c, keep_prob, sp, sampled_k.len());
+        let mut source = MaskSource::materialized(words, ctx.c, sp);
+        run_positions_shared(ctx, cfg, sampled_k, &mut source, obs)
+    });
+    if let Some(agg) = walked {
         return agg;
     }
-    // Hardware-invariant across design points: the walk consumes exactly
-    // `sampled_k.len() × sp` masks of the layer's Bernoulli stream, so
-    // the materialized block is bit-identical to the live draw.
-    let (words, _hit) = crate::shared::cached_masks(ls, ctx.c, keep_prob, sp, sampled_k.len());
-    let mut source = MaskSource::materialized(words, ctx.c, sp);
-    let agg = run_positions(ctx, cfg, sampled_k, &mut source, obs);
-    crate::shared::store_walk(key, &agg);
+    let agg = PositionAggregate {
+        sum_pos_cycles: sums.sum_pos_cycles,
+        sum_matched: sums.sum_matched,
+        sum_gather: sums.sum_gather,
+        sum_idle: sums.sum_idle,
+        max_mean_pos: sums.max_mean_pos,
+        max_block_time: sums.max_mean_pos * ctx.positions_per_slice() as f64,
+        sampled_channels: sampled_k.len(),
+        positions_per_channel: sp,
+        plan_compiles: 0,
+        plan_reuses: 1,
+    };
+    obs.on_walk(&agg);
     agg
 }
 
@@ -293,37 +330,30 @@ mod tests {
     #[test]
     fn shared_derived_state_is_bit_identical() {
         let lw = workload(128, 32, 16, 0.8, 0.5);
-        let cold = SimConfig::default();
-        let shared = SimConfig {
-            share_derived: true,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig::default();
         for seed in [0, 7] {
             assert_eq!(
-                simulate_layer(&lw, &cold, seed),
-                simulate_layer(&lw, &shared, seed),
+                simulate_layer_cold(&lw, &cfg, seed),
+                simulate_layer(&lw, &cfg, seed),
                 "seed {seed}"
             );
         }
-        // Warm-cache repeat: the second shared run hits both caches.
+        // Warm-cache repeat: the second run hits the walk cache.
+        assert_eq!(simulate_layer(&lw, &cfg, 3), simulate_layer(&lw, &cfg, 3));
         assert_eq!(
-            simulate_layer(&lw, &shared, 3),
-            simulate_layer(&lw, &shared, 3)
+            simulate_layer_cold(&lw, &cfg, 3),
+            simulate_layer(&lw, &cfg, 3)
         );
         // A different hardware point still shares masks and plans (both
         // are hardware-invariant) without changing its own results.
         let wide = SimConfig {
             input_bus_bytes: 64,
             n_pe: 8,
-            ..cold
-        };
-        let wide_shared = SimConfig {
-            share_derived: true,
-            ..wide
+            ..cfg
         };
         assert_eq!(
-            simulate_layer(&lw, &wide, 5),
-            simulate_layer(&lw, &wide_shared, 5)
+            simulate_layer_cold(&lw, &wide, 5),
+            simulate_layer(&lw, &wide, 5)
         );
     }
 
@@ -334,39 +364,27 @@ mod tests {
         // max_block_time) reuse the cached walk yet must match their own
         // cold runs exactly.
         let lw = workload(96, 48, 16, 0.85, 0.4);
-        let warmup = SimConfig {
-            share_derived: true,
-            ..SimConfig::default()
-        };
-        let _ = simulate_layer(&lw, &warmup, 11);
+        let _ = simulate_layer(&lw, &SimConfig::default(), 11);
         for n_pe in [8, 16, 64] {
-            let cold = SimConfig {
+            let cfg = SimConfig {
                 n_pe,
                 ..SimConfig::default()
             };
-            let shared = SimConfig {
-                share_derived: true,
-                ..cold
-            };
             assert_eq!(
-                simulate_layer(&lw, &cold, 11),
-                simulate_layer(&lw, &shared, 11),
+                simulate_layer_cold(&lw, &cfg, 11),
+                simulate_layer(&lw, &cfg, 11),
                 "n_pe {n_pe}"
             );
         }
         // A different bus width is a different CA cost model: its walk is
         // keyed separately and still matches the cold run.
-        let wide_cold = SimConfig {
+        let wide = SimConfig {
             input_bus_bytes: 64,
             ..SimConfig::default()
         };
-        let wide_shared = SimConfig {
-            share_derived: true,
-            ..wide_cold
-        };
         assert_eq!(
-            simulate_layer(&lw, &wide_cold, 11),
-            simulate_layer(&lw, &wide_shared, 11)
+            simulate_layer_cold(&lw, &wide, 11),
+            simulate_layer(&lw, &wide, 11)
         );
     }
 

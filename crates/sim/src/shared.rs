@@ -1,7 +1,9 @@
-//! The cross-point derived-state cache behind [`SimConfig::share_derived`].
+//! The process-wide derived-state caches every sampled simulation shares.
 //!
-//! A design-space sweep re-simulates the same `(network, M, input seed)`
-//! workloads under many hardware configurations. Two derived artifacts of
+//! Only the activations change from one input to the next; a layer's
+//! coefficient masks are fixed. A design-space sweep, a one-shot
+//! `simulate` over ten input seeds, and a warm serve daemon all
+//! re-simulate the same layers many times, and three derived artifacts of
 //! a layer simulation are *hardware-invariant* — they depend only on the
 //! layer, the input seed, and host-fidelity knobs, never on bus widths,
 //! PE counts, or buffer sizes:
@@ -14,110 +16,56 @@
 //!   `(C, M, sampled channel ids, coefficient mask words)` — the sampled
 //!   channel *selection* depends on `cfg.sample_channels` (a host knob
 //!   that is part of the sweep grid), but given the selection the plan is
-//!   config-independent.
-//!
-//! A third cache goes one level higher: the **folded walk sums**
-//! ([`WalkSums`]). The per-channel sums a walk produces depend on the
-//! masks, the plan, the MAC-row geometry, and the CA cost model's three
-//! config knobs (bus elements, look-ahead, look-aside) — but *not* on
-//! the PE count or buffer sizes, so design points that differ only in
-//! those skip the walk entirely and reassemble the aggregate
-//! bit-for-bit (the one mapping-dependent output, `max_block_time`, is
-//! a monotone positive multiple of the cached `max_mean_pos`).
+//!   config-independent and input-seed-independent;
+//! - the **folded walk sums** ([`WalkSums`]): the per-channel sums a walk
+//!   produces depend on the masks, the plan, the MAC-row geometry, and
+//!   the CA cost model's three config knobs (bus elements, look-ahead,
+//!   look-aside) — but *not* on the PE count or buffer sizes, so design
+//!   points that differ only in those skip the walk entirely and
+//!   reassemble the aggregate bit-for-bit (the one mapping-dependent
+//!   output, `max_block_time`, is a monotone positive multiple of the
+//!   cached `max_mean_pos`).
 //!
 //! Everything else — [`crate::context::LayerContext`]'s `parallel_k` and
 //! block/slice [`crate::dataflow::Mapping`], the traffic model — depends
 //! on the hardware point and is deliberately *not* cached here.
 //!
-//! Opting in cannot change results: cached masks are regenerated from the
+//! Sharing cannot change results: cached masks are regenerated from the
 //! very RNG stream the uncached path would draw (bit-identical by
 //! construction, keyed by everything that feeds the stream), and a cached
 //! plan is only reused after [`LayerPlan::matches`] verified it
 //! word-for-word against the requested masks — a fingerprint collision
-//! falls back to a fresh build, never a wrong reuse. Both caches are
-//! bounded (LRU over an access stamp) and instrumented:
-//! `sweep.derived_hits` / `sweep.derived_misses` /
-//! `sweep.derived_evictions` count mask lookups; plan reuse flows through
-//! the existing `ca.plan_reuses` / `ca.plan_compiles` counters.
+//! falls back to a fresh build, never a wrong reuse. All three caches are
+//! [`SingleFlightCache`]s with measured bounds and instrumented (the
+//! names predate sharing outside sweeps and are kept for the benchmark):
+//! `sweep.derived_hits` / `sweep.derived_misses` count mask lookups and
+//! walk hits, `sweep.walk_hits` counts walk hits alone,
+//! `sweep.derived_evictions` counts all three caches' evictions; plan
+//! reuse flows through the `ca.plan_reuses` / `ca.plan_compiles`
+//! counters.
 
 use crate::ca::LayerPlan;
 use crate::config::SimConfig;
 use crate::context::PositionAggregate;
 use crate::masks::draw_act_mask_into;
+use escalate_core::cache::SingleFlightCache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// Default bound of each cache (entries). Generous for a two-network
-/// sweep grid — a network contributes `layers × distinct sample-channel
-/// settings` mask entries per input seed — while keeping a long sweep's
-/// footprint fixed.
-pub const DEFAULT_DERIVED_CAP: usize = 512;
+/// Bound of the mask cache (entries). Mask keys include the input seed,
+/// so a daemon serving many seeds churns through them: at 512 entries a
+/// warm daemon still got ~124 hits against 16k misses, while holding a
+/// block per entry. 128 keeps every mask reuse of the 256-point sweep
+/// grid (a network contributes `layers × distinct sample-channel
+/// settings` entries per input seed).
+pub const MASK_CACHE_CAP: usize = 128;
 
-/// A minimal bounded map with LRU eviction by access stamp. Lookups and
-/// inserts are O(1); eviction scans for the stalest entry, which is fine
-/// because it only runs when the cache is full.
-struct LruMap<K, V> {
-    entries: HashMap<K, (V, u64)>,
-    stamp: u64,
-    capacity: usize,
-    evictions: u64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
-    fn new(capacity: usize) -> Self {
-        LruMap {
-            entries: HashMap::new(),
-            stamp: 0,
-            capacity,
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: &K) -> Option<V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(key).map(|(v, s)| {
-            *s = stamp;
-            v.clone()
-        })
-    }
-
-    fn insert(&mut self, key: K, value: V) {
-        self.stamp += 1;
-        if self.capacity > 0 && !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, s))| *s)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.entries.remove(&stalest);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(key, (value, self.stamp));
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity > 0 {
-            while self.entries.len() > capacity {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, s))| *s)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.entries.remove(&stalest);
-                self.evictions += 1;
-            }
-        }
-    }
-}
+/// Bound of the plan and walk caches (entries). Plans are seed-invariant:
+/// a warm daemon holds only ~140 of them, and 128 entries would cost the
+/// 256-point sweep 34 recompiles, so 512 is nearly free and never
+/// recompiles there.
+pub const PLAN_CACHE_CAP: usize = 512;
 
 /// Everything that feeds the Bernoulli mask stream, floats by bit
 /// pattern: `(layer seed, C, keep_prob bits, positions per channel,
@@ -170,76 +118,43 @@ pub struct WalkSums {
 }
 
 struct DerivedCache {
-    masks: Mutex<LruMap<MaskKey, Arc<Vec<u64>>>>,
-    plans: Mutex<LruMap<PlanKey, Arc<LayerPlan>>>,
-    walks: Mutex<LruMap<WalkKey, WalkSums>>,
+    masks: SingleFlightCache<MaskKey, Arc<Vec<u64>>>,
+    plans: SingleFlightCache<PlanKey, Arc<LayerPlan>>,
+    walks: SingleFlightCache<WalkKey, WalkSums>,
 }
 
 fn derived_cache() -> &'static DerivedCache {
     static CACHE: OnceLock<DerivedCache> = OnceLock::new();
     CACHE.get_or_init(|| DerivedCache {
-        masks: Mutex::new(LruMap::new(DEFAULT_DERIVED_CAP)),
-        plans: Mutex::new(LruMap::new(DEFAULT_DERIVED_CAP)),
-        walks: Mutex::new(LruMap::new(DEFAULT_DERIVED_CAP)),
+        masks: SingleFlightCache::new(MASK_CACHE_CAP),
+        plans: SingleFlightCache::new(PLAN_CACHE_CAP),
+        walks: SingleFlightCache::new(PLAN_CACHE_CAP),
     })
 }
 
-/// Re-bounds the derived caches (`0` = unbounded), evicting down to the
-/// new capacity immediately. Exists for eviction-pressure tests and
-/// memory-conscious embedders; the default bound suits sweep grids.
-pub fn set_derived_cache_capacity(capacity: usize) {
-    derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .set_capacity(capacity);
-    derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .set_capacity(capacity);
-    derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned")
-        .set_capacity(capacity);
+fn count_evictions(evicted: u64) {
+    if evicted > 0 {
+        escalate_obs::counter_add("sweep.derived_evictions", evicted);
+    }
 }
 
-/// Resident entries in the (mask, plan) caches.
-pub fn derived_cache_len() -> (usize, usize) {
-    let masks = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .entries
-        .len();
-    let plans = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .entries
-        .len();
-    (masks, plans)
+/// Re-bounds all three derived caches to `capacity` (`0` = unbounded;
+/// `None` restores [`MASK_CACHE_CAP`] / [`PLAN_CACHE_CAP`]), evicting
+/// down to the new bound immediately. Exists for eviction-pressure tests
+/// and memory-conscious embedders.
+pub fn set_derived_cache_capacity(capacity: Option<usize>) {
+    let cache = derived_cache();
+    count_evictions(
+        cache.masks.set_capacity(capacity.unwrap_or(MASK_CACHE_CAP))
+            + cache.plans.set_capacity(capacity.unwrap_or(PLAN_CACHE_CAP))
+            + cache.walks.set_capacity(capacity.unwrap_or(PLAN_CACHE_CAP)),
+    );
 }
 
 /// Total evictions the derived caches have performed since process start.
 pub fn derived_cache_evictions() -> u64 {
-    let m = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .evictions;
-    let p = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .evictions;
-    let w = derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned")
-        .evictions;
-    m + p + w
+    let cache = derived_cache();
+    cache.masks.evictions() + cache.plans.evictions() + cache.walks.evictions()
 }
 
 /// Draws the full mask block the sampled walk will consume — `channels ×
@@ -264,9 +179,8 @@ fn generate_masks(
 }
 
 /// The materialized Bernoulli mask block for one `(layer, input seed,
-/// fidelity)` walk, cached across design points. Returns the shared words
-/// and whether this lookup hit. Concurrent misses may both generate — the
-/// generation is deterministic, so last-write-wins is harmless.
+/// fidelity)` walk, generated once across concurrent callers and shared.
+/// Returns the shared words and whether this lookup hit.
 pub fn cached_masks(
     layer_seed: u64,
     c: usize,
@@ -275,31 +189,21 @@ pub fn cached_masks(
     channels: usize,
 ) -> (Arc<Vec<u64>>, bool) {
     let key = (layer_seed, c, keep_prob.to_bits(), positions, channels);
-    if let Some(hit) = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .get(&key)
-    {
-        escalate_obs::counter_add("sweep.derived_hits", 1);
-        return (hit, true);
-    }
-    let words = Arc::new(generate_masks(
-        layer_seed, c, keep_prob, positions, channels,
-    ));
-    let mut masks = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned");
-    let before = masks.evictions;
-    masks.insert(key, Arc::clone(&words));
-    let evicted = masks.evictions - before;
-    drop(masks);
-    escalate_obs::counter_add("sweep.derived_misses", 1);
-    if evicted > 0 {
-        escalate_obs::counter_add("sweep.derived_evictions", evicted);
-    }
-    (words, false)
+    let look = derived_cache().masks.get_or_insert_with(key, || {
+        Arc::new(generate_masks(
+            layer_seed, c, keep_prob, positions, channels,
+        ))
+    });
+    escalate_obs::counter_add(
+        if look.hit {
+            "sweep.derived_hits"
+        } else {
+            "sweep.derived_misses"
+        },
+        1,
+    );
+    count_evictions(look.evicted);
+    (look.value, look.hit)
 }
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
@@ -312,7 +216,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// building and caching it on a miss. Returns the plan and whether the
 /// lookup hit. A hit is only reported after [`LayerPlan::matches`]
 /// verified the stored plan word-for-word against the requested masks; a
-/// fingerprint collision therefore rebuilds instead of reusing.
+/// fingerprint collision builds an uncached plan instead of reusing.
 pub fn cached_plan<'m>(
     c: usize,
     m: usize,
@@ -328,30 +232,17 @@ pub fn cached_plan<'m>(
             }
         }
     }
-    let key = (c, m, fp);
-    let cached = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .get(&key);
-    if let Some(plan) = cached {
-        if plan.matches(c, m, channels, &mask) {
-            return (plan, true);
-        }
+    let look = derived_cache().plans.get_or_insert_with((c, m, fp), || {
+        Arc::new(LayerPlan::build(c, m, channels, &mask))
+    });
+    count_evictions(look.evicted);
+    if !look.hit {
+        (look.value, false)
+    } else if look.value.matches(c, m, channels, &mask) {
+        (look.value, true)
+    } else {
+        (Arc::new(LayerPlan::build(c, m, channels, &mask)), false)
     }
-    let plan = Arc::new(LayerPlan::build(c, m, channels, &mask));
-    let mut plans = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned");
-    let before = plans.evictions;
-    plans.insert(key, Arc::clone(&plan));
-    let evicted = plans.evictions - before;
-    drop(plans);
-    if evicted > 0 {
-        escalate_obs::counter_add("sweep.derived_evictions", evicted);
-    }
-    (plan, false)
 }
 
 /// Builds the [`WalkKey`] for a walk of `channels × positions` against
@@ -399,44 +290,32 @@ pub fn walk_key<'m>(
     }
 }
 
-/// The cached folded sums for this walk, if a previous design point
-/// already performed it. A hit counts as a derived hit *and* skips the
-/// mask/plan lookups entirely.
-pub fn cached_walk(key: &WalkKey) -> Option<WalkSums> {
-    let hit = derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned")
-        .get(key);
-    if hit.is_some() {
-        escalate_obs::counter_add("sweep.derived_hits", 1);
-        escalate_obs::counter_add("sweep.walk_hits", 1);
-    }
-    hit
-}
-
-/// Publishes a finished walk's folded sums for later design points.
-pub fn store_walk(key: WalkKey, agg: &PositionAggregate) {
-    let mut walks = derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned");
-    let before = walks.evictions;
-    walks.insert(
-        key,
+/// The folded sums of the walk `key` identifies. A hit returns the sums
+/// an earlier simulation published and counts as a derived hit and a walk
+/// hit; a miss runs `walk` (once across concurrent callers), publishes
+/// its sums, and also returns the walk's own aggregate.
+pub fn cached_walk(
+    key: WalkKey,
+    walk: impl FnOnce() -> PositionAggregate,
+) -> (WalkSums, Option<PositionAggregate>) {
+    let mut walked = None;
+    let look = derived_cache().walks.get_or_insert_with(key, || {
+        let agg = walk();
+        walked = Some(agg);
         WalkSums {
             sum_pos_cycles: agg.sum_pos_cycles,
             sum_matched: agg.sum_matched,
             sum_gather: agg.sum_gather,
             sum_idle: agg.sum_idle,
             max_mean_pos: agg.max_mean_pos,
-        },
-    );
-    let evicted = walks.evictions - before;
-    drop(walks);
-    if evicted > 0 {
-        escalate_obs::counter_add("sweep.derived_evictions", evicted);
+        }
+    });
+    if look.hit {
+        escalate_obs::counter_add("sweep.derived_hits", 1);
+        escalate_obs::counter_add("sweep.walk_hits", 1);
     }
+    count_evictions(look.evicted);
+    (look.value, walked)
 }
 
 #[cfg(test)]
@@ -497,28 +376,5 @@ mod tests {
         assert!(!hit3);
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert!(p3.matches(100, 2, &[0, 1], mask_b));
-    }
-
-    #[test]
-    fn lru_map_evicts_the_stalest_entry() {
-        let mut map: LruMap<u32, u32> = LruMap::new(2);
-        map.insert(1, 10);
-        map.insert(2, 20);
-        assert_eq!(map.get(&1), Some(10)); // refresh 1 → 2 is stalest
-        map.insert(3, 30);
-        assert_eq!(map.evictions, 1);
-        assert_eq!(map.get(&2), None, "stalest entry evicted");
-        assert_eq!(map.get(&1), Some(10));
-        assert_eq!(map.get(&3), Some(30));
-        // Shrinking the capacity evicts immediately.
-        map.set_capacity(1);
-        assert_eq!(map.entries.len(), 1);
-        assert_eq!(map.evictions, 2);
-        // Unbounded never evicts.
-        map.set_capacity(0);
-        for k in 10..20 {
-            map.insert(k, k);
-        }
-        assert_eq!(map.evictions, 2);
     }
 }

@@ -13,7 +13,7 @@
 use escalate_core::quant::TernaryCoeffs;
 use escalate_models::LayerShape;
 use escalate_obs::Registry;
-use escalate_sim::engine::simulate_layer_observed;
+use escalate_sim::engine::{simulate_layer_cold, simulate_layer_observed};
 use escalate_sim::workload::{CoefMasks, LayerWorkload, WorkloadMode};
 use escalate_sim::{simulate_model, ModelStats, ObsObserver, SimConfig, Workload};
 use escalate_tensor::Tensor;
@@ -145,27 +145,43 @@ fn installed_recorder_does_not_perturb_results() {
         ..SimConfig::default()
     };
     let par = SimConfig::default();
-
-    let baseline = simulate_model(&w, &seq, 3);
+    // The unobserved baseline bypasses the process-wide caches, so the
+    // observed passes below walk under the recorder instead of reading
+    // the baseline's cached walks; each pass takes its own seed for the
+    // same reason.
+    let baseline = |seed: u64| ModelStats {
+        model_name: "det".into(),
+        layers: w
+            .layers
+            .iter()
+            .map(|lw| simulate_layer_cold(lw, &seq, seed))
+            .collect(),
+        pipeline: None,
+    };
 
     let reg = Arc::new(Registry::new());
     escalate_obs::install(Arc::clone(&reg));
     let observed_seq = simulate_model(&w, &seq, 3);
-    let observed_par = simulate_model(&w, &par, 3);
+    let observed_par = simulate_model(&w, &par, 4);
     escalate_obs::uninstall();
 
     assert_eq!(
-        baseline, observed_seq,
+        baseline(3),
+        observed_seq,
         "recorder must not perturb sequential results"
     );
     assert_eq!(
-        baseline, observed_par,
+        baseline(4),
+        observed_par,
         "recorder must not perturb parallel results"
     );
     // And the recorder did actually see the runs: two observed passes over
     // three layers each.
     assert_eq!(reg.counter("sim.layers"), 6);
-    assert_eq!(reg.counter("sim.cycles"), 2 * baseline.total_cycles());
+    assert_eq!(
+        reg.counter("sim.cycles"),
+        observed_seq.total_cycles() + observed_par.total_cycles()
+    );
     // A mask-draw span per sampled channel (8 of each decomposed layer's
     // K ≥ 16, two passes) and plan-compile spans. Lower bounds only: the
     // proptest above runs concurrently, and its spans also reach the

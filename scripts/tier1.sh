@@ -59,6 +59,13 @@ cmp "$SWEEP_DIR/cold.jsonl" "$SWEEP_DIR/resumed.jsonl"
 grep -q "44 sample(s) ran, 20 resumed" "$SWEEP_DIR/resumed.txt"
 diff <(tail -n +2 "$SWEEP_DIR/cold.txt" | grep -v '^frontier matches') \
      <(tail -n +2 "$SWEEP_DIR/resumed.txt")
+# One-shot runs share compiled layer plans across input seeds through
+# the process-wide plan cache: a two-seed simulate must record plan
+# reuses.
+./target/release/escalate simulate MobileNet --seeds 2 \
+  --metrics "$SWEEP_DIR/simulate.metrics.json" > /dev/null
+grep -o '"ca.plan_reuses": [0-9]*' "$SWEEP_DIR/simulate.metrics.json" \
+  | grep -qv ': 0$'
 # Network-description + pipelined-schedule smoke: write a generated
 # network as an escalate-network/v1 file, require the file → Model →
 # file round trip to be byte-identical, and simulate it under the

@@ -3,11 +3,16 @@
 use escalate::algo::decompose;
 use escalate::algo::quant::{threshold_for_sparsity, TernaryCoeffs};
 use escalate::algo::reorg::{forward_eq2, forward_eq3};
+use escalate::energy::BufferCaps;
 use escalate::models::{synth, LayerShape};
+use escalate::sim::engine::simulate_layer_cold;
 use escalate::sim::workload::CoefMasks;
-use escalate::sim::{simulate_layer, LayerWorkload, SimConfig, Workload, WorkloadMode};
-use escalate_bench::run_escalate_workload;
+use escalate::sim::{
+    simulate_layer, Accelerator, LayerStats, LayerWorkload, SimConfig, Workload, WorkloadMode,
+};
+use escalate_bench::{run_accelerator, run_escalate_workload, AccelRun};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn small_layer() -> impl Strategy<Value = LayerShape> {
     (2usize..10, 2usize..12, 5usize..9, 1usize..3)
@@ -36,6 +41,38 @@ fn synthetic_layer(name: &str, c: usize, k: usize, x: usize, act_sparsity: f64) 
         out_sparsity: act_sparsity,
         weight_bytes: 1000,
     }
+}
+
+/// ESCALATE on the uncached composition (`simulate_layer_cold`: live
+/// Bernoulli masks, locally compiled plans, no mask, plan or walk cache),
+/// so whole workloads go through the same seed-averaging runner as
+/// `run_escalate_workload`.
+struct ColdEscalate<'a> {
+    workload: &'a Workload,
+    cfg: &'a SimConfig,
+}
+
+impl Accelerator for ColdEscalate<'_> {
+    fn name(&self) -> &str {
+        "ESCALATE"
+    }
+
+    fn model_name(&self) -> String {
+        self.workload.model_name.clone()
+    }
+
+    fn num_layers(&self) -> usize {
+        self.workload.layers.len()
+    }
+
+    fn simulate_layer(&self, index: usize, seed: u64) -> LayerStats {
+        simulate_layer_cold(&self.workload.layers[index], self.cfg, seed)
+    }
+}
+
+fn cold_run(workload: &Workload, cfg: &SimConfig, seeds: u64) -> AccelRun {
+    let cold = ColdEscalate { workload, cfg };
+    run_accelerator(&cold, &BufferCaps::from_config(cfg), seeds, cfg.threads)
 }
 
 proptest! {
@@ -94,14 +131,14 @@ proptest! {
         prop_assert!(dense.ca_adds >= sparse.ca_adds);
     }
 
-    /// Opting into the cross-point derived-state cache
-    /// (`SimConfig::share_derived`) can never change results: for
-    /// randomized shapes, hardware points, batch sizes (input seeds
-    /// averaged) and thread counts, every averaged f64 of the shared run
-    /// matches the cold run bit-for-bit, and the per-layer trace is
-    /// equal component-for-component. The process-global cache is warm
-    /// or cold arbitrarily across cases — irrelevant by design, which is
-    /// exactly the property under test.
+    /// The process-wide derived-state caches can never change results:
+    /// for randomized shapes, hardware points, batch sizes (input seeds
+    /// averaged) and thread counts, every averaged f64 of the
+    /// always-shared `run_escalate_workload` matches the uncached
+    /// composition bit-for-bit, and the per-layer trace is equal
+    /// component-for-component — first on a cold cache (the layer names
+    /// are unique to the case, so none of its masks or walks is cached
+    /// yet), then on the warm cache that run left behind.
     #[test]
     fn derived_sharing_is_bit_identical(
         c in 16usize..96,
@@ -112,31 +149,31 @@ proptest! {
         threads in 1usize..5,
         seeds in 1u64..4,
     ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
         let n_pe = [8usize, 16, 32, 64][n_pe_i];
         let bus = [8usize, 16, 32, 64][bus_i];
         let w = Workload {
             model_name: "prop-shared".into(),
             layers: vec![
-                synthetic_layer("shared-a", c, k, x, 0.5),
-                synthetic_layer("shared-b", k.max(2), c, x, 0.3),
+                synthetic_layer(&format!("shared-a-{case}"), c, k, x, 0.5),
+                synthetic_layer(&format!("shared-b-{case}"), k.max(2), c, x, 0.3),
             ],
         };
-        let cold_cfg = SimConfig {
+        let cfg = SimConfig {
             n_pe,
             input_bus_bytes: bus,
             threads,
             ..SimConfig::default()
         };
-        let shared_cfg = SimConfig {
-            share_derived: true,
-            ..cold_cfg
-        };
-        let cold = run_escalate_workload(&w, &cold_cfg, seeds);
-        let shared = run_escalate_workload(&w, &shared_cfg, seeds);
-        prop_assert_eq!(cold.cycles.to_bits(), shared.cycles.to_bits());
-        prop_assert_eq!(cold.dram_bytes.to_bits(), shared.dram_bytes.to_bits());
-        prop_assert_eq!(cold.energy_pj.to_bits(), shared.energy_pj.to_bits());
-        prop_assert_eq!(cold.first_seed_stats, shared.first_seed_stats);
+        let cold = cold_run(&w, &cfg, seeds);
+        for pass in ["cold cache", "warm cache"] {
+            let shared = run_escalate_workload(&w, &cfg, seeds);
+            prop_assert_eq!(cold.cycles.to_bits(), shared.cycles.to_bits(), "{}", pass);
+            prop_assert_eq!(cold.dram_bytes.to_bits(), shared.dram_bytes.to_bits(), "{}", pass);
+            prop_assert_eq!(cold.energy_pj.to_bits(), shared.energy_pj.to_bits(), "{}", pass);
+            prop_assert_eq!(&cold.first_seed_stats, &shared.first_seed_stats, "{}", pass);
+        }
     }
 
     /// Compression accounting is internally consistent for any layer and
@@ -164,32 +201,26 @@ proptest! {
 /// sharing is an opportunistic fast path, never a correctness dependency.
 #[test]
 fn derived_eviction_pressure_keeps_results_identical() {
-    use escalate::sim::shared::{
-        derived_cache_evictions, set_derived_cache_capacity, DEFAULT_DERIVED_CAP,
-    };
+    use escalate::sim::shared::{derived_cache_evictions, set_derived_cache_capacity};
     let before = derived_cache_evictions();
-    set_derived_cache_capacity(2);
+    set_derived_cache_capacity(Some(2));
     // Distinct layers × seeds: far more than 2 derived entries.
     for (i, (c, k)) in [(24usize, 16usize), (40, 12), (56, 20), (32, 24)]
         .into_iter()
         .enumerate()
     {
         let lw = synthetic_layer(&format!("evict-{i}"), c, k, 8, 0.4);
-        let cold = SimConfig::default();
-        let shared = SimConfig {
-            share_derived: true,
-            ..cold
-        };
+        let cfg = SimConfig::default();
         for seed in [3u64, 9] {
             assert_eq!(
-                simulate_layer(&lw, &cold, seed),
-                simulate_layer(&lw, &shared, seed),
+                simulate_layer_cold(&lw, &cfg, seed),
+                simulate_layer(&lw, &cfg, seed),
                 "layer {i} seed {seed}"
             );
         }
     }
     let evicted = derived_cache_evictions() - before;
-    set_derived_cache_capacity(DEFAULT_DERIVED_CAP);
+    set_derived_cache_capacity(None);
     // 4 layers × 2 seeds of masks+plans+walks through a 2-entry cache:
     // eviction pressure must actually have occurred (other tests share
     // the process-global cache, so assert a floor, not an exact count).
