@@ -1,12 +1,9 @@
-//! Criterion benchmarks for the hardware component models added on top of
-//! the throughput engine: the cycle-stepped slice, the mask pipeline, the
-//! H-tree arbitration network, and the GEMM convolution path.
+//! Criterion benchmarks for the component models under the throughput
+//! engine: the cycle-stepped slice and the GEMM convolution path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use escalate_sim::htree::HTree;
 use escalate_sim::slice::{run_slice, PositionInput};
 use escalate_sim::SimConfig;
-use escalate_sparse::maskpipe::{MaskPipeline, PositionMaps};
 use escalate_tensor::im2col::conv2d_gemm;
 use escalate_tensor::{conv::conv2d, Tensor};
 use rand::rngs::StdRng;
@@ -41,28 +38,6 @@ fn bench_slice(c: &mut Criterion) {
     });
 }
 
-fn bench_maskpipe(c: &mut Criterion) {
-    let maps = PositionMaps {
-        act_map: vec![0xA5A5_5A5A_F00F_0FF0, 0x1234_5678_9ABC_DEF0],
-        coef_map: vec![0x0FF0_F00F_5A5A_A5A5, 0xFFFF_0000_FFFF_0000],
-        width: 128,
-    };
-    c.bench_function("maskpipe_position_128", |b| {
-        b.iter(|| {
-            let mut pipe = MaskPipeline::new();
-            pipe.position_windows(black_box(&maps), 16)
-        })
-    });
-}
-
-fn bench_htree(c: &mut Criterion) {
-    let mut tree = HTree::new(32);
-    let reqs: Vec<Option<u64>> = (0..32).map(|i| Some((i % 5) as u64)).collect();
-    c.bench_function("htree_round_32", |b| {
-        b.iter(|| tree.round(black_box(&reqs)))
-    });
-}
-
 fn bench_gemm_vs_direct(c: &mut Criterion) {
     let input = Tensor::from_fn(&[32, 16, 16], |i| {
         ((i[0] * 7 + i[1] * 3 + i[2]) % 9) as f32 * 0.1
@@ -80,11 +55,5 @@ fn bench_gemm_vs_direct(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_slice,
-    bench_maskpipe,
-    bench_htree,
-    bench_gemm_vs_direct
-);
+criterion_group!(benches, bench_slice, bench_gemm_vs_direct);
 criterion_main!(benches);

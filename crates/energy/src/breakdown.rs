@@ -189,24 +189,6 @@ pub fn model_energy(stats: &ModelStats, caps: &BufferCaps, units: &UnitEnergy) -
     total
 }
 
-/// Like [`layer_energy`] but prices DRAM with the row-buffer-aware
-/// [`crate::dram::DramModel`] instead of the flat Table 3 constant:
-/// weight and OFM streams pay sequential-access energy, the IFM walk pays
-/// for row re-activations at `ifm_row_locality` (fraction of bursts
-/// hitting the open row). Useful for studying how trace locality moves
-/// the Figure 10 DRAM share.
-pub fn layer_energy_with_dram_model(
-    stats: &LayerStats,
-    caps: &BufferCaps,
-    units: &UnitEnergy,
-    dram: &crate::dram::DramModel,
-    ifm_row_locality: f64,
-) -> EnergyBreakdown {
-    let mut bd = layer_energy(stats, caps, units);
-    bd.dram_pj = dram.traffic_energy_pj(&stats.dram, ifm_row_locality);
-    bd
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,29 +261,6 @@ mod tests {
         let one = layer_energy(&stats(false), &BufferCaps::default(), &UnitEnergy::table3());
         let all = model_energy(&m, &BufferCaps::default(), &UnitEnergy::table3());
         assert!((all.total_pj() - 2.0 * one.total_pj()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn dram_model_pricing_tracks_locality() {
-        use crate::dram::DramModel;
-        let s = LayerStats {
-            dram: DramTraffic {
-                weights: 1 << 16,
-                ifm: 1 << 18,
-                ofm: 1 << 14,
-            },
-            ..stats(false)
-        };
-        let caps = BufferCaps::default();
-        let units = UnitEnergy::table3();
-        let m = DramModel::default();
-        let good = layer_energy_with_dram_model(&s, &caps, &units, &m, 0.95);
-        let bad = layer_energy_with_dram_model(&s, &caps, &units, &m, 0.0);
-        assert!(good.dram_pj < bad.dram_pj);
-        // Non-DRAM components are unchanged by the pricing swap.
-        let flat = layer_energy(&s, &caps, &units);
-        assert!((good.mac_pj - flat.mac_pj).abs() < 1e-9);
-        assert!((good.input_buf_pj - flat.input_buf_pj).abs() < 1e-9);
     }
 
     #[test]

@@ -10,14 +10,12 @@
 //!
 //! - [`units`] — the Table 3 constants,
 //! - [`sram`] — a CACTI-style capacity-scaling access-energy model,
-//! - [`dram`] — trace bytes → picojoules,
 //! - [`area`] — the Table 4 component table,
 //! - [`breakdown`] — per-layer/per-model energy breakdowns (Figure 10)
 //!   from the simulators' [`escalate_sim::LayerStats`] records.
 
 pub mod area;
 pub mod breakdown;
-pub mod dram;
 pub mod sram;
 pub mod units;
 

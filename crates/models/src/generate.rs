@@ -169,16 +169,15 @@ fn vit(p: Params) -> Result<Model, String> {
         return Err(format!("patch={patch} must divide x={x}"));
     }
     let gs = x / patch;
-    let tokens = gs * gs;
+    let tokens = gs
+        .checked_mul(gs)
+        .ok_or_else(|| format!("x={x}, patch={patch} gives too many tokens"))?;
+    let too_wide = || format!("dim={dim} is too large");
+    let qkv = dim.checked_mul(3).ok_or_else(too_wide)?;
+    let mlp = dim.checked_mul(4).ok_or_else(too_wide)?;
     let mut layers = vec![LayerShape::conv("patchify", 3, dim, x, x, patch, patch, 0)];
     for b in 1..=blocks {
-        layers.push(LayerShape::pwconv(
-            &format!("blk{b}.qkv"),
-            dim,
-            3 * dim,
-            gs,
-            gs,
-        ));
+        layers.push(LayerShape::pwconv(&format!("blk{b}.qkv"), dim, qkv, gs, gs));
         // Q·Kᵀ: tokens×tokens scores from dim-wide reductions, then A·V.
         layers.push(LayerShape::pwconv(
             &format!("blk{b}.attn_qk"),
@@ -204,13 +203,13 @@ fn vit(p: Params) -> Result<Model, String> {
         layers.push(LayerShape::pwconv(
             &format!("blk{b}.mlp1"),
             dim,
-            4 * dim,
+            mlp,
             gs,
             gs,
         ));
         layers.push(LayerShape::pwconv(
             &format!("blk{b}.mlp2"),
-            4 * dim,
+            mlp,
             dim,
             gs,
             gs,
@@ -284,6 +283,10 @@ mod tests {
             ("grouped:groups=7,c=64", "must divide"),
             ("vit:patch=5,x=32", "must divide"),
             ("grouped:blocks=x", "non-numeric"),
+            ("dilated:dilation=9223372036854775808", "overflows"),
+            ("vit:dim=6148914691236517206", "too large"),
+            ("vit:dim=4611686018427387904", "too large"),
+            ("vit:x=4294967296,patch=1", "too many tokens"),
         ] {
             let e = generate(spec).unwrap_err();
             assert!(e.contains(needle), "{spec:?}: got {e:?}, wanted {needle:?}");

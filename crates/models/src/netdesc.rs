@@ -481,6 +481,19 @@ mod tests {
                     layer conv b c=32 k=16 x=16 y=16 r=3 s=3 stride=1 pad=1\nend\n";
         let err = parse(text).unwrap_err();
         assert!(matches!(err, NetworkError::Invalid(_)), "{err}");
+
+        // Extents that overflow usize are rejected, not computed.
+        for line in [
+            "layer conv a c=3 k=16 x=16 y=16 r=3 s=3 stride=1 pad=9223372036854775808",
+            "layer dconv a c=3 k=16 x=16 y=16 r=3 s=3 stride=1 dilation=9223372036854775808",
+            "layer fc a c=3 k=16 x=1 y=1 r=1 s=1 stride=1 pad=9223372036854775808",
+        ] {
+            let err = parse(&format!("escalate-network/v1\nmodel t\n{line}\nend\n")).unwrap_err();
+            assert!(
+                matches!(&err, NetworkError::Invalid(m) if m.contains("overflows")),
+                "{line:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -160,5 +160,7 @@ mod tests {
         assert!(e.contains("/no/such/file.network"), "{e}");
         let e = resolve("gen:warp").unwrap_err().to_string();
         assert!(e.contains("unknown generator"), "{e}");
+        let e = resolve("gen:dilated:dilation=9223372036854775808").unwrap_err();
+        assert!(matches!(e, ResolveError::BadGenerator { .. }), "{e}");
     }
 }

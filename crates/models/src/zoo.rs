@@ -207,17 +207,33 @@ impl Model {
     }
 
     /// Checks the structural consistency of a (possibly user-built) layer
-    /// list: every layer must produce non-empty output, depthwise layers
-    /// must have `K == C`, and — ignoring shortcut/downsample layers,
-    /// whose names contain `"downsample"` — each conv layer's input
-    /// channel count must match a producer earlier in the list (the
-    /// previous conv layer's `K`, or any earlier layer's `K` for residual
-    /// joins).
+    /// list: no layer's dilated kernel extent `dilation·(R−1)+1` or padded
+    /// input extent `X+2·pad` may overflow `usize`, every layer must
+    /// produce non-empty output, depthwise layers must have `K == C`, and
+    /// — ignoring shortcut/downsample layers, whose names contain
+    /// `"downsample"` — each conv layer's input channel count must match a
+    /// producer earlier in the list (the previous conv layer's `K`, or any
+    /// earlier layer's `K` for residual joins).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
+        for l in &self.layers {
+            // Checked before anything calls `out_x`/`out_y`, which compute
+            // these extents unchecked.
+            let fits = |input: usize, taps: usize| {
+                let kernel = l.dilation().checked_mul(taps.saturating_sub(1));
+                let padded = l.pad.checked_mul(2).and_then(|p| p.checked_add(input));
+                kernel.and_then(|k| k.checked_add(1)).is_some() && padded.is_some()
+            };
+            if !fits(l.x, l.r) || !fits(l.y, l.s) {
+                return Err(format!(
+                    "{}: dilated kernel or padded input extent overflows",
+                    l.name
+                ));
+            }
+        }
         let mut produced: Vec<usize> = vec![];
         let mut prev_out: Option<usize> = None;
         for l in self.conv_layers() {

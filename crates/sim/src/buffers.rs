@@ -4,10 +4,13 @@
 //! position its own buffer shared by the slices at that position across
 //! all PE blocks. Chunks of compressed activations live in a circular
 //! queue; each chunk carries a reference count of the slices that still
-//! need it and is evicted when the count reaches zero. Requests are
-//! collected through an H-tree of arbitrators that merge identical
-//! requests (one broadcast serves every requesting slice) and prioritize
-//! earlier chunks so the queue drains in order.
+//! need it and is evicted when the count reaches zero.
+//!
+//! The paper collects requests through an H-tree of arbitrators that
+//! merge identical requests and prioritize earlier chunks. That network
+//! is not modelled: each slice read is served individually, which the
+//! simulators treat as stall-free (EXPERIMENTS.md, "Validation of the
+//! simulator abstraction").
 
 use std::collections::VecDeque;
 
@@ -49,15 +52,13 @@ pub struct InputBuffer {
 pub struct BufferStats {
     /// Chunks admitted.
     pub pushes: u64,
-    /// Chunk broadcasts served (merged requests count once).
-    pub broadcasts: u64,
     /// Individual slice reads satisfied.
     pub reads: u64,
     /// Chunks evicted after their last consumer.
     pub evictions: u64,
     /// Push attempts rejected for lack of space (DRAM stall pressure).
     pub rejections: u64,
-    /// Bytes served to consumers (broadcast bytes × consumers).
+    /// Bytes served to consumers (chunk bytes × reads).
     pub bytes_read: u64,
 }
 
@@ -108,28 +109,8 @@ impl InputBuffer {
             return false;
         };
         self.stats.reads += 1;
-        self.stats.broadcasts += 1;
         self.stats.bytes_read += self.queue[pos].bytes as u64;
         self.queue[pos].refs -= 1;
-        if self.queue[pos].refs == 0 {
-            self.used -= self.queue[pos].bytes;
-            self.queue.remove(pos);
-            self.stats.evictions += 1;
-        }
-        true
-    }
-
-    /// An H-tree-merged request: `count` slices ask for chunk `id` in the
-    /// same cycle and are served by a single broadcast.
-    pub fn request_merged(&mut self, id: u64, count: u32) -> bool {
-        let Some(pos) = self.queue.iter().position(|c| c.id == id) else {
-            return false;
-        };
-        let served = count.min(self.queue[pos].refs);
-        self.stats.reads += served as u64;
-        self.stats.broadcasts += 1;
-        self.stats.bytes_read += self.queue[pos].bytes as u64 * served as u64;
-        self.queue[pos].refs -= served;
         if self.queue[pos].refs == 0 {
             self.used -= self.queue[pos].bytes;
             self.queue.remove(pos);
@@ -152,17 +133,6 @@ impl InputBuffer {
     pub fn stats(&self) -> BufferStats {
         self.stats
     }
-}
-
-/// An arbitrator node of the H-tree: merges children's requests,
-/// prioritizing the *earliest* chunk ID (the paper's greedy policy, which
-/// drains the circular queue in order).
-///
-/// Returns the winning chunk ID and how many children requested it.
-pub fn arbitrate(requests: &[u64]) -> Option<(u64, u32)> {
-    let winner = *requests.iter().min()?;
-    let count = requests.iter().filter(|&&r| r == winner).count() as u32;
-    Some((winner, count))
 }
 
 #[cfg(test)]
@@ -202,44 +172,20 @@ mod tests {
     }
 
     #[test]
-    fn merged_requests_count_one_broadcast() {
-        let mut buf = InputBuffer::new(100);
-        let id = buf.push(20, 5).unwrap();
-        assert!(buf.request_merged(id, 5));
-        let s = buf.stats();
-        assert_eq!(s.broadcasts, 1);
-        assert_eq!(s.reads, 5);
-        assert_eq!(s.bytes_read, 100);
-        assert_eq!(buf.resident_chunks(), 0);
-    }
-
-    #[test]
-    fn merged_request_clamps_to_remaining_refs() {
-        let mut buf = InputBuffer::new(100);
-        let id = buf.push(20, 2).unwrap();
-        assert!(buf.request_merged(id, 5));
-        assert_eq!(buf.stats().reads, 2);
-        assert_eq!(buf.resident_chunks(), 0);
-    }
-
-    #[test]
-    fn arbitration_prefers_earliest_chunk() {
-        assert_eq!(arbitrate(&[7, 3, 3, 9]), Some((3, 2)));
-        assert_eq!(arbitrate(&[]), None);
-        assert_eq!(arbitrate(&[5, 5, 5]), Some((5, 3)));
-    }
-
-    #[test]
     fn fifo_order_is_preserved() {
         let mut buf = InputBuffer::new(1000);
         let ids: Vec<u64> = (0..5).map(|i| buf.push(10 + i, 1).unwrap()).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        // Serving in arbitrated (earliest-first) order drains front-first.
-        for id in ids {
-            let (win, n) = arbitrate(&[id]).unwrap();
-            assert!(buf.request_merged(win, n));
+        // Serving earliest-first drains the queue front-first: each read
+        // evicts the current head, and every later chunk stays resident.
+        let mut held: u32 = (0..5).map(|i| 10 + i).sum();
+        for (served, (&id, bytes)) in ids.iter().zip(10..).enumerate() {
+            assert!(buf.request(id));
+            held -= bytes;
+            assert_eq!(buf.occupancy_bytes(), held);
+            assert_eq!(buf.resident_chunks(), ids.len() - served - 1);
         }
-        assert_eq!(buf.resident_chunks(), 0);
+        assert_eq!(buf.stats().evictions, ids.len() as u64);
     }
 
     #[test]

@@ -88,7 +88,6 @@ pub mod detailed;
 pub mod engine;
 pub mod error;
 pub mod fallback;
-pub mod htree;
 pub mod mac;
 pub mod masks;
 pub mod observe;

@@ -1,51 +1,11 @@
 //! Property-based tests for the accelerator component models.
 
 use escalate_sim::buffers::InputBuffer;
-use escalate_sim::htree::HTree;
 use escalate_sim::psum::PsumBanks;
 use proptest::prelude::*;
-use std::collections::VecDeque;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The H-tree's merged grant always equals flat arbitration over the
-    /// same requests: earliest chunk wins, count = its requesters.
-    #[test]
-    fn htree_equals_flat_arbitration(
-        reqs in prop::collection::vec(prop::option::weighted(0.7, 0u64..20), 1..33),
-    ) {
-        let mut tree = HTree::new(reqs.len());
-        let got = tree.round(&reqs);
-        let present: Vec<u64> = reqs.iter().flatten().copied().collect();
-        match got {
-            None => prop_assert!(present.is_empty()),
-            Some((id, n)) => {
-                prop_assert_eq!(Some(&id), present.iter().min());
-                prop_assert_eq!(n as usize, present.iter().filter(|&&r| r == id).count());
-            }
-        }
-    }
-
-    /// Draining ordered per-slice queues through the H-tree serves every
-    /// request exactly once, and the round count is bracketed by the
-    /// number of distinct chunks and the total request count.
-    #[test]
-    fn htree_drain_serves_everything(
-        offsets in prop::collection::vec(0u64..10, 1..9),
-        chunks in 5u64..40,
-    ) {
-        let effective: Vec<u64> = offsets.iter().map(|&o| o.min(chunks - 1)).collect();
-        let queues: Vec<VecDeque<u64>> = effective.iter().map(|&o| (o..chunks).collect()).collect();
-        let total: u64 = queues.iter().map(|q| q.len() as u64).sum();
-        let mut tree = HTree::new(queues.len());
-        let rounds = tree.drain(queues);
-        prop_assert_eq!(tree.stats().served, total);
-        // At least one round per distinct chunk of the longest queue, at
-        // most one per request.
-        prop_assert!(rounds >= chunks - effective.iter().min().copied().unwrap_or(0));
-        prop_assert!(rounds <= total);
-    }
 
     /// The ref-counted buffer conserves chunks: every admitted chunk is
     /// evicted after exactly its consumer count of reads, and occupancy

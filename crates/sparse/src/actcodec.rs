@@ -36,13 +36,6 @@ impl SliceStream {
                 .map(|m| m.total_chunks() + m.stored_chunks() * 16)
                 .sum::<usize>()
     }
-
-    /// Splits the value stream into bus-width chunks (the units the input
-    /// buffer stores and the H-tree broadcasts), returning the chunk
-    /// count.
-    pub fn chunk_count(&self, bus_elems: usize) -> usize {
-        self.values.len().div_ceil(bus_elems.max(1))
-    }
 }
 
 /// Encodes a `C×X×Y` feature map into `l` slice streams.
@@ -180,21 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn chunk_count_matches_bus_width() {
-        let (c, x, y) = (16, 4, 4);
-        let data = sample(c, x, y);
-        let streams = encode_feature_map(&data, c, x, y, 1);
-        let nnz = streams[0].values.len();
-        assert_eq!(streams[0].chunk_count(16), nnz.div_ceil(16));
-        assert_eq!(streams[0].chunk_count(1), nnz);
-    }
-
-    #[test]
     fn empty_map_encodes_to_empty_streams() {
         let streams = encode_feature_map(&[0.0; 3 * 4 * 4], 3, 4, 4, 2);
         for s in &streams {
             assert!(s.values.is_empty());
-            assert_eq!(s.chunk_count(16), 0);
         }
         assert_eq!(decode_feature_map(&streams, 3, 4, 4), vec![0.0; 48]);
     }

@@ -89,24 +89,6 @@ impl ButterflyGather {
     }
 }
 
-/// Gathers elements of a slice selected by a bit mask, preserving order.
-///
-/// This is the element-level analogue used for the sign/filter masks in the
-/// dilution step: position `i` of `items` survives when bit `i` of `mask`
-/// is set.
-pub fn gather_elements<T: Copy>(items: &[T], mask: u64) -> Vec<T> {
-    assert!(
-        items.len() <= 64,
-        "element gather operates on <=64-element chunks"
-    );
-    items
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| mask >> i & 1 == 1)
-        .map(|(_, &v)| v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,19 +173,5 @@ mod tests {
     fn switch_activity_positive_when_compressing() {
         let g = gather_bits_butterfly(u64::MAX, 0xAAAA_AAAA_AAAA_AAAA);
         assert!(g.switch_activity() > 0);
-    }
-
-    #[test]
-    fn element_gather_preserves_order() {
-        let items = [10, 20, 30, 40, 50];
-        assert_eq!(gather_elements(&items, 0b10101), vec![10, 30, 50]);
-        assert_eq!(gather_elements(&items, 0), Vec::<i32>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "<=64")]
-    fn element_gather_rejects_long_chunks() {
-        let items = vec![0u8; 65];
-        let _ = gather_elements(&items, 0);
     }
 }

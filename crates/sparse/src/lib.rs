@@ -11,12 +11,14 @@
 //! - [`bitgather`] — the bit-gather operation, both as a functional
 //!   reference and as a stage-by-stage inverse-butterfly network model
 //!   (Figure 4(b)),
-//! - [`rolling`] — the rolling mask with implicit position barriers
-//!   (Figure 5),
 //! - [`dilution`] — the Dilution step matching activation chunks against
-//!   ternary coefficients with bit-wise AND + gather (Figure 4(c)),
+//!   ternary coefficients with bit-wise AND + gather (Figure 4(c)); its
+//!   filter mask is computed in one shot, standing in for the paper's
+//!   rolling-mask generation pipeline (Figure 5),
 //! - [`concentration`] — the Concentration step filling holes via
 //!   column-wise look-ahead and look-aside (Figure 6),
+//! - [`actcodec`] — the sliced C-order activation storage layout
+//!   (Figure 4(a)),
 //! - [`csr`] — CSR/CSC encodings used as a storage-cost baseline.
 
 pub mod actcodec;
@@ -24,13 +26,9 @@ pub mod bitgather;
 pub mod concentration;
 pub mod csr;
 pub mod dilution;
-pub mod maskpipe;
-pub mod rolling;
 pub mod sparsemap;
 
 pub use bitgather::{gather_bits, gather_bits_butterfly, GATHER_STAGES_64};
 pub use concentration::{ConcentrationBuffer, ConcentrationStats, MaskConcentration};
 pub use dilution::{dilute, dilute_into, DilutedChunk, DilutionInput, DilutionOutcome};
-pub use maskpipe::{MaskPipeline, MaskWindow, PositionMaps};
-pub use rolling::RollingMask;
 pub use sparsemap::{SparseMap, TwoLevelSparseMap};

@@ -143,40 +143,6 @@ proptest! {
         prop_assert_eq!(stored, nnz);
     }
 
-    /// The rolling-mask pipeline reassembles exactly the filter mask the
-    /// one-shot dilution computes, for any map pattern and chunk width.
-    #[test]
-    fn mask_pipeline_matches_oneshot_dilution(
-        words in prop::collection::vec((any::<u64>(), any::<u64>()), 1..4),
-        chunk in 1usize..33,
-    ) {
-        use escalate_sparse::maskpipe::{reference_filter_mask, MaskPipeline, PositionMaps};
-        let maps = PositionMaps {
-            act_map: words.iter().map(|&(a, _)| a).collect(),
-            coef_map: words.iter().map(|&(_, c)| c).collect(),
-            width: words.len() * 64,
-        };
-        let mut pipe = MaskPipeline::new();
-        let windows = pipe.position_windows(&maps, chunk);
-        let mut bits = Vec::new();
-        for w in &windows {
-            for i in 0..w.len {
-                bits.push(w.filter >> i & 1 == 1);
-            }
-        }
-        prop_assert_eq!(bits, reference_filter_mask(&maps));
-        // Exactly one barrier, on the last window (when any window exists).
-        let barriers = windows.iter().filter(|w| w.barrier).count();
-        if windows.is_empty() {
-            prop_assert_eq!(barriers, 0);
-        } else {
-            prop_assert_eq!(barriers, 1);
-            prop_assert!(windows.last().unwrap().barrier);
-        }
-        // One mask-generation pass per stored word.
-        prop_assert_eq!(pipe.passes(), words.len() as u64);
-    }
-
     /// SparseMap with 2-bit ternary values beats CSR for any vector with at
     /// least ~12.5% density (the paper's storage argument: one 10-bit index
     /// costs more than a mask bit per position once nonzeros are common).
