@@ -68,36 +68,10 @@ fn bench_compression_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// The full four-accelerator MobileNet grid, sequential vs the thread
-/// pool — the criterion view of what `bench_sim` records in
-/// `BENCH_sim.json`. The pool is built at full width first so the
-/// sequential case cannot pin it to one thread.
-fn bench_model_grid(c: &mut Criterion) {
-    escalate_core::par::configure_threads(0);
-    let profile = ModelProfile::for_model("MobileNet").expect("known model");
-    // Warm the artifact cache so samples measure simulation only.
-    escalate_bench::run_model(&profile, &SimConfig::default(), 1).expect("warm-up");
-    let mut g = c.benchmark_group("model_grid");
-    g.sample_size(10);
-    let seq = SimConfig {
-        threads: 1,
-        ..SimConfig::default()
-    };
-    g.bench_function("mobilenet_grid_seq_2seeds", |b| {
-        b.iter(|| escalate_bench::run_model(black_box(&profile), &seq, 2))
-    });
-    let par = SimConfig::default();
-    g.bench_function("mobilenet_grid_par_2seeds", |b| {
-        b.iter(|| escalate_bench::run_model(black_box(&profile), &par, 2))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_escalate_layer,
     bench_baselines,
-    bench_compression_pipeline,
-    bench_model_grid
+    bench_compression_pipeline
 );
 criterion_main!(benches);

@@ -132,7 +132,6 @@ COMMANDS:
         --seed <N>     schedule seed (default 42)
         --workers <N>  daemon workers (default 2)
         --queue <N>    daemon queue capacity (default 4)
-        --out <FILE>   write the escalate-serve-bench/v1 JSON report
     inspect <FILE>                 summarize a saved .esca artifact
     validate <MODEL>               cross-check the three simulator
                                    fidelities on one layer
@@ -765,13 +764,12 @@ fn cmd_submit(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["jobs", "seed", "workers", "queue", "out"])?;
+    args.ensure_known(&["jobs", "seed", "workers", "queue"])?;
     let opts = escalate_serve::LoadgenOptions {
         jobs: args.get_or("jobs", 24usize)?,
         seed: args.get_or("seed", 42u64)?,
         workers: args.get_or("workers", 2usize)?,
         queue: args.get_or("queue", 4usize)?,
-        out: args.options.get("out").map(std::path::PathBuf::from),
     };
     let r = escalate_serve::run_loadgen(&opts).map_err(CliError::Pipeline)?;
     Ok(format!(
@@ -913,7 +911,7 @@ mod tests {
     #[test]
     fn report_list_enumerates_the_registry() {
         let out = run(&["report", "--list"]).unwrap();
-        for name in ["table1", "fig8", "fig13", "bench_sim"] {
+        for name in ["table1", "fig8", "fig13"] {
             assert!(out.contains(name), "{name} missing:\n{out}");
         }
     }

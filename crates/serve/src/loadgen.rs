@@ -1,6 +1,7 @@
 //! A seeded traffic generator proving the daemon under load: an
 //! in-process server, a deterministic request mix over the model zoo,
-//! and a latency/throughput report (`BENCH_serve.json`).
+//! and a latency/throughput summary. It is the only open-loop driver;
+//! the benchmark's `serve_warm` workload drives the daemon closed-loop.
 //!
 //! The *schedule* (verbs, models, arrival offsets) is fully determined
 //! by the seed; the measured latencies of course are not.
@@ -8,8 +9,7 @@
 use crate::client::submit;
 use crate::proto::{Request, RETRY_AFTER_MS};
 use crate::server::{start, ServeOptions};
-use escalate_obs::{json_string_field, JsonWriter};
-use std::path::PathBuf;
+use escalate_obs::json_string_field;
 use std::time::{Duration, Instant};
 
 /// How the load run is shaped.
@@ -23,8 +23,6 @@ pub struct LoadgenOptions {
     pub workers: usize,
     /// Daemon queue capacity (small enough to exercise backpressure).
     pub queue: usize,
-    /// Where to write the JSON report; `None` skips the file.
-    pub out: Option<PathBuf>,
 }
 
 impl Default for LoadgenOptions {
@@ -34,7 +32,6 @@ impl Default for LoadgenOptions {
             seed: 42,
             workers: 2,
             queue: 4,
-            out: None,
         }
     }
 }
@@ -42,8 +39,6 @@ impl Default for LoadgenOptions {
 /// What the load run measured.
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
-    /// Schedule seed.
-    pub seed: u64,
     /// Requests sent.
     pub jobs: usize,
     /// Requests that reached a `done` frame.
@@ -64,46 +59,6 @@ pub struct LoadgenReport {
     pub workers: usize,
     /// Daemon queue capacity.
     pub queue: usize,
-}
-
-impl LoadgenReport {
-    /// Renders the `escalate-serve-bench/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("schema", "escalate-serve-bench/v1");
-        w.field_u64("seed", self.seed);
-        w.field_u64("jobs", self.jobs as u64);
-        w.field_u64("done", self.done as u64);
-        w.field_u64("failed", self.failed as u64);
-        w.field_u64("retries", self.retries as u64);
-        w.field_f64("wall_ms", self.wall_ms);
-        w.field_f64("p50_ms", self.p50_ms);
-        w.field_f64("p99_ms", self.p99_ms);
-        w.field_f64("jobs_per_sec", self.jobs_per_sec);
-        w.field_u64("workers", self.workers as u64);
-        w.field_u64("queue", self.queue as u64);
-        w.field_u64("host_cores", host_cores());
-        w.field_str("git_rev", &git_rev());
-        w.end_object();
-        w.finish()
-    }
-}
-
-fn host_cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1)
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -212,7 +167,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns daemon startup/shutdown failures and report-write failures.
+/// Returns daemon startup/shutdown failures.
 pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
     let handle = start(ServeOptions {
         port: 0,
@@ -252,8 +207,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         .collect();
     latencies_ms.sort_by(f64::total_cmp);
     let done = latencies_ms.len();
-    let report = LoadgenReport {
-        seed: opts.seed,
+    Ok(LoadgenReport {
         jobs: opts.jobs,
         done,
         failed: opts.jobs - done,
@@ -264,12 +218,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         jobs_per_sec: done as f64 / (wall_ms / 1e3).max(1e-9),
         workers: opts.workers,
         queue: opts.queue,
-    };
-    if let Some(path) = &opts.out {
-        std::fs::write(path, format!("{}\n", report.to_json()))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    Ok(report)
+    })
 }
 
 #[cfg(test)]

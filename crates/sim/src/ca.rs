@@ -28,7 +28,7 @@
 //!   scalar reference.
 //!
 //! The per-channel memo that rode along in earlier revisions is gone: on
-//! the real grid its hit rate measured 0.0000 (BENCH_sim.json) because
+//! the MobileNet grid its hit rate measured 0.0000 (revision ad1d5bd) because
 //! Bernoulli-drawn multi-word activation masks essentially never repeat
 //! within one channel bind, and the bit-identity contract forbids coarser
 //! keying — so it was pure probe overhead and was deleted rather than

@@ -1,18 +1,5 @@
 //! Simulation statistics: cycles, operation counts, and memory traffic.
 
-/// A rate guarded against non-positive and non-finite values: anything
-/// that would make a division blow up (zero, negative, NaN, infinity) is
-/// clamped to a tiny positive floor. One helper so every per-rate method
-/// ([`ModelStats::latency_ms`], [`ModelStats::pipelined_cycles`]) guards
-/// the same way instead of each hand-rolling (or forgetting) the check.
-fn guarded_rate(rate: f64) -> f64 {
-    if rate.is_finite() {
-        rate.max(1e-9)
-    } else {
-        1e-9
-    }
-}
-
 /// Ratio of two counters with an honest denominator: `None` when the
 /// denominator is zero instead of a silently-inflated `den.max(1)` value
 /// that masks a true zero. Comparison code (fidelity checks, validation
@@ -184,27 +171,6 @@ impl ModelStats {
             None => self.total_cycles(),
         }
     }
-
-    /// Inference latency in milliseconds at the given frequency.
-    ///
-    /// A non-positive or non-finite frequency is clamped to a tiny
-    /// positive floor rather than producing `inf`/`NaN` latencies that
-    /// poison every downstream mean.
-    pub fn latency_ms(&self, frequency_mhz: f64) -> f64 {
-        self.total_cycles() as f64 / guarded_rate(frequency_mhz * 1e3)
-    }
-
-    /// Cycles under cross-layer double buffering: the next layer's weights
-    /// prefetch while the current layer computes, so the model paces at
-    /// `max(Σ compute, Σ DRAM)` instead of the per-layer maxima that
-    /// [`ModelStats::total_cycles`] sums. A lower bound on the schedule;
-    /// the default accounting stays conservative.
-    pub fn pipelined_cycles(&self, dram_bytes_per_cycle: f64) -> u64 {
-        let compute: u64 = self.layers.iter().map(|l| l.cycles).sum();
-        let dram =
-            (self.total_dram().total() as f64 / guarded_rate(dram_bytes_per_cycle)).ceil() as u64;
-        compute.max(dram)
-    }
 }
 
 #[cfg(test)]
@@ -258,49 +224,6 @@ mod tests {
         assert_eq!(m.total_cycles(), 60);
         assert_eq!(m.total_mac_ops(), 6);
         assert_eq!(m.total_dram().total(), 18);
-        assert!((m.latency_ms(800.0) - 60.0 / 800_000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_is_finite_for_degenerate_frequencies() {
-        let m = ModelStats {
-            model_name: "x".into(),
-            pipeline: None,
-            layers: vec![LayerStats {
-                cycles: 1000,
-                ..LayerStats::default()
-            }],
-        };
-        for f in [0.0, -800.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let ms = m.latency_ms(f);
-            assert!(ms.is_finite(), "frequency {f}: latency {ms}");
-            assert!(ms >= 0.0, "frequency {f}: latency {ms}");
-        }
-        // Sane inputs are unaffected by the guard.
-        assert!((m.latency_ms(800.0) - 1000.0 / 800_000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pipelined_cycles_guards_degenerate_bandwidth() {
-        let m = ModelStats {
-            model_name: "x".into(),
-            pipeline: None,
-            layers: vec![LayerStats {
-                cycles: 10,
-                dram: DramTraffic {
-                    weights: 100,
-                    ifm: 0,
-                    ofm: 0,
-                },
-                ..LayerStats::default()
-            }],
-        };
-        // Zero/NaN bandwidth degenerates to "DRAM dominates", not a panic
-        // or a nonsense cast of inf to u64.
-        for bw in [0.0, -4.0, f64::NAN] {
-            assert!(m.pipelined_cycles(bw) >= m.total_cycles());
-        }
-        assert_eq!(m.pipelined_cycles(10.0), 10);
     }
 
     #[test]
@@ -309,38 +232,5 @@ mod tests {
         assert_eq!(checked_ratio(0, 3), Some(0.0));
         assert_eq!(checked_ratio(6, 0), None);
         assert_eq!(checked_ratio(0, 0), None);
-    }
-
-    #[test]
-    fn pipelined_cycles_is_the_larger_of_compute_and_dram() {
-        let m = ModelStats {
-            model_name: "x".into(),
-            pipeline: None,
-            layers: vec![
-                LayerStats {
-                    cycles: 100,
-                    dram: DramTraffic {
-                        weights: 6400,
-                        ifm: 0,
-                        ofm: 0,
-                    },
-                    ..LayerStats::default()
-                },
-                LayerStats {
-                    cycles: 100,
-                    dram: DramTraffic {
-                        weights: 0,
-                        ifm: 0,
-                        ofm: 0,
-                    },
-                    ..LayerStats::default()
-                },
-            ],
-        };
-        // Compute 200 cycles; DRAM 6400 B at 64 B/cycle = 100 cycles.
-        assert_eq!(m.pipelined_cycles(64.0), 200);
-        // At 8 B/cycle DRAM dominates: 800 cycles.
-        assert_eq!(m.pipelined_cycles(8.0), 800);
-        assert!(m.pipelined_cycles(64.0) <= m.total_cycles());
     }
 }

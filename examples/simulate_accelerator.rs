@@ -15,6 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ModelProfile::for_model("VGG16").expect("known model");
     let sim_cfg = SimConfig::default();
     let units = UnitEnergy::table3();
+    // All four designs are compared at the same clock.
+    let latency_ms = |cycles: u64| cycles as f64 / (sim_cfg.frequency_mhz * 1e3);
 
     // 1. Compress the model (Table 1 pipeline) and build the workload.
     let artifacts = compress_model_artifacts(&profile, &CompressionConfig::default())?;
@@ -43,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<10} {:>12} {:>12.3} {:>12.3} {:>10.2}",
         "ESCALATE",
         esc.total_cycles(),
-        esc.latency_ms(sim_cfg.frequency_mhz),
+        latency_ms(esc.total_cycles()),
         esc_energy.total_mj(),
         esc.total_dram().total() as f64 / 1e6
     );
@@ -54,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<10} {:>12} {:>12.3} {:>12.3} {:>10.2}",
             acc.name(),
             stats.total_cycles(),
-            stats.latency_ms(800.0),
+            latency_ms(stats.total_cycles()),
             energy.total_mj(),
             stats.total_dram().total() as f64 / 1e6
         );

@@ -29,11 +29,12 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # differential assertion and the bench wiring stay green without paying
 # for real measurement (the std::arch dispatch is compiled in on x86_64;
 # the kernel_diff proptests force it off and on to pin both paths
-# byte-identical). The component and kernel benches run the same way so
-# they are executed, not just compiled by clippy.
+# byte-identical). The component, kernel and simulator benches run the
+# same way so they are executed, not just compiled by clippy.
 cargo bench --offline -p escalate-bench --bench position_kernel -- --test
 cargo bench --offline -p escalate-bench --bench components -- --test
 cargo bench --offline -p escalate-bench --bench kernels -- --test
+cargo bench --offline -p escalate-bench --bench simulator -- --test
 # Golden-diff regression check over the full corpus: all 19 golden
 # experiments must stay byte-identical to the committed results/ files
 # (~45 s in release on a 2-core host; the per-experiment dev-profile
