@@ -12,11 +12,12 @@
 //! ```
 //!
 //! The selected experiments form a [`ReportPlan`] (one work unit per
-//! experiment); `plan::execute` fans the units out over the thread pool
-//! with an order-preserving collect, and one of four [`UnitSink`]s
-//! renders the outputs sequentially in request order — so stdout,
-//! per-file output, and golden checks are byte-identical to a serial run
-//! (and the first failure in request order is the one reported).
+//! experiment); `plan::execute` fans the units out over worker threads,
+//! and one of four [`UnitSink`]s renders each output as soon as it and
+//! every earlier experiment have finished, strictly in request order —
+//! so stdout, per-file output, and golden checks (`ok NAME` lines appear
+//! progressively) are byte-identical to a serial run, and the first
+//! failure in request order is the one reported.
 //!
 //! `--check`/`--update` operate on the golden corpus under `results/`
 //! (override with `--results DIR` or `ESCALATE_RESULTS_DIR`); experiments

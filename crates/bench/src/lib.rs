@@ -132,18 +132,6 @@ impl ModelRun {
     }
 }
 
-/// Compresses a model once (the expensive step shared by all harnesses).
-///
-/// # Errors
-///
-/// Propagates compression failures.
-pub fn compress(
-    profile: &ModelProfile,
-    cfg: &CompressionConfig,
-) -> Result<Vec<CompressedLayer>, EscalateError> {
-    compress_model_artifacts(profile, cfg)
-}
-
 /// Cache key for [`compress_cached`]: the model name, the profile
 /// fingerprint (so two *different* networks that share a name — e.g. two
 /// `@file` descriptions both called "custom" — never collide), plus every
@@ -430,7 +418,8 @@ fn escalate_workload(
     )
 }
 
-/// Runs all four accelerators on one model.
+/// Runs all four accelerators on one model, each through
+/// [`run_accelerator_by_name`].
 ///
 /// The four simulations are independent, so they run concurrently (nested
 /// joins on the global pool) unless `sim_cfg.threads == 1`; the ESCALATE
@@ -446,39 +435,31 @@ pub fn run_model(
     seeds: u64,
 ) -> Result<ModelRun, EscalateError> {
     let _t = escalate_obs::span_labeled("bench.model", &profile.name);
+    // Size the pool before the joins below would initialize it.
     escalate_core::par::configure_threads(sim_cfg.threads);
-    let workload = escalate_workload(profile, sim_cfg)?;
-    let bw = BaselineWorkload::for_profile(profile);
-    let caps = BufferCaps::baseline(64 * 1024);
-    let (eyeriss, scnn, sparten) = (Eyeriss::default(), Scnn::default(), SparTen::default());
-    let run_base = |model: &dyn LayerModel, threads: usize| {
-        run_accelerator(&BaselineSim::new(model, &bw), &caps, seeds, threads)
-    };
+    let run = |name: &str| run_accelerator_by_name(name, profile, sim_cfg, seeds);
     let (escalate, (eyeriss, (scnn, sparten))) = if sim_cfg.threads == 1 {
         (
-            run_escalate_workload(&workload, sim_cfg, seeds),
-            (
-                run_base(&eyeriss, 1),
-                (run_base(&scnn, 1), run_base(&sparten, 1)),
-            ),
+            run("ESCALATE"),
+            (run("Eyeriss"), (run("SCNN"), run("SparTen"))),
         )
     } else {
         rayon::join(
-            || run_escalate_workload(&workload, sim_cfg, seeds),
+            || run("ESCALATE"),
             || {
                 rayon::join(
-                    || run_base(&eyeriss, 0),
-                    || rayon::join(|| run_base(&scnn, 0), || run_base(&sparten, 0)),
+                    || run("Eyeriss"),
+                    || rayon::join(|| run("SCNN"), || run("SparTen")),
                 )
             },
         )
     };
     Ok(ModelRun {
         model: profile.name.to_string(),
-        escalate,
-        eyeriss,
-        scnn,
-        sparten,
+        escalate: escalate?,
+        eyeriss: eyeriss?,
+        scnn: scnn?,
+        sparten: sparten?,
     })
 }
 
@@ -486,14 +467,12 @@ pub fn run_model(
 /// order (ESCALATE last).
 pub const ACCELERATOR_NAMES: [&str; 4] = ["Eyeriss", "SCNN", "SparTen", "ESCALATE"];
 
-/// Runs one of the four accelerators by name — the unit-sized slice of
-/// [`run_model`] for callers (the serve daemon's simulate plan) that fan
-/// the comparison out as independent work units. Each arm takes exactly
-/// the code path `run_model` takes for that design (workload cache,
-/// baseline workload, buffer pricing), and every stage is
-/// order-preserving with per-seed RNGs, so assembling the four results
-/// into a [`ModelRun`] is bit-identical to one `run_model` call at any
-/// thread count.
+/// Runs one of the four accelerators by name — the one dispatch behind
+/// [`run_model`], also called directly by callers (the serve daemon's
+/// simulate plan) that fan the comparison out as independent work units.
+/// Every stage is order-preserving with per-seed RNGs, so assembling the
+/// four results into a [`ModelRun`] is bit-identical to one `run_model`
+/// call at any thread count.
 ///
 /// # Errors
 ///

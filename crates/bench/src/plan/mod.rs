@@ -5,27 +5,29 @@
 //! any future consumer (a served job queue, a pipelined-schedule study)
 //! are the same shape: a [`RunPlan`] enumerates [`WorkUnit`]s — each
 //! carrying a stable key and its own deterministic seed — [`execute`]
-//! fans the pending units out over the global thread pool with an
-//! order-preserving collect (so output is byte-identical to a serial
-//! run at any thread count, the same contract as `core::par`), and a
-//! [`UnitSink`] consumes the outputs *sequentially in unit order*. Sinks
-//! decide what persistence means: an in-memory [`TableSink`] behind the
-//! `report` renderers (text and `escalate-report/v1` JSON), the golden
-//! check/update sinks of the report runner, or the append-only
+//! fans the pending units out over worker threads, and a [`UnitSink`]
+//! consumes the outputs *sequentially in unit order*, each as soon as it
+//! and every unit before it have finished (so output is byte-identical
+//! to a serial run at any thread count, the same contract as
+//! `core::par`). Sinks decide what persistence means: an in-memory
+//! [`TableSink`] behind the `report` renderers (text and
+//! `escalate-report/v1` JSON), the golden check/update sinks of the
+//! report runner, a served job's client socket, or the append-only
 //! [`jsonl::JsonlSink`] whose [`UnitSink::recorded`] set makes a run
-//! resumable — already-recorded unit keys are skipped, not re-run.
+//! resumable — already-recorded unit keys are skipped, not re-run, and
+//! because the finished prefix reaches the sink while later units still
+//! run, an interrupted run keeps every record it fed.
 //!
-//! Failure semantics mirror the historical report runner: every pending
-//! unit runs to completion, then outputs are fed to the sink in unit
-//! order and the first failing unit *in that order* aborts the feed —
-//! earlier units' sink effects persist, later ones are discarded.
+//! Failure semantics: the first failing unit *in unit order* (or the
+//! first sink write failure) aborts the run — earlier units' sink effects
+//! persist, in-flight units finish and are discarded, and unclaimed units
+//! never start.
 
 pub mod jsonl;
 
 pub use jsonl::JsonlSink;
 
 use crate::experiments::{ExpError, Table};
-use rayon::prelude::*;
 
 /// One schedulable unit of work inside a [`RunPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,76 +154,25 @@ fn is_permutation(order: &[usize], n: usize) -> bool {
 }
 
 /// Drives a plan into a sink: enumerate, drop units the sink already
-/// recorded, run the rest (in parallel when there is more than one — the
-/// collect is order-preserving, so the sink feed and therefore every
-/// rendered byte is identical to a serial run), then feed outputs to the
-/// sink in unit order.
-///
-/// When the plan provides a [`RunPlan::schedule`], units *execute* in the
-/// scheduled order (so cache-friendly neighbours run adjacently) while
-/// outputs are scattered back and fed to the sink in unit order — the
-/// schedule is invisible in the output bytes.
-///
-/// # Errors
-///
-/// Returns the first failing unit's error *in unit order* (outputs of
-/// earlier units have already reached the sink), or the sink's own write
-/// failure.
-pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummary, ExpError> {
-    let units = plan.units()?;
-    let mut pending: Vec<&WorkUnit> = Vec::with_capacity(units.len());
-    let mut skipped = 0usize;
-    for unit in &units {
-        if sink.recorded(&unit.key) {
-            skipped += 1;
-        } else {
-            pending.push(unit);
-        }
-    }
-    let order: Vec<usize> = match plan.schedule(&pending) {
-        Some(o) if is_permutation(&o, pending.len()) => o,
-        _ => (0..pending.len()).collect(),
-    };
-    let mut outputs: Vec<Option<Result<UnitOutput, ExpError>>> =
-        (0..pending.len()).map(|_| None).collect();
-    let executed: Vec<(usize, Result<UnitOutput, ExpError>)> = if pending.len() > 1 {
-        order
-            .par_iter()
-            .map(|&i| (i, plan.run_unit(pending[i])))
-            .collect()
-    } else {
-        order
-            .iter()
-            .map(|&i| (i, plan.run_unit(pending[i])))
-            .collect()
-    };
-    for (i, out) in executed {
-        outputs[i] = Some(out);
-    }
-    let ran = pending.len();
-    for (unit, output) in pending.into_iter().zip(outputs) {
-        sink.write_unit(unit, output.expect("every pending slot filled")?)?;
-    }
-    Ok(ExecSummary { ran, skipped })
-}
-
-/// Drives a plan into a sink like [`execute`], but feeds each unit to
-/// the sink *as soon as it (and every unit before it) has finished* —
-/// the streaming-consumer variant behind served jobs, where the sink is
-/// a client socket that should see records while later units still run.
-///
-/// The sink feed is still strictly in unit order, so every byte a sink
-/// sees is identical to [`execute`]'s batch feed (and to a serial run).
-/// Failure semantics differ deliberately: the first failing unit *in
-/// unit order* (or the first sink write failure) aborts the run early —
-/// in-flight units finish, but unclaimed units never start. A one-shot
-/// run wants every output it paid for; a streaming consumer is gone the
-/// moment the stream errors, so finishing the tail would be pure waste.
+/// recorded, run the rest, and feed each unit to the sink *as soon as it
+/// and every unit before it have finished* — a JSONL stream grows while
+/// the run is still going, so an interrupted run keeps its finished
+/// prefix, and a served job's client sees records as they complete.
 ///
 /// Units run on scoped worker threads sized to the global pool
-/// (`rayon::current_num_threads`), pulling units in enumeration order;
-/// nested parallelism inside `run_unit` still shares the global pool's
-/// token budget, so total concurrency stays bounded.
+/// (`rayon::current_num_threads`); nested parallelism inside `run_unit`
+/// still shares the global pool's token budget, so total concurrency
+/// stays bounded. Workers claim pending units in [`RunPlan::schedule`]
+/// order (enumeration order when the plan has none, or returns something
+/// that is not a permutation), so cache-friendly neighbours run
+/// adjacently; the sink feed stays strictly in unit order, so neither the
+/// schedule nor the thread count can change a byte the sink sees. The
+/// price of a schedule that strays far from unit order is that the fed
+/// prefix can wait on its slowest scheduled group.
+///
+/// The first failing unit *in unit order* (or the first sink write
+/// failure) aborts the run: in-flight units finish, but unclaimed units
+/// never start and nothing later reaches the sink.
 ///
 /// # Errors
 ///
@@ -231,10 +182,7 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
 /// # Panics
 ///
 /// Propagates a panicking `run_unit` after the remaining workers drain.
-pub fn execute_streaming(
-    plan: &dyn RunPlan,
-    sink: &mut dyn UnitSink,
-) -> Result<ExecSummary, ExpError> {
+pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummary, ExpError> {
     let units = plan.units()?;
     let mut pending: Vec<&WorkUnit> = Vec::with_capacity(units.len());
     let mut skipped = 0usize;
@@ -252,6 +200,10 @@ pub fn execute_streaming(
         }
         return Ok(ExecSummary { ran, skipped });
     }
+    let order: Vec<usize> = match plan.schedule(&pending) {
+        Some(o) if is_permutation(&o, pending.len()) => o,
+        _ => (0..pending.len()).collect(),
+    };
 
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex as StdMutex};
@@ -261,7 +213,7 @@ pub fn execute_streaming(
         slots: StdMutex<Vec<Option<Result<UnitOutput, ExpError>>>>,
         /// Signals the feeder that a slot was filled.
         ready: Condvar,
-        /// Next pending index a worker should claim.
+        /// Next position in `order` a worker should claim.
         next: AtomicUsize,
         /// Set by the feeder on the first error: workers stop claiming.
         abort: AtomicBool,
@@ -281,10 +233,9 @@ pub fn execute_streaming(
                 if shared.abort.load(Ordering::Relaxed) {
                     break;
                 }
-                let i = shared.next.fetch_add(1, Ordering::Relaxed);
-                if i >= pending.len() {
+                let Some(&i) = order.get(shared.next.fetch_add(1, Ordering::Relaxed)) else {
                     break;
-                }
+                };
                 // Fill the slot even if `run_unit` panics, so the feeder
                 // (waiting on this very slot) wakes up instead of
                 // deadlocking; the panic itself resurfaces at scope join.
@@ -392,9 +343,6 @@ mod tests {
         }
 
         fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
-            if unit.key == "u-poison" {
-                return Err(ExpError::Msg("poisoned unit".into()));
-            }
             let mut t = Table::new("toy", "test");
             tline!(t, "{} -> {:016x}", unit.key, unit.seed);
             Ok(UnitOutput::from_table(t))
@@ -443,20 +391,26 @@ mod tests {
 
     #[test]
     fn execute_skips_exactly_the_recorded_keys() {
-        let plan = Toy { n: 5, master: 3 };
-        let mut sink = Skipping {
-            have: vec!["u1".into(), "u3".into()],
-            inner: TableSink::default(),
-        };
-        let summary = execute(&plan, &mut sink).expect("runs");
-        assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
-        let keys: Vec<&str> = sink
-            .inner
-            .tables
-            .iter()
-            .map(|t| t.lines()[0].split_whitespace().next().expect("key"))
-            .collect();
-        assert_eq!(keys, ["u0", "u2", "u4"], "survivors keep their order");
+        // Interior keys, then the two ends of the plan.
+        for (have, survivors) in [
+            (["u1", "u3"], ["u0", "u2", "u4"]),
+            (["u0", "u4"], ["u1", "u2", "u3"]),
+        ] {
+            let plan = Toy { n: 5, master: 3 };
+            let mut sink = Skipping {
+                have: have.map(String::from).to_vec(),
+                inner: TableSink::default(),
+            };
+            let summary = execute(&plan, &mut sink).expect("runs");
+            assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
+            let keys: Vec<&str> = sink
+                .inner
+                .tables
+                .iter()
+                .map(|t| t.lines()[0].split_whitespace().next().expect("key"))
+                .collect();
+            assert_eq!(keys, survivors, "survivors keep their order");
+        }
     }
 
     struct Poisoned;
@@ -494,54 +448,6 @@ mod tests {
         let err = execute(&Poisoned, &mut sink).expect_err("must fail");
         assert!(err.to_string().contains("poisoned unit"));
         // u0 (before the failure) reached the sink; u2 (after) did not.
-        assert_eq!(sink.tables.len(), 1);
-        assert_eq!(sink.tables[0].lines()[0], "u0");
-    }
-
-    #[test]
-    fn streaming_feed_is_byte_identical_to_the_batch_feed() {
-        let plan = Toy { n: 16, master: 11 };
-        let mut batch = TableSink::default();
-        execute(&plan, &mut batch).expect("batch");
-        let mut streamed = TableSink::default();
-        let summary = execute_streaming(&plan, &mut streamed).expect("streaming");
-        assert_eq!(
-            summary,
-            ExecSummary {
-                ran: 16,
-                skipped: 0
-            }
-        );
-        let render = |s: &TableSink| -> Vec<String> {
-            s.tables.iter().map(|t| t.lines()[0].clone()).collect()
-        };
-        assert_eq!(render(&batch), render(&streamed));
-    }
-
-    #[test]
-    fn streaming_skips_recorded_keys_like_execute() {
-        let plan = Toy { n: 5, master: 3 };
-        let mut sink = Skipping {
-            have: vec!["u0".into(), "u4".into()],
-            inner: TableSink::default(),
-        };
-        let summary = execute_streaming(&plan, &mut sink).expect("runs");
-        assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
-        let keys: Vec<&str> = sink
-            .inner
-            .tables
-            .iter()
-            .map(|t| t.lines()[0].split_whitespace().next().expect("key"))
-            .collect();
-        assert_eq!(keys, ["u1", "u2", "u3"]);
-    }
-
-    #[test]
-    fn streaming_aborts_on_the_first_failure_in_unit_order() {
-        let mut sink = TableSink::default();
-        let err = execute_streaming(&Poisoned, &mut sink).expect_err("must fail");
-        assert!(err.to_string().contains("poisoned unit"));
-        // u0 reached the sink before the failure; u2 never did.
         assert_eq!(sink.tables.len(), 1);
         assert_eq!(sink.tables[0].lines()[0], "u0");
     }
@@ -656,14 +562,114 @@ mod tests {
     }
 
     #[test]
-    fn streaming_stops_feeding_after_a_sink_failure() {
+    fn execute_stops_feeding_after_a_sink_failure() {
         let plan = Toy { n: 6, master: 5 };
         let mut sink = FailingSink {
             fail_on: "u2".into(),
             written: Vec::new(),
         };
-        let err = execute_streaming(&plan, &mut sink).expect_err("sink fails");
+        let err = execute(&plan, &mut sink).expect_err("sink fails");
         assert!(err.to_string().contains("sink lost u2"));
         assert_eq!(sink.written, ["u0", "u1"], "writes stop at the failure");
+    }
+
+    #[test]
+    fn unclaimed_units_never_start_after_a_failure() {
+        // u0 fails at once while every later unit takes a while: the
+        // abort must stop the claims long before the tail of the plan.
+        struct FailsFirst {
+            started: std::sync::atomic::AtomicUsize,
+        }
+        impl RunPlan for FailsFirst {
+            fn name(&self) -> &str {
+                "fails-first"
+            }
+
+            fn units(&self) -> Result<Vec<WorkUnit>, ExpError> {
+                Toy { n: 100, master: 2 }.units()
+            }
+
+            fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
+                self.started
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if unit.index == 0 {
+                    return Err(ExpError::Msg("first unit failed".into()));
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                Ok(UnitOutput::default())
+            }
+        }
+        let plan = FailsFirst {
+            started: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let mut sink = TableSink::default();
+        let err = execute(&plan, &mut sink).expect_err("u0 fails");
+        assert!(err.to_string().contains("first unit failed"));
+        assert!(sink.tables.is_empty());
+        let started = plan.started.into_inner();
+        assert!(started < 100, "all {started} units started after the abort");
+    }
+
+    /// Every unit after the first blocks (for at most 10 s) until unit 0
+    /// has reached the sink, and fails if it never does.
+    #[derive(Default)]
+    struct WaitsForPrefix {
+        first_fed: std::sync::Mutex<bool>,
+        cv: std::sync::Condvar,
+    }
+
+    impl RunPlan for WaitsForPrefix {
+        fn name(&self) -> &str {
+            "waits-for-prefix"
+        }
+
+        fn units(&self) -> Result<Vec<WorkUnit>, ExpError> {
+            Toy { n: 4, master: 6 }.units()
+        }
+
+        fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
+            if unit.index > 0 {
+                let fed = self.first_fed.lock().expect("lock");
+                let (fed, _) = self
+                    .cv
+                    .wait_timeout_while(fed, std::time::Duration::from_secs(10), |fed| !*fed)
+                    .expect("lock");
+                if !*fed {
+                    return Err(ExpError::Msg(format!(
+                        "{} timed out waiting for u0 to reach the sink",
+                        unit.key
+                    )));
+                }
+            }
+            Toy { n: 4, master: 6 }.run_unit(unit)
+        }
+    }
+
+    /// A table sink that wakes [`WaitsForPrefix`] when unit 0 arrives.
+    struct SignalsFirst<'a> {
+        plan: &'a WaitsForPrefix,
+        inner: TableSink,
+    }
+
+    impl UnitSink for SignalsFirst<'_> {
+        fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+            if unit.index == 0 {
+                *self.plan.first_fed.lock().expect("lock") = true;
+                self.plan.cv.notify_all();
+            }
+            self.inner.write_unit(unit, out)
+        }
+    }
+
+    #[test]
+    fn finished_prefix_reaches_the_sink_before_later_units_finish() {
+        let plan = WaitsForPrefix::default();
+        let mut sink = SignalsFirst {
+            plan: &plan,
+            inner: TableSink::default(),
+        };
+        let summary = execute(&plan, &mut sink).expect("runs");
+        assert_eq!(summary, ExecSummary { ran: 4, skipped: 0 });
+        assert_eq!(sink.inner.tables.len(), 4);
     }
 }

@@ -112,7 +112,7 @@ mod tests {
     fn compress_summary_names_the_model_and_ratio() {
         let profile = ModelProfile::for_model("MobileNet").unwrap();
         let cfg = escalate_core::pipeline::CompressionConfig::default();
-        let artifacts = crate::compress(&profile, &cfg).unwrap();
+        let artifacts = escalate_core::pipeline::compress_model_artifacts(&profile, &cfg).unwrap();
         let result = ModelCompression {
             model_name: profile.name.to_string(),
             layers: artifacts.iter().map(|a| a.stats.clone()).collect(),

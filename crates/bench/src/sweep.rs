@@ -5,7 +5,9 @@
 //! width, the four buffer capacities, and the host `sample_channels`
 //! fidelity knob — from declared ranges, runs each point through the
 //! ESCALATE simulator on each requested zoo network, and streams one
-//! JSONL record per `(network, sample)` to an append-only file. Sampling
+//! JSONL record per `(network, sample)` to an append-only file — each
+//! record lands as soon as it and every earlier sample are done, so a
+//! killed run leaves its finished prefix behind. Sampling
 //! is deterministic: sample `i` derives its own seed via
 //! [`plan::unit_seed`] from the master seed, so the same command line
 //! enumerates the same design points at any thread count, and a resumed

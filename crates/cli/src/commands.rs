@@ -1,9 +1,9 @@
 //! Command handlers for the `escalate` CLI.
 
 use crate::args::{ArgError, ParsedArgs};
-use escalate_bench::{compress, input_seeds, run_model};
+use escalate_bench::{input_seeds, run_model};
 use escalate_core::artifact::{read_artifacts, write_artifacts, LayerArtifact};
-use escalate_core::pipeline::CompressionConfig;
+use escalate_core::pipeline::{compress_model_artifacts, CompressionConfig};
 use escalate_core::ModelCompression;
 use escalate_models::ModelProfile;
 use escalate_sim::{ScheduleKind, SimConfig};
@@ -339,7 +339,8 @@ fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
         seed: args.get_or("seed", 42u64)?,
         ..CompressionConfig::default()
     };
-    let artifacts = compress(&p, &cfg).map_err(|e| CliError::Pipeline(e.to_string()))?;
+    let artifacts =
+        compress_model_artifacts(&p, &cfg).map_err(|e| CliError::Pipeline(e.to_string()))?;
     let result = ModelCompression {
         model_name: p.name.to_string(),
         layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
@@ -563,7 +564,7 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, CliError> {
 
     args.ensure_known(&["layer"])?;
     let p = model_arg(args)?;
-    let artifacts = compress(&p, &CompressionConfig::default())
+    let artifacts = compress_model_artifacts(&p, &CompressionConfig::default())
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
     let workload = Workload::from_artifacts(&p.name, &artifacts, &p);
 

@@ -1,13 +1,13 @@
 //! Job compilation and execution: each accepted request becomes a
 //! [`RunPlan`] executed through the shared run-plan layer
-//! ([`execute_streaming`]), so served work reuses exactly the code paths
+//! ([`execute`]), so served work reuses exactly the code paths
 //! — artifact cache, accelerator runners, renderers — of the one-shot
 //! CLI, which is what makes a served job's output bit-identical to it.
 
 use crate::proto::Request;
 use crate::proto::MANIFEST_SCHEMA;
 use escalate_bench::experiments::{ExpError, ReportOptions, Table};
-use escalate_bench::plan::{execute_streaming, unit_seed, RunPlan, UnitOutput, UnitSink, WorkUnit};
+use escalate_bench::plan::{execute, unit_seed, RunPlan, UnitOutput, UnitSink, WorkUnit};
 use escalate_bench::{
     compress_cached, render, run_accelerator_by_name, AccelRun, ModelRun, ACCELERATOR_NAMES,
 };
@@ -137,15 +137,15 @@ impl CompiledJob {
     pub fn run(&self, sink: &mut dyn UnitSink) -> Result<String, ExpError> {
         match self {
             CompiledJob::Simulate(plan) => {
-                execute_streaming(plan, sink)?;
+                execute(plan, sink)?;
                 plan.render()
             }
             CompiledJob::Compress(plan) => {
-                execute_streaming(plan, sink)?;
+                execute(plan, sink)?;
                 plan.take_output()
             }
             CompiledJob::Report(plan) => {
-                execute_streaming(plan, sink)?;
+                execute(plan, sink)?;
                 plan.take_output()
             }
         }

@@ -186,8 +186,8 @@ impl JobQueue {
 /// each under that client's own job id. A client whose write fails
 /// (client gone) is dropped from the fan-out and counted as failed; only
 /// once *every* client is gone does the failure surface as
-/// [`ExpError::Io`], aborting the job early in `execute_streaming` — the
-/// daemon itself survives either way.
+/// [`ExpError::Io`], aborting the job early in `plan::execute` (no
+/// unclaimed unit starts) — the daemon itself survives either way.
 struct SocketSink {
     clients: Vec<Client>,
     /// Parallel to `clients`: set once a write to that client failed.

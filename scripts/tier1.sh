@@ -50,7 +50,7 @@ cargo bench --offline -p escalate-bench --bench simulator -- --test
 # work-sharing layer is provably engaged (derived-state cache hits).
 SWEEP_DIR="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" "${SWEEP_PID:-}" 2>/dev/null || true' EXIT
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
   --out "$SWEEP_DIR/cold.jsonl" --metrics "$SWEEP_DIR/cold.metrics.json" \
   --check results/sweep_frontier.txt > "$SWEEP_DIR/cold.txt"
@@ -63,6 +63,26 @@ cmp "$SWEEP_DIR/cold.jsonl" "$SWEEP_DIR/resumed.jsonl"
 grep -q "44 sample(s) ran, 20 resumed" "$SWEEP_DIR/resumed.txt"
 diff <(tail -n +2 "$SWEEP_DIR/cold.txt" | grep -v '^frontier matches') \
      <(tail -n +2 "$SWEEP_DIR/resumed.txt")
+# Real-interruption smoke: records land as the finished prefix grows, so
+# a sweep killed mid-run keeps its work. Run the same grid in the
+# background, wait (bounded) until its stream holds at least 4 records,
+# kill -9 it, resume, and require a byte-identical stream with at least
+# one sample run by the resume.
+: > "$SWEEP_DIR/killed.jsonl"
+./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
+  --out "$SWEEP_DIR/killed.jsonl" > /dev/null &
+SWEEP_PID=$!
+for _ in $(seq 1 1200); do
+  [ "$(wc -l < "$SWEEP_DIR/killed.jsonl")" -ge 4 ] && break
+  sleep 0.05
+done
+[ "$(wc -l < "$SWEEP_DIR/killed.jsonl")" -ge 4 ]
+kill -9 "$SWEEP_PID"
+wait "$SWEEP_PID" 2>/dev/null || true
+./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
+  --out "$SWEEP_DIR/killed.jsonl" > "$SWEEP_DIR/killed.txt"
+cmp "$SWEEP_DIR/cold.jsonl" "$SWEEP_DIR/killed.jsonl"
+grep -Eq '^sweep: [1-9][0-9]* sample\(s\) ran' "$SWEEP_DIR/killed.txt"
 # One-shot runs share compiled layer plans across input seeds through
 # the process-wide plan cache: a two-seed simulate must record plan
 # reuses.

@@ -4,7 +4,7 @@
 //! preserve. Absolute cycle counts are not asserted.
 
 use escalate::algo::compress_model;
-use escalate::algo::pipeline::CompressionConfig;
+use escalate::algo::pipeline::{compress_model_artifacts, CompressionConfig};
 use escalate::models::{Dataset, ModelProfile};
 use escalate::sim::SimConfig;
 use escalate_bench::run_model;
@@ -166,7 +166,7 @@ fn m_tradeoff_direction() {
             m,
             ..CompressionConfig::default()
         };
-        let artifacts = escalate_bench::compress(&profile, &cfg).expect("compression succeeds");
+        let artifacts = compress_model_artifacts(&profile, &cfg).expect("compression succeeds");
         let stats = escalate::algo::ModelCompression {
             model_name: "r18".into(),
             layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
