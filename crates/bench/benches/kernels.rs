@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the computational kernels of the
-//! reproduction: kernel decomposition, ternarization, the bit-gather
-//! network, dilution, concentration, and the two forward-pass orders.
+//! reproduction: synthetic weight generation, kernel decomposition,
+//! ternarization, the bit-gather network, dilution, concentration, and the
+//! two forward-pass orders.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use escalate_core::decompose;
@@ -11,6 +12,22 @@ use escalate_sparse::{
     dilute, gather_bits, gather_bits_butterfly, ConcentrationBuffer, DilutionInput,
 };
 use escalate_tensor::Tensor;
+
+fn bench_synth(c: &mut Criterion) {
+    let mut g = c.benchmark_group("synth");
+    let pw = LayerShape::pwconv("b", 512, 512, 8, 8);
+    g.bench_function("weights_512x512x1x1", |b| {
+        b.iter(|| synth::weights(black_box(&pw), 1, 1.0, 1))
+    });
+    let conv = LayerShape::conv("b", 256, 256, 8, 8, 3, 1, 1);
+    g.bench_function("weights_256x256x3x3_rank6", |b| {
+        b.iter(|| synth::weights(black_box(&conv), 6, 0.05, 1))
+    });
+    g.bench_function("pointwise_weights_512x512", |b| {
+        b.iter(|| synth::pointwise_weights(black_box(512), 512, 1))
+    });
+    g.finish();
+}
 
 fn bench_decompose(c: &mut Criterion) {
     let mut g = c.benchmark_group("decompose");
@@ -99,6 +116,7 @@ fn bench_forward_orders(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_synth,
     bench_decompose,
     bench_ternarize,
     bench_bitgather,

@@ -19,7 +19,7 @@ use crate::qat::{retrain_coeffs, QatConfig};
 use crate::quant::{threshold_for_sparsity, HybridQuantized, QuantizedBasis, TernaryCoeffs};
 use escalate_models::{synth, LayerKind, LayerShape, ModelProfile};
 use escalate_sparse::TwoLevelSparseMap;
-use escalate_tensor::Tensor;
+use escalate_tensor::{Matrix, Tensor};
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -559,6 +559,12 @@ fn synth_weights(layer: &LayerShape, rank: usize, noise: f32, seed: u64) -> Tens
     synth::weights(layer, rank, noise, seed)
 }
 
+/// [`synth::pointwise_weights`] for `pw` under the `pipeline.synth` span.
+fn synth_pointwise(pw: &LayerShape, seed: u64) -> Matrix {
+    let _t = escalate_obs::span("pipeline.synth");
+    synth::pointwise_weights(pw.c, pw.k, seed)
+}
+
 /// The unit-cache key for units whose artifact never consults `M` —
 /// sweeping `M` over such a unit re-derives the identical artifact, so
 /// design points that differ only in `M` share it. `None` for unit kinds
@@ -618,10 +624,7 @@ fn compress_unit_fresh(
             target,
         } => {
             let dw_w = synth_weights(dw, cfg.weight_rank, cfg.weight_noise, *seed);
-            let pw_w = {
-                let _t = escalate_obs::span("pipeline.synth");
-                synth::pointwise_weights(pw.c, pw.k, *pw_seed)
-            };
+            let pw_w = synth_pointwise(pw, *pw_seed);
             let m = cfg.m.min(dw.r * dw.s);
             let d = {
                 let _t = escalate_obs::span("pipeline.decompose");
