@@ -1,7 +1,9 @@
 //! Criterion benchmarks for the component models under the throughput
-//! engine: the cycle-stepped slice and the GEMM convolution path.
+//! engine: the cycle-stepped slice, the GEMM convolution path, and the
+//! bounded cache every derived-state cache is built on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use escalate_core::cache::SingleFlightCache;
 use escalate_sim::slice::{run_slice, PositionInput};
 use escalate_sim::SimConfig;
 use escalate_tensor::im2col::conv2d_gemm;
@@ -55,5 +57,33 @@ fn bench_gemm_vs_direct(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_slice, bench_gemm_vs_direct);
+/// One evicting miss on a full [`SingleFlightCache`]: every iteration
+/// looks up a fresh key in a cache already at its bound, so it pays the
+/// lookup, the insert and one victim search. 512 is the plan cache's
+/// bound and 16384 the walk cache's.
+fn bench_cache_eviction(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cache");
+    for capacity in [512u64, 16384] {
+        let cache: SingleFlightCache<u64, u64> = SingleFlightCache::new(capacity as usize);
+        for key in 0..capacity {
+            cache.get_or_insert_with(key, || key);
+        }
+        let mut next = capacity;
+        g.bench_function(format!("evicting_miss_{capacity}"), |b| {
+            b.iter(|| {
+                next += 1;
+                let look = cache.get_or_insert_with(black_box(next), || next);
+                assert_eq!(look.evicted, 1, "a full cache evicts once per miss");
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_slice,
+    bench_gemm_vs_direct,
+    bench_cache_eviction
+);
 criterion_main!(benches);

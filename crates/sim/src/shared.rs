@@ -36,36 +36,53 @@
 //! plan is only reused after [`LayerPlan::matches`] verified it
 //! word-for-word against the requested masks — a fingerprint collision
 //! falls back to a fresh build, never a wrong reuse. All three caches are
-//! [`SingleFlightCache`]s with measured bounds and instrumented (the
-//! names predate sharing outside sweeps and are kept for the benchmark):
-//! `sweep.derived_hits` / `sweep.derived_misses` count mask lookups and
-//! walk hits, `sweep.walk_hits` counts walk hits alone,
-//! `sweep.derived_evictions` counts all three caches' evictions; plan
-//! reuse flows through the `ca.plan_reuses` / `ca.plan_compiles`
-//! counters.
+//! [`SingleFlightCache`]s, each with its own measured bound
+//! ([`MASK_CACHE_CAP`], [`PLAN_CACHE_CAP`], [`WALK_CACHE_CAP`]), and each
+//! counts its own lookups: `sim.mask_cache.{hits,misses,evictions}`,
+//! `sim.plan_cache.*` and `sim.walk_cache.*`. The older lumped names are
+//! still emitted because the benchmark reads them: `sweep.derived_hits` /
+//! `sweep.derived_misses` count mask lookups and walk hits,
+//! `sweep.walk_hits` counts walk hits alone, `sweep.derived_evictions`
+//! counts all three caches' evictions; plan reuse also flows through the
+//! `ca.plan_reuses` / `ca.plan_compiles` counters.
 
 use crate::ca::LayerPlan;
 use crate::config::SimConfig;
 use crate::context::PositionAggregate;
 use crate::masks::draw_act_mask_into;
-use escalate_core::cache::SingleFlightCache;
+use escalate_core::cache::{Lookup, SingleFlightCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
 
 /// Bound of the mask cache (entries). Mask keys include the input seed,
-/// so a daemon serving many seeds churns through them: at 512 entries a
-/// warm daemon still got ~124 hits against 16k misses, while holding a
-/// block per entry. 128 keeps every mask reuse of the 256-point sweep
-/// grid (a network contributes `layers × distinct sample-channel
-/// settings` entries per input seed).
+/// and a warm daemon gets no mask hits at all (0 in 15,882 lookups on a
+/// traced perfbench `serve_warm`): a repeated walk is served by the walk
+/// cache before its masks are drawn. The masks pay off in the 256-point
+/// sweep grid (1713 hits against 141 misses), and 128 entries keep every
+/// one of those reuses (a network contributes `layers × distinct
+/// sample-channel settings` entries per input seed) while holding a block
+/// per entry.
 pub const MASK_CACHE_CAP: usize = 128;
 
-/// Bound of the plan and walk caches (entries). Plans are seed-invariant:
-/// a warm daemon holds only ~140 of them, and 128 entries would cost the
+/// Bound of the plan cache (entries). Plans are seed-invariant: a warm
+/// daemon holds only ~140 of them, and 128 entries would cost the
 /// 256-point sweep 34 recompiles, so 512 is nearly free and never
 /// recompiles there.
 pub const PLAN_CACHE_CAP: usize = 512;
+
+/// Bound of the walk cache (entries). Walk keys include the input seed,
+/// so the working set is `layers × input seeds × CA configs` rather than
+/// the plan cache's `layers × M`. Distinct walks one process touches:
+/// perfbench `serve_warm` 1507, `sweep_grid` 1854, `report --all` 3319,
+/// and at most ~4.8k (the two sets' sum) for a daemon serving both the
+/// report jobs and the `serve_warm` mix. LRU over a cyclic working set
+/// larger than its bound evicts every key before its repeat (at 512, a
+/// traced `serve_warm` hit 2033 of 17,915 walk lookups), so the bound
+/// holds ~3.4× the largest measured set. An entry (key in the map and in
+/// the recency index, slot, sums) is ~460 B resident, so a full cache
+/// costs ~7.6 MB.
+pub const WALK_CACHE_CAP: usize = 16384;
 
 /// Everything that feeds the Bernoulli mask stream, floats by bit
 /// pattern: `(layer seed, C, keep_prob bits, positions per channel,
@@ -128,26 +145,61 @@ fn derived_cache() -> &'static DerivedCache {
     CACHE.get_or_init(|| DerivedCache {
         masks: SingleFlightCache::new(MASK_CACHE_CAP),
         plans: SingleFlightCache::new(PLAN_CACHE_CAP),
-        walks: SingleFlightCache::new(PLAN_CACHE_CAP),
+        walks: SingleFlightCache::new(WALK_CACHE_CAP),
     })
 }
 
-fn count_evictions(evicted: u64) {
+/// One derived cache's counter names: hits, misses, evictions.
+type CacheCounters = [&'static str; 3];
+
+const MASK_COUNTERS: CacheCounters = [
+    "sim.mask_cache.hits",
+    "sim.mask_cache.misses",
+    "sim.mask_cache.evictions",
+];
+const PLAN_COUNTERS: CacheCounters = [
+    "sim.plan_cache.hits",
+    "sim.plan_cache.misses",
+    "sim.plan_cache.evictions",
+];
+const WALK_COUNTERS: CacheCounters = [
+    "sim.walk_cache.hits",
+    "sim.walk_cache.misses",
+    "sim.walk_cache.evictions",
+];
+
+fn count_evictions(counters: CacheCounters, evicted: u64) {
     if evicted > 0 {
+        escalate_obs::counter_add(counters[2], evicted);
         escalate_obs::counter_add("sweep.derived_evictions", evicted);
     }
 }
 
+/// Counts one lookup of a derived cache under its own names.
+fn count_lookup<V>(counters: CacheCounters, look: &Lookup<V>) {
+    escalate_obs::counter_add(counters[if look.hit { 0 } else { 1 }], 1);
+    count_evictions(counters, look.evicted);
+}
+
 /// Re-bounds all three derived caches to `capacity` (`0` = unbounded;
-/// `None` restores [`MASK_CACHE_CAP`] / [`PLAN_CACHE_CAP`]), evicting
-/// down to the new bound immediately. Exists for eviction-pressure tests
-/// and memory-conscious embedders.
+/// `None` restores each cache's own bound: [`MASK_CACHE_CAP`],
+/// [`PLAN_CACHE_CAP`], [`WALK_CACHE_CAP`]), evicting down to the new
+/// bound immediately. Exists for eviction-pressure tests and
+/// memory-conscious embedders.
 pub fn set_derived_cache_capacity(capacity: Option<usize>) {
     let cache = derived_cache();
+    let bound = |own: usize| capacity.unwrap_or(own);
     count_evictions(
-        cache.masks.set_capacity(capacity.unwrap_or(MASK_CACHE_CAP))
-            + cache.plans.set_capacity(capacity.unwrap_or(PLAN_CACHE_CAP))
-            + cache.walks.set_capacity(capacity.unwrap_or(PLAN_CACHE_CAP)),
+        MASK_COUNTERS,
+        cache.masks.set_capacity(bound(MASK_CACHE_CAP)),
+    );
+    count_evictions(
+        PLAN_COUNTERS,
+        cache.plans.set_capacity(bound(PLAN_CACHE_CAP)),
+    );
+    count_evictions(
+        WALK_COUNTERS,
+        cache.walks.set_capacity(bound(WALK_CACHE_CAP)),
     );
 }
 
@@ -202,7 +254,7 @@ pub fn cached_masks(
         },
         1,
     );
-    count_evictions(look.evicted);
+    count_lookup(MASK_COUNTERS, &look);
     (look.value, look.hit)
 }
 
@@ -235,7 +287,7 @@ pub fn cached_plan<'m>(
     let look = derived_cache().plans.get_or_insert_with((c, m, fp), || {
         Arc::new(LayerPlan::build(c, m, channels, &mask))
     });
-    count_evictions(look.evicted);
+    count_lookup(PLAN_COUNTERS, &look);
     if !look.hit {
         (look.value, false)
     } else if look.value.matches(c, m, channels, &mask) {
@@ -314,7 +366,7 @@ pub fn cached_walk(
         escalate_obs::counter_add("sweep.derived_hits", 1);
         escalate_obs::counter_add("sweep.walk_hits", 1);
     }
-    count_evictions(look.evicted);
+    count_lookup(WALK_COUNTERS, &look);
     (look.value, walked)
 }
 
@@ -376,5 +428,82 @@ mod tests {
         assert!(!hit3);
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert!(p3.matches(100, 2, &[0, 1], mask_b));
+    }
+
+    /// A walk key unique to `seed`; the seeds sit far from every other
+    /// test's so the process-global cache cannot mix them up.
+    fn test_walk_key(seed: u64) -> WalkKey {
+        WalkKey {
+            fp: seed,
+            fp2: !seed,
+            c: 64,
+            m: 6,
+            layer_seed: seed,
+            keep_prob_bits: 0.5f64.to_bits(),
+            positions: 8,
+            rs: 9,
+            bus: 16,
+            look_ahead: 2,
+            look_aside: 1,
+        }
+    }
+
+    #[test]
+    fn repeated_walks_beyond_the_plan_bound_are_not_rewalked() {
+        // A cyclic pass over more distinct walks than the plan cache
+        // holds: a walk cache borrowing that bound evicts every key
+        // before its repeat, so the second pass would walk again.
+        const WALKS: u64 = 600;
+        let seeds = (0..WALKS).map(|i| 0xfeed_2000_0000 + i);
+        let walk_for = |seed: u64| PositionAggregate {
+            sum_pos_cycles: seed as f64 * 1.25,
+            sum_matched: (seed % 97) as f64 + 0.5,
+            sum_gather: (seed % 13) as f64 / 3.0,
+            sum_idle: seed as f64 / 7.0,
+            max_mean_pos: (seed % 31) as f64 + 0.125,
+            ..PositionAggregate::default()
+        };
+        let first: Vec<WalkSums> = seeds
+            .clone()
+            .map(|seed| {
+                let (sums, walked) = cached_walk(test_walk_key(seed), || walk_for(seed));
+                assert!(walked.is_some(), "first pass must walk seed {seed:#x}");
+                sums
+            })
+            .collect();
+        let mut rewalked = 0;
+        for (seed, first) in seeds.zip(&first) {
+            let (sums, walked) = cached_walk(test_walk_key(seed), || walk_for(seed));
+            rewalked += usize::from(walked.is_some());
+            let bits = |w: &WalkSums| {
+                [
+                    w.sum_pos_cycles,
+                    w.sum_matched,
+                    w.sum_gather,
+                    w.sum_idle,
+                    w.max_mean_pos,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&sums), bits(first), "seed {seed:#x}");
+        }
+        assert_eq!(rewalked, 0, "the second pass must read every walk");
+    }
+
+    #[test]
+    fn default_bounds_are_restored_per_cache() {
+        // Raising the bound evicts nothing, so tests sharing the cache
+        // are undisturbed; `None` must then restore each cache's own
+        // bound, not one borrowed from another cache.
+        set_derived_cache_capacity(Some(1 << 20));
+        set_derived_cache_capacity(None);
+        let cache = derived_cache();
+        assert_eq!(cache.masks.capacity(), MASK_CACHE_CAP);
+        assert_eq!(cache.plans.capacity(), PLAN_CACHE_CAP);
+        assert_eq!(cache.walks.capacity(), WALK_CACHE_CAP);
+        assert_eq!(
+            (MASK_CACHE_CAP, PLAN_CACHE_CAP, WALK_CACHE_CAP),
+            (128, 512, 16384)
+        );
     }
 }

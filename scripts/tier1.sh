@@ -118,6 +118,10 @@ submit ping | grep -q '"type": "pong"'
 submit simulate MobileNet --seeds 1 > "$SERVE_DIR/simulate.txt"
 test "$(grep -c '"schema": "escalate-run-manifest/v1"' "$SERVE_DIR/simulate.txt")" -eq 4
 grep -q '"type": "done"' "$SERVE_DIR/simulate.txt"
+# The same job again: a one-seed job repeats no walk of its own, so the
+# walk-cache hits the metrics frame must show below come from the daemon
+# re-serving walks it already simulated.
+submit simulate MobileNet --seeds 1 | grep -q '"type": "done"'
 submit compress MobileNet | grep -q '"type": "done"'
 submit report table4 | grep -q '"type": "done"'
 # A served custom-network pipelined job: the daemon resolves the same
@@ -126,11 +130,13 @@ submit simulate "@$SWEEP_DIR/gen.network" --seeds 1 --schedule pipelined \
   > "$SERVE_DIR/network.txt"
 grep -q '"type": "done"' "$SERVE_DIR/network.txt"
 grep -q 'pipeline: ' "$SERVE_DIR/network.txt"
-submit metrics | grep -q '"serve.jobs_done": 4'
+submit metrics > "$SERVE_DIR/metrics.txt"
+grep -q '"serve.jobs_done": 5' "$SERVE_DIR/metrics.txt"
+grep -o '"sim.walk_cache.hits": [0-9]*' "$SERVE_DIR/metrics.txt" | grep -qv ': 0$'
 submit shutdown | grep -q '"drained": true'
 for _ in $(seq 1 300); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.1; done
 ! kill -0 "$SERVE_PID" 2>/dev/null
-grep -q "drained — 4 jobs done, 0 failed" "$SERVE_DIR/serve.txt"
+grep -q "drained — 5 jobs done, 0 failed" "$SERVE_DIR/serve.txt"
 cargo fmt --check
 cargo clippy --all-targets --offline --workspace -- -D warnings
 
