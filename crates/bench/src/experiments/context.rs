@@ -4,8 +4,8 @@ use escalate_sim::SimConfig;
 
 /// Everything an [`super::Experiment`] needs to run: the simulator
 /// configuration, the number of input seeds to average, and any
-/// positional arguments forwarded from the invoking binary (e.g. the
-/// model override of `fig11`).
+/// positional arguments forwarded after `--` (e.g. the model override
+/// of `fig11`).
 /// Compression always goes through the per-process
 /// [`crate::compress_cached`] artifact cache, so a multi-experiment
 /// report pays each `(model, config)` compression once.

@@ -2,10 +2,10 @@
 //!
 //! Every table, figure and ablation of the evaluation is one
 //! [`Experiment`]: a named, paper-anchored producer of a [`Table`]. The
-//! [`registry`] lists all of them; the `report` runner (and the
-//! `escalate report` CLI subcommand) drive the registry to print, export
-//! (JSON), regenerate (`--update`) or regression-check (`--check`) the
-//! golden corpus under `results/`; `report NAME` runs one entry.
+//! [`registry`] lists all of them; the `report` runner behind
+//! `escalate report` drives the registry to print, export (JSON),
+//! regenerate (`--update`) or regression-check (`--check`) the golden
+//! corpus under `results/`; `escalate report NAME` runs one entry.
 
 mod context;
 mod runner;
@@ -33,7 +33,7 @@ mod table1;
 mod table4;
 
 pub use context::ExpContext;
-pub use runner::{report_main, run_report, ReportOptions};
+pub use runner::{run_report, ReportOptions};
 pub use table::{Cell, Record, Table, REPORT_SCHEMA};
 
 use escalate_core::EscalateError;
@@ -77,8 +77,7 @@ impl From<std::io::Error> for ExpError {
 
 /// One registered experiment: a named producer of a [`Table`].
 pub trait Experiment: Sync {
-    /// Registry name — also the binary name and the `results/<name>.txt`
-    /// golden file stem.
+    /// Registry name — also the `results/<name>.txt` golden file stem.
     fn name(&self) -> &'static str;
 
     /// Where in the paper the output belongs (`"Figure 8"`, `"§6.3"`, …).
@@ -86,13 +85,6 @@ pub trait Experiment: Sync {
 
     /// One-line description for `report --list`.
     fn summary(&self) -> &'static str;
-
-    /// Whether the output is deterministic and golden-checked.
-    /// Experiments that print wall-clock measurements (`reorg_ablation`)
-    /// opt out: `--check`/`--update` skip them.
-    fn golden(&self) -> bool {
-        true
-    }
 
     /// Runs the experiment under `ctx`, producing its output table.
     ///
@@ -155,19 +147,6 @@ mod tests {
     fn find_resolves_names() {
         assert_eq!(find("fig8").map(|e| e.name()), Some("fig8"));
         assert!(find("fig99").is_none());
-    }
-
-    #[test]
-    fn non_deterministic_experiments_opt_out_of_golden() {
-        for e in registry() {
-            let timed = e.name() == "reorg_ablation";
-            assert_eq!(
-                e.golden(),
-                !timed,
-                "{}: golden flag disagrees with its determinism",
-                e.name()
-            );
-        }
     }
 
     #[test]

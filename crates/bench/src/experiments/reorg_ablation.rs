@@ -1,20 +1,17 @@
 //! Ablation: Eq. (2) vs Eq. (3) computation order (paper §3.1).
 //!
 //! Measures, per ResNet18 layer shape, the intermediate-feature-map
-//! footprint and the wall-clock of the two orders of decomposed
-//! convolution. The reorganization (Eq. 3) is the ESCALATE algorithm's
+//! footprint of the two orders of decomposed convolution and checks that
+//! they agree. The reorganization (Eq. 3) is the ESCALATE algorithm's
 //! first contribution: it shrinks the intermediate state from `C·M`
-//! output-sized maps to `M` input-sized maps.
-//!
-//! Prints wall-clock columns, so this experiment is **not** golden-checked
-//! (`Experiment::golden` is `false`).
+//! output-sized maps to `M` input-sized maps. The criterion `kernels`
+//! bench times the two orders.
 
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
 use crate::tline;
 use escalate_core::decompose;
 use escalate_core::reorg::{forward_eq2, forward_eq3, intermediate_footprint};
 use escalate_models::{synth, ModelProfile};
-use std::time::Instant;
 
 /// Registry entry for the Eq.(2)-vs-Eq.(3) reorganization ablation.
 pub struct ReorgAblation;
@@ -29,11 +26,7 @@ impl Experiment for ReorgAblation {
     }
 
     fn summary(&self) -> &'static str {
-        "Eq.(2) vs Eq.(3) intermediate footprint and forward time"
-    }
-
-    fn golden(&self) -> bool {
-        false // wall-clock columns are not reproducible
+        "Eq.(2) vs Eq.(3) intermediate footprint and output agreement"
     }
 
     fn run(&self, _ctx: &ExpContext) -> Result<Table, ExpError> {
@@ -41,19 +34,17 @@ impl Experiment for ReorgAblation {
         let mut t = Table::new(self.name(), self.paper_anchor());
         tline!(
             t,
-            "Eq.(2) vs Eq.(3): intermediate footprint (elements) and forward time"
+            "Eq.(2) vs Eq.(3): intermediate footprint (elements) and output agreement"
         );
         tline!(t);
         tline!(
             t,
-            "{:<20} {:>5} {:>5} {:>12} {:>12} {:>9} {:>9} {:>8}",
+            "{:<20} {:>5} {:>5} {:>12} {:>12} {:>8}",
             "Layer",
             "C",
             "K",
             "inter eq2",
             "inter eq3",
-            "eq2(ms)",
-            "eq3(ms)",
             "agree"
         );
         // Scale the spatial size down so the dense reference runs quickly; the
@@ -72,12 +63,8 @@ impl Experiment for ReorgAblation {
             let d = decompose(&w, 6.min(l.r * l.s))?;
             let input = synth::activations(&l, 0.5, i as u64);
 
-            let t2 = Instant::now();
             let (o2, i2) = forward_eq2(&d, &input, l.stride, l.pad);
-            let t2 = t2.elapsed();
-            let t3 = Instant::now();
             let (o3, i3) = forward_eq3(&d, &input, l.stride, l.pad);
-            let t3 = t3.elapsed();
             let (f2, f3) = intermediate_footprint(&d, l.x, l.y, l.stride, l.pad);
             if (i2, i3) != (f2, f3) {
                 return Err(ExpError::Msg(format!(
@@ -89,14 +76,12 @@ impl Experiment for ReorgAblation {
             let agree = o2.all_close(&o3, 1e-2);
             tline!(
                 t,
-                "{:<20} {:>5} {:>5} {:>12} {:>12} {:>9.2} {:>9.2} {:>8}",
+                "{:<20} {:>5} {:>5} {:>12} {:>12} {:>8}",
                 l.name,
                 l.c,
                 l.k,
                 i2,
                 i3,
-                t2.as_secs_f64() * 1e3,
-                t3.as_secs_f64() * 1e3,
                 if agree { "yes" } else { "NO" },
             );
             t.push_record(Record::new([
@@ -105,8 +90,6 @@ impl Experiment for ReorgAblation {
                 ("k", Cell::from(l.k)),
                 ("intermediate_eq2", Cell::from(i2)),
                 ("intermediate_eq3", Cell::from(i3)),
-                ("eq2_ms", (t2.as_secs_f64() * 1e3).into()),
-                ("eq3_ms", (t3.as_secs_f64() * 1e3).into()),
                 ("outputs_agree", agree.into()),
             ]));
         }

@@ -1,14 +1,16 @@
 //! The `report` runner: one driver for the whole experiment registry,
-//! built on the shared run-plan layer (`crate::plan`).
+//! built on the shared run-plan layer (`crate::plan`). `escalate report`,
+//! served report jobs and perfbench all parse their report lines with
+//! [`ReportOptions::parse`]:
 //!
 //! ```text
-//! report --list                 # enumerate the registry
-//! report fig8 table4            # run named experiments, text to stdout
-//! report --all                  # run every golden experiment
-//! report --json fig8            # JSON (escalate-report/v1) instead of text
-//! report --out DIR --all        # one file per experiment instead of stdout
-//! report --all --update         # regenerate the results/ golden corpus
-//! report --all --check          # diff against results/, nonzero on drift
+//! escalate report --list           # enumerate the registry
+//! escalate report fig8 table4      # run named experiments, text to stdout
+//! escalate report --all            # run every experiment
+//! escalate report --json fig8      # JSON (escalate-report/v1) instead of text
+//! escalate report --out DIR --all  # one file per experiment instead of stdout
+//! escalate report --all --update   # regenerate the results/ golden corpus
+//! escalate report --all --check    # diff against results/, nonzero on drift
 //! ```
 //!
 //! The selected experiments form a [`ReportPlan`] (one work unit per
@@ -20,12 +22,10 @@
 //! failure in request order is the one reported.
 //!
 //! `--check`/`--update` operate on the golden corpus under `results/`
-//! (override with `--results DIR` or `ESCALATE_RESULTS_DIR`); experiments
-//! whose output is timing-dependent ([`Experiment::golden`] is `false`)
-//! are skipped by `--all`, `--check` and `--update` but still runnable by
-//! name. Flags accept both `--key value` and `--key=value`. Arguments
-//! after `--` are forwarded to the experiments verbatim
-//! (e.g. `report fig11 -- MobileNet`).
+//! (override with `--results DIR` or `ESCALATE_RESULTS_DIR`); every
+//! experiment is deterministic, so every one has a golden file. Flags
+//! accept both `--key value` and `--key=value`. Arguments after `--` are
+//! forwarded to the experiments verbatim (e.g. `report fig11 -- MobileNet`).
 
 use super::{find, registry, ExpContext, ExpError, Experiment};
 use crate::plan::{self, RunPlan, UnitOutput, UnitSink, WorkUnit};
@@ -37,7 +37,7 @@ use std::path::PathBuf;
 pub struct ReportOptions {
     /// List the registry and exit.
     pub list: bool,
-    /// Expand to every golden experiment.
+    /// Expand to every registered experiment.
     pub all: bool,
     /// Render JSON (`escalate-report/v1`) instead of text.
     pub json: bool,
@@ -139,17 +139,12 @@ impl ReportOptions {
 fn select(opts: &ReportOptions) -> Result<Vec<&'static dyn Experiment>, ExpError> {
     let mut exps: Vec<&'static dyn Experiment> = Vec::new();
     if opts.all {
-        exps.extend(registry().iter().copied().filter(|e| e.golden()));
+        exps.extend(registry());
     }
     for name in &opts.names {
         let exp = find(name).ok_or_else(|| {
             ExpError::Msg(format!("unknown experiment {name:?} (see report --list)"))
         })?;
-        if (opts.check || opts.update) && !exp.golden() {
-            return Err(ExpError::Msg(format!(
-                "{name} is not golden-checked (timing-dependent output)"
-            )));
-        }
         if !exps.iter().any(|e| e.name() == exp.name()) {
             exps.push(exp);
         }
@@ -297,24 +292,24 @@ impl UnitSink for StreamSink<'_> {
 /// Drives the registry per `opts`, writing report output to `out`.
 /// Returns `true` when everything (including any `--check`) passed.
 ///
+/// Sizes the process-wide pool first (`ESCALATE_THREADS`, else every
+/// core), as every other entry point does, so the plan's workers honour
+/// the variable.
+///
 /// # Errors
 ///
 /// Returns an [`ExpError`] when an experiment fails or a file cannot be
 /// read or written. Golden drift is a `false` return, not an error.
 pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, ExpError> {
+    escalate_core::par::configure_threads(0);
     if opts.list {
-        writeln!(
-            out,
-            "{:<16} {:<18} {:<6} summary",
-            "name", "paper anchor", "golden"
-        )?;
+        writeln!(out, "{:<16} {:<18} summary", "name", "paper anchor")?;
         for e in registry() {
             writeln!(
                 out,
-                "{:<16} {:<18} {:<6} {}",
+                "{:<16} {:<18} {}",
                 e.name(),
                 e.paper_anchor(),
-                if e.golden() { "yes" } else { "no" },
                 e.summary()
             )?;
         }
@@ -381,29 +376,6 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
     Ok(clean)
 }
 
-/// Entry point shared by the `report` binary and `escalate report`:
-/// parses `argv` (without the program name) and maps failures and golden
-/// drift to a nonzero exit.
-pub fn report_main<I: IntoIterator<Item = String>>(argv: I) -> std::process::ExitCode {
-    let opts = match ReportOptions::parse(argv) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("usage: report [--list] [--all] [--json] [--check | --update] [--out DIR] [--results DIR] [NAME ...] [-- ARGS]");
-            eprintln!("error: {msg}");
-            return std::process::ExitCode::from(2);
-        }
-    };
-    let mut stdout = std::io::stdout().lock();
-    match run_report(&opts, &mut stdout) {
-        Ok(true) => std::process::ExitCode::SUCCESS,
-        Ok(false) => std::process::ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,22 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn select_skips_non_golden_under_all_but_rejects_them_by_name() {
+    fn all_selects_the_whole_registry_in_order() {
         let all = ReportOptions {
             all: true,
             check: true,
             ..ReportOptions::default()
         };
-        let exps = select(&all).expect("select");
-        assert!(exps.iter().all(|e| e.golden()));
-        assert_eq!(exps.len(), registry().iter().filter(|e| e.golden()).count());
-
-        let by_name = ReportOptions {
-            check: true,
-            names: vec!["reorg_ablation".into()],
-            ..ReportOptions::default()
-        };
-        assert!(select(&by_name).is_err());
+        let names: Vec<&str> = select(&all)
+            .expect("select")
+            .iter()
+            .map(|e| e.name())
+            .collect();
+        let registered: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+        assert_eq!(names, registered);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! figures.
 //!
 //! Each table/figure is an entry of the experiment registry
-//! ([`experiments`], run by the `report` binary: `report table1`,
-//! `report fig8`, …); this library holds the common plumbing:
+//! ([`experiments`], run by `escalate report table1`,
+//! `escalate report fig8`, …); this library holds the common plumbing:
 //! compressing a model, building the accelerator workloads, running all
 //! four simulators over multiple input seeds, and attaching energy
 //! breakdowns.

@@ -27,16 +27,16 @@ fn report_check_round_trips_table4_against_the_committed_corpus() {
 
 #[test]
 fn report_check_round_trips_fast_ablations_against_the_committed_corpus() {
-    let (clean, out) = check(&["encoding_sweep", "psum_ablation"]);
+    let (clean, out) = check(&["encoding_sweep", "psum_ablation", "reorg_ablation"]);
     assert!(clean, "golden drift:\n{out}");
 }
 
 // The debug profile pays minutes per full-grid experiment, so the heavy
 // round-trips are exercised by `scripts/tier1.sh`, which drives the
-// release `report --check` over the same corpus; run them here explicitly
+// release `escalate report --check` over the same corpus; run them here explicitly
 // with `cargo test -- --ignored` when needed.
 #[test]
-#[ignore = "minutes under the dev profile; tier1.sh checks these via the release report binary"]
+#[ignore = "minutes under the dev profile; tier1.sh checks these via the release `escalate report`"]
 fn report_check_round_trips_fig8_and_table1() {
     let (clean, out) = check(&["table1", "fig8"]);
     assert!(clean, "golden drift:\n{out}");
@@ -44,7 +44,7 @@ fn report_check_round_trips_fig8_and_table1() {
 
 // Pins `report --all --check` — the whole golden corpus through the
 // run-plan executor — in one invocation, exactly what the CI gate runs
-// via the release binary.
+// via the release `escalate report`.
 #[test]
 #[ignore = "many minutes under the dev profile; tier1.sh runs the release `report --all --check`"]
 fn report_all_check_round_trips_the_full_corpus() {
@@ -58,8 +58,8 @@ fn report_all_check_round_trips_the_full_corpus() {
     let out = String::from_utf8(buf).expect("utf8");
     assert!(clean, "golden drift:\n{out}");
     assert!(
-        out.contains("PASS: 18 experiment(s) checked"),
-        "expected the 18-experiment epilogue:\n{out}"
+        out.contains("PASS: 20 experiment(s) checked"),
+        "expected the 20-experiment epilogue:\n{out}"
     );
 }
 

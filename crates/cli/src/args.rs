@@ -1,18 +1,41 @@
-//! Minimal argument parsing for the `escalate` CLI (no external parser
+//! The `escalate` command grammar and its parser (no external parser
 //! dependency; see DESIGN.md's dependency policy).
+//!
+//! Every subcommand declares each of its options once, in
+//! [`crate::commands::COMMANDS`], as a valued option or a boolean flag.
+//! The parser reads that table: a flag never takes the next token, a
+//! valued option without a value is an error, and an undeclared option
+//! is rejected before any command runs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// How a command reads the tokens after its name.
+#[derive(Debug, Clone, Copy)]
+pub enum Grammar {
+    /// Positional arguments plus declared options.
+    Options {
+        /// Options that take a value (`--m 6` or `--m=6`).
+        values: &'static [&'static str],
+        /// Boolean switches (`--layers`); they never take a value.
+        flags: &'static [&'static str],
+    },
+    /// Every token goes unchanged to the command's own parser.
+    PassThrough,
+}
 
 /// A parsed command line: the subcommand, its positional arguments, and
-/// `--key value` / `--flag` options.
+/// its options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedArgs {
-    /// Subcommand name (first non-flag argument).
-    pub command: String,
-    /// Positional arguments after the subcommand.
+    /// Subcommand name, as declared in the command table.
+    pub command: &'static str,
+    /// Positional arguments after the subcommand (every token, for a
+    /// pass-through command).
     pub positional: Vec<String>,
-    /// Options: `--key value` pairs; bare `--flag` maps to `"true"`.
+    /// Valued options, by name.
     pub options: HashMap<String, String>,
+    /// Flags that were passed.
+    pub flags: HashSet<String>,
 }
 
 /// Parsing errors with user-facing messages.
@@ -20,6 +43,8 @@ pub struct ParsedArgs {
 pub enum ArgError {
     /// No subcommand given.
     MissingCommand,
+    /// The subcommand is not in the command table.
+    UnknownCommand(String),
     /// An option value failed to parse.
     BadValue {
         /// Option name.
@@ -29,8 +54,10 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
-    /// An unknown option was passed.
+    /// An option the command does not declare.
     UnknownOption(String),
+    /// A valued option with no value after it.
+    MissingValue(String),
     /// An option was given an explicit empty value (`--key=`).
     EmptyValue(String),
     /// An option appeared more than once.
@@ -41,6 +68,9 @@ impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArgError::MissingCommand => write!(f, "no command given (try `escalate help`)"),
+            ArgError::UnknownCommand(c) => {
+                write!(f, "unknown command {c:?} (try `escalate help`)")
+            }
             ArgError::BadValue {
                 option,
                 value,
@@ -49,6 +79,7 @@ impl std::fmt::Display for ArgError {
                 write!(f, "--{option}: expected {expected}, got {value:?}")
             }
             ArgError::UnknownOption(o) => write!(f, "unknown option --{o}"),
+            ArgError::MissingValue(o) => write!(f, "--{o} requires a value"),
             ArgError::EmptyValue(o) => {
                 write!(
                     f,
@@ -65,7 +96,9 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl ParsedArgs {
-    /// Parses raw arguments (without the program name).
+    /// Parses raw arguments (without the program name) against the
+    /// command table. The first token names the command; the command's
+    /// [`Grammar`] reads the rest.
     ///
     /// Half-parsed configurations are hard errors, not silent fallbacks:
     /// an explicit empty value (`--key=`) and a repeated option both
@@ -75,45 +108,63 @@ impl ParsedArgs {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::MissingCommand`] for an empty line,
-    /// [`ArgError::EmptyValue`] for `--key=`, and
-    /// [`ArgError::DuplicateOption`] for a repeated option.
+    /// Returns the [`ArgError`] for the first token that breaks the
+    /// command's grammar.
     pub fn parse<I, S>(args: I) -> Result<ParsedArgs, ArgError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut out = ParsedArgs::default();
-        let mut iter = args.into_iter().map(Into::into).peekable();
-        while let Some(a) = iter.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let (k, v) = if let Some((k, v)) = key.split_once('=') {
-                    // `--key=value`: the value is inline (and may itself
-                    // contain `=` or start with `-`).
-                    if v.is_empty() {
-                        return Err(ArgError::EmptyValue(k.to_string()));
-                    }
-                    (k.to_string(), v.to_string())
-                } else {
-                    let value = match iter.peek() {
-                        Some(v) if !v.starts_with("--") => {
-                            iter.next().expect("peeked value exists")
-                        }
-                        _ => "true".to_string(),
-                    };
-                    (key.to_string(), value)
-                };
-                if out.options.insert(k.clone(), v).is_some() {
-                    return Err(ArgError::DuplicateOption(k));
-                }
-            } else if out.command.is_empty() {
-                out.command = a;
-            } else {
-                out.positional.push(a);
+        let mut iter = args.into_iter().map(Into::into);
+        let name = iter.next().ok_or(ArgError::MissingCommand)?;
+        let command = crate::commands::find(&name).ok_or(ArgError::UnknownCommand(name))?;
+        let mut out = ParsedArgs {
+            command: command.name,
+            ..ParsedArgs::default()
+        };
+        let (values, flags) = match command.grammar {
+            Grammar::PassThrough => {
+                out.positional = iter.collect();
+                return Ok(out);
             }
-        }
-        if out.command.is_empty() {
-            return Err(ArgError::MissingCommand);
+            Grammar::Options { values, flags } => (values, flags),
+        };
+        while let Some(token) = iter.next() {
+            let Some(body) = token.strip_prefix("--") else {
+                out.positional.push(token);
+                continue;
+            };
+            // `--key=value`: the value is inline (and may itself contain
+            // `=` or start with `-`).
+            let (key, inline) = match body.split_once('=') {
+                Some((k, v)) => (k, Some(v)),
+                None => (body, None),
+            };
+            let first = if flags.contains(&key) {
+                if let Some(v) = inline {
+                    return Err(ArgError::BadValue {
+                        option: key.to_string(),
+                        value: v.to_string(),
+                        expected: "no value (it is a flag)",
+                    });
+                }
+                out.flags.insert(key.to_string())
+            } else if values.contains(&key) {
+                let value = match inline {
+                    Some("") => return Err(ArgError::EmptyValue(key.to_string())),
+                    Some(v) => v.to_string(),
+                    None => iter
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| ArgError::MissingValue(key.to_string()))?,
+                };
+                out.options.insert(key.to_string(), value).is_none()
+            } else {
+                return Err(ArgError::UnknownOption(key.to_string()));
+            };
+            if !first {
+                return Err(ArgError::DuplicateOption(key.to_string()));
+            }
         }
         Ok(out)
     }
@@ -134,23 +185,9 @@ impl ParsedArgs {
         }
     }
 
-    /// Whether a bare flag was passed.
+    /// Whether a flag was passed.
     pub fn flag(&self, key: &str) -> bool {
-        self.options.get(key).is_some_and(|v| v == "true")
-    }
-
-    /// Rejects options outside the allowed set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError::UnknownOption`] for the first unknown option.
-    pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
-        for k in self.options.keys() {
-            if !allowed.contains(&k.as_str()) {
-                return Err(ArgError::UnknownOption(k.clone()));
-            }
-        }
-        Ok(())
+        self.flags.contains(key)
     }
 }
 
@@ -158,97 +195,145 @@ impl ParsedArgs {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_command_positionals_and_options() {
-        let a = ParsedArgs::parse(["simulate", "ResNet18", "--m", "7", "--verbose"]).unwrap();
-        assert_eq!(a.command, "simulate");
-        assert_eq!(a.positional, vec!["ResNet18"]);
-        assert_eq!(a.get_or("m", 6usize).unwrap(), 7);
-        assert!(a.flag("verbose"));
+    fn parse(line: &[&str]) -> Result<ParsedArgs, ArgError> {
+        ParsedArgs::parse(line.iter().copied())
     }
 
     #[test]
-    fn defaults_apply_when_missing() {
-        let a = ParsedArgs::parse(["compress", "VGG16"]).unwrap();
-        assert_eq!(a.get_or("m", 6usize).unwrap(), 6);
-        assert_eq!(a.get_or("seeds", 10u64).unwrap(), 10);
-        assert!(!a.flag("verbose"));
-    }
-
-    #[test]
-    fn empty_line_is_an_error() {
-        assert_eq!(
-            ParsedArgs::parse(Vec::<String>::new()),
-            Err(ArgError::MissingCommand)
+    fn well_formed_lines_parse_per_the_command_table() {
+        /// (line, positional, valued options, flags)
+        type Case = (
+            &'static [&'static str],
+            &'static [&'static str],
+            &'static [(&'static str, &'static str)],
+            &'static [&'static str],
         );
+        let cases: &[Case] = &[
+            (
+                &["simulate", "ResNet18", "--m", "7", "--seeds=2"],
+                &["ResNet18"],
+                &[("m", "7"), ("seeds", "2")],
+                &[],
+            ),
+            // A flag never takes the next token.
+            (
+                &["compress", "--layers", "MobileNet"],
+                &["MobileNet"],
+                &[],
+                &["layers"],
+            ),
+            (
+                &["compress", "VGG16", "--layers", "--m", "5"],
+                &["VGG16"],
+                &[("m", "5")],
+                &["layers"],
+            ),
+            // `=` values may contain `=` or start with `-`; only the first
+            // `=` splits, and the form never takes the next token.
+            (
+                &["simulate", "--network=a=b", "--threads=-5", "next"],
+                &["next"],
+                &[("network", "a=b"), ("threads", "-5")],
+                &[],
+            ),
+            // A pass-through command keeps every token, in order.
+            (
+                &["report", "--check", "table4", "--", "ResNet18"],
+                &["--check", "table4", "--", "ResNet18"],
+                &[],
+                &[],
+            ),
+        ];
+        for (line, positional, options, flags) in cases {
+            let a = parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert_eq!(a.positional, *positional, "{line:?}");
+            let options: HashMap<String, String> = options
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            assert_eq!(a.options, options, "{line:?}");
+            let flags: HashSet<String> = flags.iter().map(|f| f.to_string()).collect();
+            assert_eq!(a.flags, flags, "{line:?}");
+        }
     }
 
     #[test]
-    fn bad_values_are_reported() {
-        let a = ParsedArgs::parse(["x", "--m", "six"]).unwrap();
+    fn malformed_lines_are_typed_errors() {
+        let missing = |o: &str| ArgError::MissingValue(o.to_string());
+        let duplicate = |o: &str| ArgError::DuplicateOption(o.to_string());
+        let cases: &[(&[&str], ArgError)] = &[
+            (&[], ArgError::MissingCommand),
+            (
+                &["frobnicate"],
+                ArgError::UnknownCommand("frobnicate".into()),
+            ),
+            (
+                &["compress", "VGG16", "--bogus", "1"],
+                ArgError::UnknownOption("bogus".into()),
+            ),
+            // `--threads` belongs to simulate, not compress.
+            (
+                &["compress", "VGG16", "--threads", "1"],
+                ArgError::UnknownOption("threads".into()),
+            ),
+            (&["simulate", "MobileNet", "--metrics"], missing("metrics")),
+            (
+                &["simulate", "MobileNet", "--metrics", "--seeds", "1"],
+                missing("metrics"),
+            ),
+            (&["sweep", "--out"], missing("out")),
+            // `--key=` is never a usable value and never a flag.
+            (&["simulate", "--m="], ArgError::EmptyValue("m".into())),
+            // Last-wins duplicates would hide typos; both spellings count.
+            (&["simulate", "--m", "5", "--m", "7"], duplicate("m")),
+            (&["simulate", "--m=5", "--m", "7"], duplicate("m")),
+            (&["compress", "--layers", "--layers"], duplicate("layers")),
+            (
+                &["compress", "--layers=yes"],
+                ArgError::BadValue {
+                    option: "layers".into(),
+                    value: "yes".into(),
+                    expected: "no value (it is a flag)",
+                },
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line).as_ref(), Err(want), "{line:?}");
+        }
+        assert!(ArgError::MissingValue("metrics".into())
+            .to_string()
+            .contains("--metrics"));
+        assert!(ArgError::EmptyValue("m".into())
+            .to_string()
+            .contains("--m="));
+    }
+
+    #[test]
+    fn every_option_is_declared_once_per_command() {
+        for c in crate::commands::COMMANDS {
+            let Grammar::Options { values, flags } = c.grammar else {
+                continue;
+            };
+            let mut names: Vec<&str> = values.iter().chain(flags).copied().collect();
+            names.sort_unstable();
+            let declared = names.len();
+            names.dedup();
+            assert_eq!(
+                names.len(),
+                declared,
+                "{}: an option declared twice",
+                c.name
+            );
+        }
+    }
+
+    #[test]
+    fn values_parse_with_defaults_and_report_bad_input() {
+        let a = parse(&["compress", "VGG16", "--m", "six"]).unwrap();
+        assert_eq!(a.get_or("seed", 42u64).unwrap(), 42);
+        assert!(!a.flag("layers"));
         let e = a.get_or("m", 6usize).unwrap_err();
         assert!(matches!(e, ArgError::BadValue { .. }));
         assert!(e.to_string().contains("six"));
-    }
-
-    #[test]
-    fn unknown_options_are_rejected() {
-        let a = ParsedArgs::parse(["x", "--bogus", "1"]).unwrap();
-        assert!(a.ensure_known(&["m", "seeds"]).is_err());
-        assert!(a.ensure_known(&["bogus"]).is_ok());
-    }
-
-    #[test]
-    fn flag_followed_by_flag_keeps_both() {
-        let a = ParsedArgs::parse(["x", "--fast", "--m", "5"]).unwrap();
-        assert!(a.flag("fast"));
-        assert_eq!(a.get_or("m", 0usize).unwrap(), 5);
-    }
-
-    #[test]
-    fn key_equals_value_parses_like_the_spaced_form() {
-        let a = ParsedArgs::parse(["simulate", "ResNet18", "--m=7", "--seeds=2"]).unwrap();
-        assert_eq!(a.get_or("m", 6usize).unwrap(), 7);
-        assert_eq!(a.get_or("seeds", 10u64).unwrap(), 2);
-        assert_eq!(a.positional, vec!["ResNet18"]);
-    }
-
-    #[test]
-    fn equals_values_may_contain_dashes_or_equals() {
-        // `-5` would be eaten as a value by the spaced form too, but the
-        // `=` form is the only unambiguous spelling for values starting
-        // with `--`.
-        let a = ParsedArgs::parse(["x", "--offset=-5", "--path=a=b"]).unwrap();
-        assert_eq!(a.get_or("offset", 0i64).unwrap(), -5);
-        assert_eq!(a.options.get("path").map(String::as_str), Some("a=b"));
-    }
-
-    #[test]
-    fn explicit_empty_values_are_hard_errors() {
-        // `--empty=` is never a usable value and never a flag — under the
-        // old parser it silently produced an option holding "", which a
-        // daemon would then serve forever. Reject the whole line.
-        let e = ParsedArgs::parse(["x", "--empty="]).unwrap_err();
-        assert_eq!(e, ArgError::EmptyValue("empty".to_string()));
-        assert!(e.to_string().contains("--empty="));
-    }
-
-    #[test]
-    fn duplicate_options_are_hard_errors() {
-        // Last-wins duplicates hide typos ("--m 5 ... --m 7" runs with 7
-        // and no warning); both spellings of the option count.
-        let e = ParsedArgs::parse(["x", "--m", "5", "--m", "7"]).unwrap_err();
-        assert_eq!(e, ArgError::DuplicateOption("m".to_string()));
-        let e = ParsedArgs::parse(["x", "--m=5", "--m", "7"]).unwrap_err();
-        assert_eq!(e, ArgError::DuplicateOption("m".to_string()));
-        let e = ParsedArgs::parse(["x", "--verbose", "--verbose"]).unwrap_err();
-        assert_eq!(e, ArgError::DuplicateOption("verbose".to_string()));
-    }
-
-    #[test]
-    fn equals_form_does_not_eat_the_next_token() {
-        let a = ParsedArgs::parse(["x", "--m=7", "next"]).unwrap();
-        assert_eq!(a.get_or("m", 0usize).unwrap(), 7);
-        assert_eq!(a.positional, vec!["next"]);
     }
 }

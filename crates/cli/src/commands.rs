@@ -1,12 +1,13 @@
 //! Command handlers for the `escalate` CLI.
 
-use crate::args::{ArgError, ParsedArgs};
+use crate::args::{ArgError, Grammar, ParsedArgs};
 use escalate_bench::{input_seeds, run_model};
 use escalate_core::artifact::{read_artifacts, write_artifacts, LayerArtifact};
 use escalate_core::pipeline::{compress_model_artifacts, CompressionConfig};
 use escalate_core::ModelCompression;
 use escalate_models::ModelProfile;
 use escalate_sim::{ScheduleKind, SimConfig};
+use std::io::Write;
 
 /// CLI-level error: argument problems or pipeline failures.
 #[derive(Debug)]
@@ -18,9 +19,9 @@ pub enum CliError {
     UnknownModel(String),
     /// The compression/simulation pipeline failed.
     Pipeline(String),
-    /// `escalate report --check` found golden drift; the payload is the
-    /// already-rendered check report.
-    Drift(String),
+    /// `escalate report --check` found golden drift (the check report
+    /// has already been written to the output).
+    Drift,
 }
 
 impl std::fmt::Display for CliError {
@@ -29,7 +30,7 @@ impl std::fmt::Display for CliError {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::UnknownModel(m) => write!(f, "{m}"),
             CliError::Pipeline(e) => write!(f, "pipeline failure: {e}"),
-            CliError::Drift(report) => write!(f, "golden drift detected:\n{report}"),
+            CliError::Drift => write!(f, "golden drift detected (see the DRIFT lines above)"),
         }
     }
 }
@@ -39,6 +40,12 @@ impl std::error::Error for CliError {}
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Args(e)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Pipeline(format!("cannot write output: {e}"))
     }
 }
 
@@ -100,10 +107,12 @@ COMMANDS:
                        (the fixed-MAC-budget M sweep is `report fig12`)
     characterize <MODEL>           compute/traffic structure per layer
         --m <N>        basis kernels for the C/M bound (default 6)
-    report [NAME ...]              drive the experiment registry (tables,
-                                   figures, ablations)
+    report [NAME ...] [-- ARGS]    drive the experiment registry (tables,
+                                   figures, ablations); ARGS after `--`
+                                   go to the experiments verbatim
+                                   (e.g. report fig11 -- ResNet18)
         --list         enumerate the registered experiments
-        --all          every golden (deterministic) experiment
+        --all          every registered experiment
         --json         emit escalate-report/v1 JSON instead of text
         --check        diff against the results/ golden corpus
         --update       regenerate the results/ golden corpus
@@ -191,124 +200,168 @@ fn schedule_arg(args: &ParsedArgs) -> Result<ScheduleKind, CliError> {
     }
 }
 
-/// Dispatches a parsed command line; returns the text to print.
+/// One subcommand: its name, its option grammar and its handler.
+pub struct Command {
+    /// The name the command line uses.
+    pub name: &'static str,
+    /// How the tokens after the name parse.
+    pub grammar: Grammar,
+    run: fn(&ParsedArgs, &mut dyn Write) -> Result<(), CliError>,
+}
+
+const fn command(
+    name: &'static str,
+    values: &'static [&'static str],
+    flags: &'static [&'static str],
+    run: fn(&ParsedArgs, &mut dyn Write) -> Result<(), CliError>,
+) -> Command {
+    Command {
+        name,
+        grammar: Grammar::Options { values, flags },
+        run,
+    }
+}
+
+/// Every subcommand, in USAGE order: its valued options, then its flags.
+/// Each option's kind is declared here and nowhere else.
+pub const COMMANDS: &[Command] = &[
+    command("models", &[], &[], cmd_models),
+    command("network", &["out"], &[], cmd_network),
+    command(
+        "compress",
+        &["m", "qat", "seed", "out"],
+        &["layers"],
+        cmd_compress,
+    ),
+    command(
+        "simulate",
+        &["network", "schedule", "m", "seeds", "threads", "metrics"],
+        &[],
+        cmd_simulate,
+    ),
+    command(
+        "sweep",
+        &[
+            "schedule", "samples", "seed", "seeds", "m", "pe", "out", "sampler", "check", "update",
+            "metrics", "threads",
+        ],
+        &[],
+        cmd_sweep,
+    ),
+    command("characterize", &["m"], &[], cmd_characterize),
+    // `report` has its own grammar, shared with served report jobs.
+    Command {
+        name: "report",
+        grammar: Grammar::PassThrough,
+        run: cmd_report,
+    },
+    command(
+        "serve",
+        &["port", "workers", "queue", "cache", "port-file"],
+        &[],
+        cmd_serve,
+    ),
+    command(
+        "submit",
+        &["port", "port-file", "m", "seeds", "qat", "seed", "schedule"],
+        &["layers"],
+        cmd_submit,
+    ),
+    command(
+        "loadgen",
+        &["jobs", "seed", "workers", "queue"],
+        &[],
+        cmd_loadgen,
+    ),
+    command("inspect", &[], &[], cmd_inspect),
+    command("validate", &["layer"], &[], cmd_validate),
+    command("help", &[], &[], cmd_help),
+    command("--help", &[], &[], cmd_help),
+];
+
+/// Looks a subcommand up by name.
+pub fn find(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// Runs a parsed command line, writing its output to `out` as it is
+/// produced.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] with a user-facing message on any failure.
-pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "help" | "--help" => Ok(USAGE.to_string()),
-        "models" => cmd_models(args),
-        "network" => cmd_network(args),
-        "compress" => cmd_compress(args),
-        "simulate" => cmd_simulate(args),
-        "sweep" => cmd_sweep(args),
-        "characterize" => cmd_characterize(args),
-        "report" => cmd_report(args),
-        "inspect" => cmd_inspect(args),
-        "validate" => cmd_validate(args),
-        "serve" => cmd_serve(args),
-        "submit" => cmd_submit(args),
-        "loadgen" => cmd_loadgen(args),
-        other => Err(CliError::Args(ArgError::BadValue {
-            option: "COMMAND".into(),
-            value: other.into(),
-            expected: "one of models|compress|simulate|sweep|help",
-        })),
-    }
+pub fn dispatch(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    let command =
+        find(args.command).ok_or_else(|| ArgError::UnknownCommand(args.command.into()))?;
+    (command.run)(args, out)
 }
 
-fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["list", "all", "json", "check", "update", "out", "results"])?;
-    // Rebuild a runner argv so `escalate report` and the standalone
-    // `report` binary share one parser (and its validation). The generic
-    // CLI parser eats the token after a bare flag as its value
-    // (`report --check table4` parses as check="table4"), so a non-"true"
-    // value on a boolean flag is really the flag plus an experiment name.
-    let mut argv: Vec<String> = Vec::new();
-    for flag in ["list", "all", "json", "check", "update"] {
-        if let Some(v) = args.options.get(flag) {
-            argv.push(format!("--{flag}"));
-            if v != "true" {
-                argv.push(v.clone());
-            }
-        }
-    }
-    for key in ["out", "results"] {
-        if let Some(v) = args.options.get(key).filter(|v| *v != "true") {
-            argv.push(format!("--{key}"));
-            argv.push(v.clone());
-        }
-    }
-    argv.extend(args.positional.iter().cloned());
-    let opts = escalate_bench::experiments::ReportOptions::parse(argv).map_err(|msg| {
+fn cmd_help(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(out, "{USAGE}")?;
+    Ok(())
+}
+
+fn cmd_report(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    use escalate_bench::experiments::{run_report, ReportOptions};
+    let opts = ReportOptions::parse(args.positional.iter().cloned()).map_err(|msg| {
         CliError::Args(ArgError::BadValue {
             option: "report".into(),
             value: msg,
             expected: "a report invocation (see `escalate help`)",
         })
     })?;
-    let mut buf = Vec::new();
-    let clean = escalate_bench::experiments::run_report(&opts, &mut buf)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let text = String::from_utf8(buf)
-        .map_err(|e| CliError::Pipeline(format!("report produced non-UTF-8 output: {e}")))?;
-    if clean {
-        Ok(text)
+    if run_report(&opts, out).map_err(|e| CliError::Pipeline(e.to_string()))? {
+        Ok(())
     } else {
-        Err(CliError::Drift(text))
+        Err(CliError::Drift)
     }
 }
 
-fn cmd_models(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&[])?;
-    let mut out = format!(
-        "{:<12} {:<10} {:>8} {:>8} {:>9} {:>10}\n",
+fn cmd_models(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(
+        out,
+        "{:<12} {:<10} {:>8} {:>8} {:>9} {:>10}",
         "model", "dataset", "conv(MB)", "layers", "top-1(%)", "target spar"
-    );
+    )?;
     for p in ModelProfile::all() {
         let m = p.model();
-        out.push_str(&format!(
-            "{:<12} {:<10} {:>8.2} {:>8} {:>9.2} {:>9.1}%\n",
+        writeln!(
+            out,
+            "{:<12} {:<10} {:>8.2} {:>8} {:>9.2} {:>9.1}%",
             p.name,
             p.dataset.to_string(),
             m.conv_size_mb_fp32(),
             m.conv_layers().count(),
             p.baseline_top1,
             p.coeff_sparsity * 100.0,
-        ));
+        )?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// `escalate network SPEC [--out FILE]`: resolve any model spec and emit
 /// its canonical `escalate-network/v1` description — how a generated or
 /// zoo network becomes an editable `.network` file.
-fn cmd_network(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["out"])?;
+fn cmd_network(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let model = p.model();
     let text = model
         .to_description()
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
     match args.options.get("out") {
-        Some(path) if path != "true" => {
+        Some(path) => {
             std::fs::write(path, &text)
                 .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
-            Ok(format!(
-                "{}: {} layer(s) -> {path}\n",
+            writeln!(
+                out,
+                "{}: {} layer(s) -> {path}",
                 p.name,
                 model.layers().len()
-            ))
+            )?;
         }
-        Some(_) => Err(CliError::Args(ArgError::BadValue {
-            option: "out".into(),
-            value: "true".into(),
-            expected: "a file path (use ./true for a file literally named true)",
-        })),
-        None => Ok(text),
+        None => out.write_all(text.as_bytes())?,
     }
+    Ok(())
 }
 
 /// The `--m` flag error: a basis count outside `1..=MAX_M`.
@@ -330,8 +383,7 @@ fn m_arg(args: &ParsedArgs) -> Result<usize, CliError> {
     }
 }
 
-fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["m", "qat", "seed", "layers", "out"])?;
+fn cmd_compress(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let cfg = CompressionConfig {
         m: m_arg(args)?,
@@ -358,32 +410,20 @@ fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
         write_artifacts(std::io::BufWriter::new(file), &arts)
             .map_err(|e| CliError::Pipeline(e.to_string()))?;
     }
-    Ok(escalate_bench::render::render_compress(
-        &p.name,
-        p.baseline_top1,
-        cfg.m,
-        &result,
-        args.flag("layers"),
-    ))
+    let layers = args.flag("layers");
+    let text =
+        escalate_bench::render::render_compress(&p.name, p.baseline_top1, cfg.m, &result, layers);
+    out.write_all(text.as_bytes())?;
+    Ok(())
 }
 
-fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["m", "seeds", "threads", "metrics", "network", "schedule"])?;
+fn cmd_simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let schedule = schedule_arg(args)?;
     let m = m_arg(args)?;
     let seeds = args.get_or("seeds", input_seeds())?;
     let threads = args.get_or("threads", 0usize)?;
     let metrics_path = args.options.get("metrics").cloned();
-    // A bare `--metrics` parses as the flag sentinel "true"; refuse it
-    // rather than silently writing a manifest to a file named `true`.
-    if metrics_path.as_deref() == Some("true") {
-        return Err(CliError::Args(ArgError::BadValue {
-            option: "metrics".into(),
-            value: "true".into(),
-            expected: "a file path (use ./true for a file literally named true)",
-        }));
-    }
     let mut cfg = SimConfig::default()
         .with_m(m)
         .map_err(|_| bad_basis_count(m))?;
@@ -414,15 +454,12 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
         std::fs::write(path, json)
             .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
     }
-    Ok(escalate_bench::render::render_simulate(&run, &cfg))
+    out.write_all(escalate_bench::render::render_simulate(&run, &cfg).as_bytes())?;
+    Ok(())
 }
 
-fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
+fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     use escalate_bench::sweep::{parse_range, run_sweep, GoldenMode, Sampler, SweepOptions};
-    args.ensure_known(&[
-        "samples", "seed", "seeds", "m", "pe", "out", "threads", "sampler", "check", "update",
-        "metrics", "schedule",
-    ])?;
     let mut opts = SweepOptions::default();
     if !args.positional.is_empty() {
         opts.networks = args.positional.clone();
@@ -451,15 +488,6 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
         })?;
     }
     if let Some(path) = args.options.get("out") {
-        // A bare `--out` parses as the flag sentinel "true"; refuse it
-        // rather than silently streaming to a file named `true`.
-        if path == "true" {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: "out".into(),
-                value: "true".into(),
-                expected: "a file path (use ./true for a file literally named true)",
-            }));
-        }
         opts.out = std::path::PathBuf::from(path);
     }
     if let Some(v) = args.options.get("sampler") {
@@ -471,19 +499,11 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
             })
         })?;
     }
-    // `--check`/`--update` take the golden path as their value; the bare
-    // flag sentinel "true" is refused like `--out`'s.
+    // `--check`/`--update` take the golden path as their value.
     for (name, mode) in [("check", GoldenMode::Check), ("update", GoldenMode::Update)] {
         let Some(path) = args.options.get(name) else {
             continue;
         };
-        if path == "true" {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: name.into(),
-                value: "true".into(),
-                expected: "a frontier golden file path",
-            }));
-        }
         if opts.golden.is_some() {
             return Err(CliError::Args(ArgError::BadValue {
                 option: name.into(),
@@ -499,8 +519,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
         escalate_obs::install(std::sync::Arc::clone(&r));
         r
     });
-    let mut buf = Vec::new();
-    let run = run_sweep(&opts, &mut buf);
+    let run = run_sweep(&opts, out);
     if registry.is_some() {
         escalate_obs::uninstall();
     }
@@ -509,12 +528,10 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
         std::fs::write(path, reg.to_json())
             .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
     }
-    String::from_utf8(buf)
-        .map_err(|e| CliError::Pipeline(format!("sweep produced non-UTF-8 output: {e}")))
+    Ok(())
 }
 
-fn cmd_inspect(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&[])?;
+fn cmd_inspect(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args
         .positional
         .first()
@@ -527,42 +544,41 @@ fn cmd_inspect(args: &ParsedArgs) -> Result<String, CliError> {
         .map_err(|e| CliError::Pipeline(format!("cannot open {path}: {e}")))?;
     let arts = read_artifacts(std::io::BufReader::new(file))
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let mut out = format!("{path}: {} layers\n", arts.len());
-    out.push_str(&format!(
-        "{:<24} {:>10} {:>10} {:>8} {:>6}\n",
+    writeln!(out, "{path}: {} layers", arts.len())?;
+    writeln!(
+        out,
+        "{:<24} {:>10} {:>10} {:>8} {:>6}",
         "layer", "origbits", "compbits", "spar%", "M"
-    ));
+    )?;
     let mut orig = 0usize;
     let mut comp = 0usize;
     for a in &arts {
         orig += a.stats.original_bits;
         comp += a.stats.compressed_bits;
         let m = a.quantized.as_ref().map_or(0, |q| q.basis.shape()[0]);
-        out.push_str(&format!(
-            "{:<24} {:>10} {:>10} {:>7.1}% {:>6}\n",
+        writeln!(
+            out,
+            "{:<24} {:>10} {:>10} {:>7.1}% {:>6}",
             a.stats.name,
             a.stats.original_bits,
             a.stats.compressed_bits,
             a.stats.coeff_sparsity() * 100.0,
             m
-        ));
+        )?;
     }
-    out.push_str(
-        &match escalate_sim::checked_ratio(orig as u64, comp as u64) {
-            Some(r) => format!("\ntotal: {r:.2}x compression\n"),
-            None => "\ntotal: no compressed bits recorded\n".to_string(),
-        },
-    );
-    Ok(out)
+    match escalate_sim::checked_ratio(orig as u64, comp as u64) {
+        Some(r) => writeln!(out, "\ntotal: {r:.2}x compression")?,
+        None => writeln!(out, "\ntotal: no compressed bits recorded")?,
+    }
+    Ok(())
 }
 
-fn cmd_validate(args: &ParsedArgs) -> Result<String, CliError> {
+fn cmd_validate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     use escalate_core::pipeline::CompressionConfig;
     use escalate_sim::detailed::simulate_layer_detailed;
     use escalate_sim::trace::simulate_layer_traced;
     use escalate_sim::{simulate_layer, Workload, WorkloadMode};
 
-    args.ensure_known(&["layer"])?;
     let p = model_arg(args)?;
     let artifacts = compress_model_artifacts(&p, &CompressionConfig::default())
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
@@ -598,61 +614,56 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, CliError> {
         simulate_layer_traced(lw, &cfg, &ifm).map_err(|e| CliError::Pipeline(e.to_string()))?;
     let detailed =
         simulate_layer_detailed(lw, &cfg, &ifm).map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let mut out = format!("layer {} of {} ({}):\n\n", lw.name, p.name, lw.shape);
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>14}\n",
-        "mode", "cycles", "CA matches"
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>14}\n",
-        "sampling engine", engine.cycles, engine.ca_adds
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>14}\n",
-        "trace-driven", traced.cycles, traced.ca_adds
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>14}\n",
-        "detailed (stepped)", detailed.cycles, detailed.matched
-    ));
+    writeln!(out, "layer {} of {} ({}):\n", lw.name, p.name, lw.shape)?;
+    writeln!(out, "{:<22} {:>12} {:>14}", "mode", "cycles", "CA matches")?;
+    let rows = [
+        ("sampling engine", engine.cycles, engine.ca_adds),
+        ("trace-driven", traced.cycles, traced.ca_adds),
+        ("detailed (stepped)", detailed.cycles, detailed.matched),
+    ];
+    for (mode, cycles, matches) in rows {
+        writeln!(out, "{mode:<22} {cycles:>12} {matches:>14}")?;
+    }
     let vs_engine = |cycles: u64| {
         escalate_sim::checked_ratio(cycles, engine.cycles)
             .map_or_else(|| "n/a".to_string(), |r| format!("{r:.2}"))
     };
-    out.push_str(&format!(
-        "\ntrace/engine = {}, detailed/engine = {}\n",
+    writeln!(
+        out,
+        "\ntrace/engine = {}, detailed/engine = {}",
         vs_engine(traced.cycles),
         vs_engine(detailed.cycles),
-    ));
-    Ok(out)
+    )?;
+    Ok(())
 }
 
-fn cmd_characterize(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["m"])?;
+fn cmd_characterize(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let m = args.get_or("m", 6usize)?;
     let ch = escalate_models::analysis::ModelCharacter::of(&p, m);
-    let mut out = format!(
-        "{:<24} {:>12} {:>10} {:>10} {:>9} {:>9}\n",
+    writeln!(
+        out,
+        "{:<24} {:>12} {:>10} {:>10} {:>9} {:>9}",
         "layer", "MACs", "bytes", "intensity", "C/M", "positions"
-    );
+    )?;
     for l in &ch.layers {
-        out.push_str(&format!(
-            "{:<24} {:>12} {:>10} {:>10.1} {:>9.1} {:>9}\n",
+        writeln!(
+            out,
+            "{:<24} {:>12} {:>10} {:>10.1} {:>9.1} {:>9}",
             l.name, l.macs, l.bytes, l.intensity, l.cm_bound, l.positions
-        ));
+        )?;
     }
-    out.push_str(&format!(
-        "\nmodel: intensity {:.1} MAC/B, mean C/M bound {:.1}x, DSC MAC share {:.1}%\n",
+    writeln!(
+        out,
+        "\nmodel: intensity {:.1} MAC/B, mean C/M bound {:.1}x, DSC MAC share {:.1}%",
         ch.mean_intensity(),
         ch.mean_cm_bound(),
         ch.dsc_mac_fraction() * 100.0
-    ));
-    Ok(out)
+    )?;
+    Ok(())
 }
 
-fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["port", "workers", "queue", "cache", "port-file"])?;
+fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = escalate_serve::ServeOptions {
         port: args.get_or("port", 0u16)?,
         workers: args.get_or("workers", 2usize)?,
@@ -667,10 +678,12 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let port = handle.port();
     eprintln!("escalate serve: listening on 127.0.0.1:{port} (send a shutdown request to stop)");
     let summary = handle.join().map_err(CliError::Pipeline)?;
-    Ok(format!(
-        "escalate serve: drained — {} jobs done, {} failed\n",
+    writeln!(
+        out,
+        "escalate serve: drained — {} jobs done, {} failed",
         summary.jobs_done, summary.jobs_failed
-    ))
+    )?;
+    Ok(())
 }
 
 /// Resolves the daemon port for `submit`: `--port`, or `--port-file`
@@ -697,17 +710,7 @@ fn submit_port(args: &ParsedArgs) -> Result<u16, CliError> {
     })
 }
 
-fn cmd_submit(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&[
-        "port",
-        "port-file",
-        "m",
-        "seeds",
-        "qat",
-        "seed",
-        "layers",
-        "schedule",
-    ])?;
+fn cmd_submit(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let verb = args
         .positional
         .first()
@@ -759,13 +762,13 @@ fn cmd_submit(args: &ParsedArgs) -> Result<String, CliError> {
     let port = submit_port(args)?;
     let frames = escalate_serve::submit(port, &req)
         .map_err(|e| CliError::Pipeline(format!("cannot reach 127.0.0.1:{port}: {e}")))?;
-    let mut out = frames.join("\n");
-    out.push('\n');
-    Ok(out)
+    for frame in frames {
+        writeln!(out, "{frame}")?;
+    }
+    Ok(())
 }
 
-fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["jobs", "seed", "workers", "queue"])?;
+fn cmd_loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = escalate_serve::LoadgenOptions {
         jobs: args.get_or("jobs", 24usize)?,
         seed: args.get_or("seed", 42u64)?,
@@ -773,9 +776,10 @@ fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
         queue: args.get_or("queue", 4usize)?,
     };
     let r = escalate_serve::run_loadgen(&opts).map_err(CliError::Pipeline)?;
-    Ok(format!(
+    writeln!(
+        out,
         "loadgen: {} jobs ({} done, {} failed, {} backpressure retries) in {:.0} ms\n\
-         latency p50 {:.1} ms, p99 {:.1} ms; {:.2} jobs/s ({} workers, queue {})\n",
+         latency p50 {:.1} ms, p99 {:.1} ms; {:.2} jobs/s ({} workers, queue {})",
         r.jobs,
         r.done,
         r.failed,
@@ -786,15 +790,19 @@ fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
         r.jobs_per_sec,
         r.workers,
         r.queue
-    ))
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses and runs one command line; the output, or the first error.
     fn run(line: &[&str]) -> Result<String, CliError> {
-        dispatch(&ParsedArgs::parse(line.iter().copied()).unwrap())
+        let mut out = Vec::new();
+        dispatch(&ParsedArgs::parse(line.iter().copied())?, &mut out)?;
+        Ok(String::from_utf8(out).expect("UTF-8 output"))
     }
 
     #[test]
@@ -887,15 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_rejects_bare_metrics_flag() {
-        let err = run(&["simulate", "MobileNet", "--seeds", "1", "--metrics"]).unwrap_err();
-        assert!(
-            err.to_string().contains("metrics"),
-            "expected a --metrics error, got: {err}"
-        );
-    }
-
-    #[test]
     fn validate_compares_fidelities() {
         let out = run(&["validate", "MobileNet"]).unwrap();
         assert!(out.contains("sampling engine"), "{out}");
@@ -919,13 +918,15 @@ mod tests {
 
     #[test]
     fn report_flag_before_name_keeps_the_name() {
-        // The generic parser turns `--check table4` into check="table4";
-        // cmd_report must restore both the flag and the experiment name.
-        let e = run(&["report", "--check", "table4", "--results", "/nonexistent"]).unwrap_err();
-        let msg = e.to_string();
-        assert!(msg.contains("golden drift"), "{msg}");
-        assert!(msg.contains("DRIFT table4"), "{msg}");
-        assert!(msg.contains("1 experiment(s) checked"), "{msg}");
+        // `--check table4` is the flag plus an experiment name, not a
+        // flag holding a value: the report grammar reads its own tokens.
+        let line = ["report", "--check", "table4", "--results", "/nonexistent"];
+        let mut out = Vec::new();
+        let e = dispatch(&ParsedArgs::parse(line).unwrap(), &mut out).unwrap_err();
+        assert!(e.to_string().contains("golden drift"), "{e}");
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("DRIFT table4"), "{text}");
+        assert!(text.contains("1 experiment(s) checked"), "{text}");
     }
 
     #[test]

@@ -9,8 +9,7 @@ mod manifest;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::ParsedArgs::parse(raw) {
+    let parsed = match args::ParsedArgs::parse(std::env::args().skip(1)) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -19,11 +18,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match commands::dispatch(&parsed) {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
+    match commands::dispatch(&parsed, &mut std::io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -83,3 +83,54 @@ fn out_of_range_m_fails_cleanly() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
+
+#[test]
+fn dash_dash_help_prints_usage() {
+    let (ok, stdout, stderr) = run(&["--help"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("USAGE"), "{stdout}");
+}
+
+#[test]
+fn report_forwards_the_tokens_after_dash_dash_to_the_experiment() {
+    let (ok, stdout, stderr) = run(&["report", "fig11", "--", "ResNet18"]);
+    assert!(ok, "{stderr}");
+    let opts = escalate_bench::experiments::ReportOptions {
+        names: vec!["fig11".into()],
+        args: vec!["ResNet18".into()],
+        ..Default::default()
+    };
+    let mut direct = Vec::new();
+    assert!(escalate_bench::experiments::run_report(&opts, &mut direct).expect("fig11 runs"));
+    assert_eq!(stdout, String::from_utf8(direct).expect("UTF-8"));
+}
+
+#[test]
+fn a_flag_before_the_model_does_not_take_it_as_a_value() {
+    let (ok, stdout, stderr) = run(&["compress", "--layers", "MobileNet"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("dw1+pw1"),
+        "per-layer detail expected:\n{stdout}"
+    );
+}
+
+#[test]
+fn submit_with_a_flag_before_the_model_gets_past_argument_parsing() {
+    // Nothing listens on port 1, so the only possible failure left once
+    // the line parses is the connection.
+    let (ok, _, stderr) = run(&["submit", "compress", "--layers", "MobileNet", "--port", "1"]);
+    assert!(!ok);
+    assert!(stderr.contains("cannot reach 127.0.0.1:1"), "{stderr}");
+    assert!(!stderr.contains("ARG"), "{stderr}");
+}
+
+#[test]
+fn a_valued_option_without_its_value_is_a_typed_error() {
+    let (ok, _, stderr) = run(&["simulate", "MobileNet", "--metrics"]);
+    assert!(!ok);
+    assert!(
+        stderr.starts_with("error: --metrics requires a value"),
+        "{stderr}"
+    );
+}

@@ -27,7 +27,7 @@ use escalate_core::par::{strict_positive_env, THREADS_ENV};
 use escalate_obs::Registry;
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -83,13 +83,29 @@ fn audit_env() -> Result<(), String> {
     Ok(())
 }
 
-/// One client waiting on a queued job: its own job id plus the
-/// submitting connection. The mutex serializes frame writes with the
+/// One client connection, shared by its connection thread and every
+/// job it submitted. The mutex serializes frame writes with the
 /// connection thread (the `accepted` frame is written under this lock
 /// *before* the job becomes poppable, so no unit frame can precede it).
+struct Conn {
+    stream: Mutex<TcpStream>,
+    /// Set by the connection thread once the client hung up: no job
+    /// writes to it again.
+    hung_up: AtomicBool,
+}
+
+/// One client waiting on a queued job: its own job id plus the
+/// submitting connection.
 struct Client {
     id: u64,
-    stream: Arc<Mutex<TcpStream>>,
+    conn: Arc<Conn>,
+}
+
+impl Client {
+    /// Whether the client is still connected.
+    fn live(&self) -> bool {
+        !self.conn.hung_up.load(Ordering::SeqCst)
+    }
 }
 
 /// One accepted job waiting for (or on) a worker. Identical submissions
@@ -183,50 +199,37 @@ impl JobQueue {
 }
 
 /// Streams one `unit` frame per record down every waiting connection,
-/// each under that client's own job id. A client whose write fails
-/// (client gone) is dropped from the fan-out and counted as failed; only
+/// each under that client's own job id. A client that hung up, or whose
+/// write fails, is dropped from the fan-out and counted as failed; only
 /// once *every* client is gone does the failure surface as
 /// [`ExpError::Io`], aborting the job early in `plan::execute` (no
 /// unclaimed unit starts) — the daemon itself survives either way.
 struct SocketSink {
     clients: Vec<Client>,
-    /// Parallel to `clients`: set once a write to that client failed.
-    dead: Vec<bool>,
     units: u64,
 }
 
 impl SocketSink {
-    fn new(clients: Vec<Client>) -> SocketSink {
-        let dead = vec![false; clients.len()];
-        SocketSink {
-            clients,
-            dead,
-            units: 0,
-        }
-    }
-
-    /// Writes one frame to every live client, rendered per client id.
-    /// `Err` only when no live client remains.
+    /// Writes one frame to every live client, rendered per client id; a
+    /// failed write marks that client's connection hung up. `Err` only
+    /// when no live client remains.
     fn broadcast(&mut self, render: impl Fn(&Client) -> String) -> Result<(), ExpError> {
-        let mut last_err = None;
-        for (client, dead) in self.clients.iter().zip(self.dead.iter_mut()) {
-            if *dead {
-                continue;
-            }
-            let mut s = lock_recover(&client.stream);
+        let mut last_err = std::io::ErrorKind::ConnectionAborted.into();
+        for client in self.clients.iter().filter(|c| c.live()) {
+            let mut s = lock_recover(&client.conn.stream);
             if let Err(e) = write_frame(&mut *s, &render(client)) {
-                *dead = true;
-                last_err = Some(e);
+                client.conn.hung_up.store(true, Ordering::SeqCst);
+                last_err = e;
             }
         }
-        match last_err {
-            Some(e) if self.dead.iter().all(|d| *d) => Err(ExpError::Io(e)),
+        match self.live_count() {
+            0 => Err(ExpError::Io(last_err)),
             _ => Ok(()),
         }
     }
 
     fn live_count(&self) -> u64 {
-        self.dead.iter().filter(|d| !**d).count() as u64
+        self.clients.iter().filter(|c| c.live()).count() as u64
     }
 }
 
@@ -249,7 +252,7 @@ struct Shared {
     jobs_failed: AtomicU64,
     /// The connection that requested shutdown; it gets the final
     /// `shutdown` frame after the queue drains.
-    shutdown_stream: Mutex<Option<Arc<Mutex<TcpStream>>>>,
+    shutdown_conn: Mutex<Option<Arc<Conn>>>,
     port: u16,
 }
 
@@ -333,7 +336,7 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
         next_job: AtomicU64::new(1),
         jobs_done: AtomicU64::new(0),
         jobs_failed: AtomicU64::new(0),
-        shutdown_stream: Mutex::new(None),
+        shutdown_conn: Mutex::new(None),
         port,
     });
 
@@ -375,8 +378,8 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
         jobs_done: shared.jobs_done.load(Ordering::SeqCst),
         jobs_failed: shared.jobs_failed.load(Ordering::SeqCst),
     };
-    if let Some(stream) = lock_recover(&shared.shutdown_stream).take() {
-        let mut s = lock_recover(&stream);
+    if let Some(conn) = lock_recover(&shared.shutdown_conn).take() {
+        let mut s = lock_recover(&conn.stream);
         let _ = write_frame(&mut *s, &frame_shutdown(summary.jobs_done));
     }
 
@@ -390,7 +393,10 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
     Ok(summary)
 }
 
-/// Reads frames off one connection until EOF (or shutdown).
+/// Reads frames off one connection until EOF (or shutdown). EOF, a reset
+/// or a failed reply is the client hanging up: it is recorded on the
+/// connection, so its queued and running jobs stop writing to it, and
+/// the socket is shut down.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     // Bound how long an idle connection can pin its thread once a drain
     // starts; sub-second so shutdown isn't held hostage by idle clients.
@@ -399,74 +405,81 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let stream = Arc::new(Mutex::new(stream));
+    let conn = Arc::new(Conn {
+        stream: Mutex::new(stream),
+        hung_up: AtomicBool::new(false),
+    });
 
-    loop {
+    let hung_up = loop {
         let frame = match read_frame(&mut reader) {
-            Ok(None) => break,
+            Ok(None) => break true,
             Ok(Some(f)) => f,
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Oversized line: the stream is desynchronized; report
                 // and drop the connection.
-                let mut s = lock_recover(&stream);
+                let mut s = lock_recover(&conn.stream);
                 let _ = write_frame(&mut *s, &frame_error(None, &e.to_string()));
-                break;
+                break false;
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
+                    break false;
                 }
                 continue;
             }
-            Err(_) => break,
+            Err(_) => break true,
         };
         escalate_obs::counter_add("serve.frames", 1);
         let req = match parse_request(&frame) {
             Ok(req) => req,
             Err(msg) => {
                 escalate_obs::counter_add("serve.bad_requests", 1);
-                let mut s = lock_recover(&stream);
+                let mut s = lock_recover(&conn.stream);
                 if write_frame(&mut *s, &frame_error(None, &msg)).is_err() {
-                    break;
+                    break true;
                 }
                 continue;
             }
         };
         match req {
             Request::Ping => {
-                let mut s = lock_recover(&stream);
+                let mut s = lock_recover(&conn.stream);
                 if write_frame(&mut *s, &frame_pong()).is_err() {
-                    break;
+                    break true;
                 }
             }
             Request::Metrics => {
                 let json = shared.registry.to_json();
-                let mut s = lock_recover(&stream);
+                let mut s = lock_recover(&conn.stream);
                 if write_frame(&mut *s, &frame_metrics(&json)).is_err() {
-                    break;
+                    break true;
                 }
             }
             Request::Shutdown => {
-                *lock_recover(&shared.shutdown_stream) = Some(Arc::clone(&stream));
+                *lock_recover(&shared.shutdown_conn) = Some(Arc::clone(&conn));
                 shared.shutting_down.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it notices the flag.
                 let _ = TcpStream::connect(("127.0.0.1", shared.port));
-                break;
+                break false;
             }
-            req => submit_job(&req, &stream, shared),
+            req => submit_job(&req, &conn, shared),
         }
+    };
+    if hung_up {
+        conn.hung_up.store(true, Ordering::SeqCst);
+        let _ = reader.get_ref().shutdown(Shutdown::Both);
     }
 }
 
 /// Compiles and enqueues one job verb, answering `accepted`, `rejected`,
 /// or `error` on the submitting connection.
-fn submit_job(req: &Request, stream: &Arc<Mutex<TcpStream>>, shared: &Shared) {
+fn submit_job(req: &Request, conn: &Arc<Conn>, shared: &Shared) {
     debug_assert!(req.is_job());
     if shared.shutting_down.load(Ordering::SeqCst) {
-        let mut s = lock_recover(stream);
+        let mut s = lock_recover(&conn.stream);
         let _ = write_frame(&mut *s, &frame_rejected("shutting down", RETRY_AFTER_MS));
         return;
     }
@@ -474,7 +487,7 @@ fn submit_job(req: &Request, stream: &Arc<Mutex<TcpStream>>, shared: &Shared) {
         Ok(job) => job,
         Err(msg) => {
             escalate_obs::counter_add("serve.bad_requests", 1);
-            let mut s = lock_recover(stream);
+            let mut s = lock_recover(&conn.stream);
             let _ = write_frame(&mut *s, &frame_error(None, &msg));
             return;
         }
@@ -486,7 +499,7 @@ fn submit_job(req: &Request, stream: &Arc<Mutex<TcpStream>>, shared: &Shared) {
         key,
         clients: vec![Client {
             id,
-            stream: Arc::clone(stream),
+            conn: Arc::clone(conn),
         }],
     };
     // Hold the stream lock across enqueue + accepted-frame write: the
@@ -494,7 +507,7 @@ fn submit_job(req: &Request, stream: &Arc<Mutex<TcpStream>>, shared: &Shared) {
     // reaches the wire first even though the job is already visible
     // (coalesced submissions included — a worker popping the shared
     // entry blocks on this lock before it can fan a frame here).
-    let mut s = lock_recover(stream);
+    let mut s = lock_recover(&conn.stream);
     match shared.queue.try_push(queued) {
         Push::Queued(depth) => {
             escalate_obs::counter_add("serve.jobs_accepted", 1);
@@ -520,7 +533,10 @@ fn worker_loop(shared: &Shared) {
         let submissions = queued.clients.len() as u64;
         escalate_obs::counter_add("serve.jobs_executed", 1);
         let started = Instant::now();
-        let mut sink = SocketSink::new(queued.clients);
+        let mut sink = SocketSink {
+            clients: queued.clients,
+            units: 0,
+        };
         let result = {
             let _span = escalate_obs::span_labeled("serve.job", verb);
             queued.job.run(&mut sink)
@@ -561,12 +577,19 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
 
-    fn test_stream() -> Arc<Mutex<TcpStream>> {
+    fn test_conn() -> Arc<Conn> {
         // A connected pair via a throwaway listener.
         let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let c = TcpStream::connect(l.local_addr().unwrap()).unwrap();
         let _ = l.accept().unwrap();
-        Arc::new(Mutex::new(c))
+        conn(c)
+    }
+
+    fn conn(stream: TcpStream) -> Arc<Conn> {
+        Arc::new(Conn {
+            stream: Mutex::new(stream),
+            hung_up: AtomicBool::new(false),
+        })
     }
 
     fn test_job(id: u64, experiment: &str) -> QueuedJob {
@@ -579,7 +602,7 @@ mod tests {
             job,
             clients: vec![Client {
                 id,
-                stream: test_stream(),
+                conn: test_conn(),
             }],
         }
     }
@@ -623,6 +646,47 @@ mod tests {
         // The entry is sealed: the next identical submission starts a
         // fresh one rather than racing the in-flight stream.
         assert!(matches!(q.try_push(test_job(3, "table4")), Push::Queued(1)));
+    }
+
+    #[test]
+    fn a_hung_up_client_is_dead_before_the_next_write_and_the_done_count() {
+        // The live client's peer stays open, so writes to it succeed.
+        let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let live = conn(TcpStream::connect(l.local_addr().unwrap()).unwrap());
+        let _peer = l.accept().unwrap();
+        let gone = test_conn();
+        gone.hung_up.store(true, Ordering::SeqCst);
+        let mut sink = SocketSink {
+            units: 0,
+            clients: vec![
+                Client {
+                    id: 1,
+                    conn: Arc::clone(&live),
+                },
+                Client {
+                    id: 2,
+                    conn: Arc::clone(&gone),
+                },
+            ],
+        };
+        assert_eq!(sink.live_count(), 1, "counted out before any write");
+        let rendered = std::cell::RefCell::new(Vec::new());
+        sink.broadcast(|c| {
+            rendered.borrow_mut().push(c.id);
+            frame_pong()
+        })
+        .expect("one client still listens");
+        assert_eq!(
+            *rendered.borrow(),
+            [1],
+            "nothing is written to the hung-up one"
+        );
+        live.hung_up.store(true, Ordering::SeqCst);
+        assert_eq!(sink.live_count(), 0);
+        assert!(
+            matches!(sink.broadcast(|_| frame_pong()), Err(ExpError::Io(_))),
+            "with every client gone the job aborts"
+        );
     }
 
     #[test]

@@ -178,8 +178,30 @@ fn oversized_requests_are_rejected_without_buffering_them() {
 #[test]
 fn a_mid_stream_disconnect_aborts_the_job_but_not_the_daemon() {
     let _guard = lock();
-    let handle = start(ServeOptions::default()).expect("start");
+    let handle = start(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    })
+    .expect("start");
     let port = handle.port();
+
+    // Occupy the single worker with a cold compression (a config no
+    // other test warms; about a second) whose end the test waits for,
+    // so the job below provably waits in the queue while its client
+    // hangs up, however fast that job itself would run.
+    let mut occupier = Raw::connect(port);
+    occupier.send(
+        &Request::Compress {
+            model: "ResNet18".into(),
+            m: 4,
+            qat: 0,
+            seed: 42,
+            layers: false,
+        }
+        .to_line(),
+    );
+    assert_eq!(frame_type(&occupier.recv().expect("reply")), "accepted");
+    assert!(wait_for_counter(port, "serve.jobs_executed", 1) >= 1);
 
     let mut conn = Raw::connect(port);
     conn.send(
@@ -193,17 +215,32 @@ fn a_mid_stream_disconnect_aborts_the_job_but_not_the_daemon() {
     );
     let accepted = conn.recv().expect("accepted");
     assert_eq!(frame_type(&accepted), "accepted", "{accepted}");
-    let unit = conn.recv().expect("first unit");
-    assert_eq!(frame_type(&unit), "unit", "{unit}");
-    // Hang up with three units still to stream.
+    // Hang up before any of its four units streams. The daemon records
+    // the hang-up and closes its side, so EOF here means the worker will
+    // see it before the job's first write.
+    conn.stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("hang up");
+    assert!(
+        matches!(read_frame(&mut conn.reader), Ok(None) | Err(_)),
+        "the daemon closes a connection that hung up"
+    );
     drop(conn);
 
-    // The worker hits the broken pipe, fails the job, and moves on.
+    // Let the occupier finish; the worker then finds its next job's only
+    // client gone, fails that job, and moves on.
+    let done = loop {
+        let frame = occupier.recv().expect("occupier stream");
+        if frame_type(&frame) != "unit" {
+            break frame;
+        }
+    };
+    assert_eq!(frame_type(&done), "done", "{done}");
     assert!(wait_for_counter(port, "serve.jobs_failed", 1) >= 1);
     let frames = submit(port, &Request::Ping).expect("daemon survives");
     assert_eq!(frame_type(frames.last().unwrap()), "pong");
 
-    shutdown(port);
+    assert_eq!(shutdown(port), 1, "only the occupier completed");
     handle.join().expect("clean exit");
 }
 

@@ -35,11 +35,14 @@ cargo bench --offline -p escalate-bench --bench position_kernel -- --test
 cargo bench --offline -p escalate-bench --bench components -- --test
 cargo bench --offline -p escalate-bench --bench kernels -- --test
 cargo bench --offline -p escalate-bench --bench simulator -- --test
-# Golden-diff regression check over the full corpus: all 19 golden
-# experiments must stay byte-identical to the committed results/ files
-# (~45 s in release on a 2-core host; the per-experiment dev-profile
-# round-trips live in crates/bench/tests/report.rs).
-./target/release/report --all --check
+# Golden-diff regression check over the full corpus: all 20 experiments
+# must stay byte-identical to the committed results/ files (~20 s in
+# release on a 2-core host; the per-experiment dev-profile round-trips
+# live in crates/bench/tests/report.rs).
+./target/release/escalate report --all --check
+# Forwarded-args smoke: tokens after `--` reach the experiment unchanged.
+FIG11="$(./target/release/escalate report fig11 -- ResNet18)"
+grep -q '^Figure 11: layer-wise speedup over Eyeriss, ResNet18' <<< "$FIG11"
 # Resumable design-space sweep smoke on the frontier-golden grid: run
 # the 64-point cold grid (the exact grid committed as
 # results/sweep_frontier.txt, so frontier drift fails here), "interrupt"
