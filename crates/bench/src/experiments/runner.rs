@@ -22,12 +22,15 @@
 //! failure in request order is the one reported.
 //!
 //! `--check`/`--update` operate on the golden corpus under `results/`
-//! (override with `--results DIR` or `ESCALATE_RESULTS_DIR`); every
-//! experiment is deterministic, so every one has a golden file. Flags
-//! accept both `--key value` and `--key=value`. Arguments after `--` are
-//! forwarded to the experiments verbatim (e.g. `report fig11 -- MobileNet`).
+//! (override with `--results DIR`); every experiment is deterministic, so
+//! every one has a golden file. Options are read by the shared option
+//! reader ([`crate::args`]), as every `escalate` command's are, so valued
+//! options accept both `--key value` and `--key=value`. Arguments after
+//! `--` are forwarded to the experiments verbatim (e.g.
+//! `report fig11 -- MobileNet`).
 
 use super::{find, registry, ExpContext, ExpError, Experiment};
+use crate::args::Options;
 use crate::plan::{self, RunPlan, UnitOutput, UnitSink, WorkUnit};
 use std::io::Write;
 use std::path::PathBuf;
@@ -47,8 +50,8 @@ pub struct ReportOptions {
     pub update: bool,
     /// Write one file per experiment into this directory instead of stdout.
     pub out_dir: Option<PathBuf>,
-    /// Golden corpus directory (default: `results/` next to the workspace
-    /// root, or `ESCALATE_RESULTS_DIR`).
+    /// Golden corpus directory (default: `results/` at the workspace
+    /// root).
     pub results_dir: Option<PathBuf>,
     /// Explicitly named experiments, in request order.
     pub names: Vec<String>,
@@ -57,60 +60,40 @@ pub struct ReportOptions {
 }
 
 impl ReportOptions {
-    /// Parses runner arguments (without the program name). Valued flags
-    /// accept both `--out DIR` and `--out=DIR`.
+    /// Parses runner arguments (without the program name). Tokens after
+    /// the first `--` are forwarded to the experiments; the shared option
+    /// reader ([`crate::args`]) reads the rest, so valued options accept
+    /// both `--out DIR` and `--out=DIR`.
     ///
     /// # Errors
     ///
-    /// Returns a usage message for unknown flags, missing flag values,
-    /// values on boolean flags, or contradictory modes
-    /// (`--check --update`).
+    /// Returns a usage message for an option the reader rejects
+    /// (unknown, missing or empty value, repeated, or a value on a flag),
+    /// for contradictory modes (`--check --update`), or for an empty
+    /// invocation.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, String> {
-        let mut opts = ReportOptions::default();
-        let mut it = argv.into_iter();
-        while let Some(arg) = it.next() {
-            // `--key=value` unfolds to the flag plus an inline value.
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
-                _ => (arg, None),
-            };
-            let bool_flag = |dst: &mut bool| {
-                if inline.is_some() {
-                    return Err(format!("{flag} takes no value"));
-                }
-                *dst = true;
-                Ok(())
-            };
-            match flag.as_str() {
-                "--list" => bool_flag(&mut opts.list)?,
-                "--all" => bool_flag(&mut opts.all)?,
-                "--json" => bool_flag(&mut opts.json)?,
-                "--check" => bool_flag(&mut opts.check)?,
-                "--update" => bool_flag(&mut opts.update)?,
-                "--out" => {
-                    let dir = match inline {
-                        Some(v) => v,
-                        None => it.next().ok_or("--out requires a directory")?,
-                    };
-                    opts.out_dir = Some(PathBuf::from(dir));
-                }
-                "--results" => {
-                    let dir = match inline {
-                        Some(v) => v,
-                        None => it.next().ok_or("--results requires a directory")?,
-                    };
-                    opts.results_dir = Some(PathBuf::from(dir));
-                }
-                "--" => {
-                    opts.args.extend(it);
-                    break;
-                }
-                f if f.starts_with('-') => {
-                    return Err(format!("unknown flag {f:?} (see report --list)"));
-                }
-                name => opts.names.push(name.to_string()),
-            }
-        }
+        let mut head: Vec<String> = argv.into_iter().collect();
+        let args = match head.iter().position(|t| t == "--") {
+            Some(i) => head.drain(i..).skip(1).collect(),
+            None => Vec::new(),
+        };
+        let o = Options::parse(
+            head,
+            &["out", "results"],
+            &["list", "all", "json", "check", "update"],
+        )
+        .map_err(|e| e.to_string())?;
+        let opts = ReportOptions {
+            list: o.flag("list"),
+            all: o.flag("all"),
+            json: o.flag("json"),
+            check: o.flag("check"),
+            update: o.flag("update"),
+            out_dir: o.options.get("out").map(PathBuf::from),
+            results_dir: o.options.get("results").map(PathBuf::from),
+            names: o.positional,
+            args,
+        };
         if opts.check && opts.update {
             return Err("--check and --update are mutually exclusive".into());
         }
@@ -120,18 +103,12 @@ impl ReportOptions {
         Ok(opts)
     }
 
-    /// The golden corpus directory: `--results`, else
-    /// `ESCALATE_RESULTS_DIR`, else `results/` at the workspace root.
+    /// The golden corpus directory: `--results`, else `results/` at the
+    /// workspace root.
     pub fn resolve_results_dir(&self) -> PathBuf {
-        if let Some(dir) = &self.results_dir {
-            return dir.clone();
-        }
-        if let Ok(dir) = std::env::var("ESCALATE_RESULTS_DIR") {
-            if !dir.is_empty() {
-                return PathBuf::from(dir);
-            }
-        }
-        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
+        self.results_dir
+            .clone()
+            .unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")))
     }
 }
 
@@ -423,7 +400,7 @@ mod tests {
         assert_eq!(o.names, ["fig8"]);
         // Boolean flags reject inline values instead of swallowing them.
         let e = ReportOptions::parse(["--check=yes".to_string()]).unwrap_err();
-        assert!(e.contains("takes no value"), "{e}");
+        assert!(e.contains("no value (it is a flag)"), "{e}");
         // A directory value containing '=' survives (only the first '='
         // splits).
         let o = ReportOptions::parse(["--out=/tmp/a=b", "fig8"].map(String::from)).expect("valid");

@@ -14,8 +14,10 @@
 //! machinery (work-unit enumeration, deterministic parallel execution,
 //! output sinks with JSONL resume), and [`experiments`]/[`sweep`] are its
 //! two consumers — the paper's experiment registry and the design-space
-//! sweep behind `escalate sweep`.
+//! sweep behind `escalate sweep`. [`args`] is the option reader every
+//! command line shares, `report`'s included.
 
+pub mod args;
 pub mod experiments;
 pub mod plan;
 pub mod render;
@@ -163,20 +165,25 @@ pub const DEFAULT_CACHE_CAP: usize = 32;
 
 type ArtifactCache = SingleFlightCache<CacheKey, Arc<Vec<CompressedLayer>>>;
 
-fn artifact_cache() -> &'static ArtifactCache {
-    static CACHE: OnceLock<ArtifactCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let cap = escalate_core::par::positive_env(CACHE_CAP_ENV)
-            .map_or(DEFAULT_CACHE_CAP, |v| v as usize);
-        SingleFlightCache::new(cap)
-    })
+/// A per-`(model, config)` cache bounded by [`CACHE_CAP_ENV`].
+fn keyed_cache<V: Clone>() -> SingleFlightCache<CacheKey, V> {
+    let cap =
+        escalate_core::par::positive_env(CACHE_CAP_ENV).map_or(DEFAULT_CACHE_CAP, |v| v as usize);
+    SingleFlightCache::new(cap)
 }
 
-/// Re-bounds the process-wide artifact cache (`0` = unbounded), evicting
-/// down to the new capacity immediately; evictions are counted on the
-/// installed metrics recorder (`bench.cache_evictions`). Returns the
-/// number of entries evicted. The daemon's `--cache` flag lands here.
+fn artifact_cache() -> &'static ArtifactCache {
+    static CACHE: OnceLock<ArtifactCache> = OnceLock::new();
+    CACHE.get_or_init(keyed_cache)
+}
+
+/// Re-bounds the process-wide artifact and workload caches (`0` =
+/// unbounded), evicting down to the new capacity immediately. Artifact
+/// evictions are counted on the installed metrics recorder
+/// (`bench.cache_evictions`) and returned. The daemon's `--cache` flag
+/// lands here.
 pub fn set_artifact_cache_capacity(capacity: usize) -> u64 {
+    workload_cache().set_capacity(capacity);
     let evicted = artifact_cache().set_capacity(capacity);
     if evicted > 0 {
         escalate_obs::counter_add("bench.cache_evictions", evicted);
@@ -359,11 +366,7 @@ type WorkloadCache = SingleFlightCache<CacheKey, Arc<Workload>>;
 
 fn workload_cache() -> &'static WorkloadCache {
     static CACHE: OnceLock<WorkloadCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let cap = escalate_core::par::positive_env(CACHE_CAP_ENV)
-            .map_or(DEFAULT_CACHE_CAP, |v| v as usize);
-        SingleFlightCache::new(cap)
-    })
+    CACHE.get_or_init(keyed_cache)
 }
 
 /// Builds the ESCALATE [`Workload`] for `(model, compression config)` at
@@ -374,7 +377,8 @@ fn workload_cache() -> &'static WorkloadCache {
 /// simulate job, simulates the very same workload, so rebuilding it is
 /// pure overhead. Hits and misses count as `bench.workload_hits` /
 /// `bench.workload_misses`; the cache shares the artifact cache's
-/// capacity policy ([`CACHE_CAP_ENV`]).
+/// capacity ([`CACHE_CAP_ENV`], re-bounded with it by
+/// [`set_artifact_cache_capacity`]).
 ///
 /// # Errors
 ///

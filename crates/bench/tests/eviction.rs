@@ -1,4 +1,5 @@
-//! Artifact-cache eviction under a deliberately tiny capacity.
+//! Artifact- and workload-cache eviction under a deliberately tiny
+//! capacity.
 //!
 //! The sweep warns when the distinct `(network, M)` working set exceeds
 //! `ESCALATE_CACHE_CAP` (the message itself is unit-tested next to
@@ -12,7 +13,7 @@
 
 use escalate_bench::{
     artifact_cache_evictions, artifact_cache_len, compress_cached, set_artifact_cache_capacity,
-    DEFAULT_CACHE_CAP,
+    workload_cached, DEFAULT_CACHE_CAP,
 };
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
@@ -62,6 +63,16 @@ fn tiny_cache_cap_evicts_and_recompresses_identically() {
     for (a, b) in first.iter().zip(again.iter()) {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
+
+    // The same bound holds the workload cache: a second workload
+    // displaces the first, so asking for the first again rebuilds it.
+    let first = workload_cached(&profile, &cfg_m4).expect("m=4 workload");
+    workload_cached(&profile, &cfg_m5).expect("m=5 workload");
+    let again = workload_cached(&profile, &cfg_m4).expect("m=4 workload again");
+    assert!(
+        !std::sync::Arc::ptr_eq(&first, &again),
+        "a 1-entry bound cannot keep two workloads resident"
+    );
 
     // Growing the bound back never evicts.
     assert_eq!(set_artifact_cache_capacity(DEFAULT_CACHE_CAP), 0);

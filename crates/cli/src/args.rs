@@ -1,13 +1,12 @@
-//! The `escalate` command grammar and its parser (no external parser
-//! dependency; see DESIGN.md's dependency policy).
+//! Command lookup for the `escalate` CLI.
 //!
-//! Every subcommand declares each of its options once, in
-//! [`crate::commands::COMMANDS`], as a valued option or a boolean flag.
-//! The parser reads that table: a flag never takes the next token, a
-//! valued option without a value is an error, and an undeclared option
-//! is rejected before any command runs.
+//! The first token names a subcommand in [`crate::commands::COMMANDS`];
+//! the shared option reader ([`escalate_bench::args`]) reads the rest
+//! against the valued options and flags that command declares, so an
+//! undeclared option is rejected before any command runs.
 
-use std::collections::{HashMap, HashSet};
+use crate::commands::CliError;
+use escalate_bench::args::Options;
 
 /// How a command reads the tokens after its name.
 #[derive(Debug, Clone, Copy)]
@@ -23,171 +22,45 @@ pub enum Grammar {
     PassThrough,
 }
 
-/// A parsed command line: the subcommand, its positional arguments, and
-/// its options.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A parsed command line: the subcommand and its options.
+#[derive(Debug, Clone)]
 pub struct ParsedArgs {
     /// Subcommand name, as declared in the command table.
     pub command: &'static str,
-    /// Positional arguments after the subcommand (every token, for a
+    /// The tokens after the subcommand (all of them as positionals, for a
     /// pass-through command).
-    pub positional: Vec<String>,
-    /// Valued options, by name.
-    pub options: HashMap<String, String>,
-    /// Flags that were passed.
-    pub flags: HashSet<String>,
+    pub args: Options,
 }
-
-/// Parsing errors with user-facing messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
-    /// No subcommand given.
-    MissingCommand,
-    /// The subcommand is not in the command table.
-    UnknownCommand(String),
-    /// An option value failed to parse.
-    BadValue {
-        /// Option name.
-        option: String,
-        /// Offending value.
-        value: String,
-        /// What was expected.
-        expected: &'static str,
-    },
-    /// An option the command does not declare.
-    UnknownOption(String),
-    /// A valued option with no value after it.
-    MissingValue(String),
-    /// An option was given an explicit empty value (`--key=`).
-    EmptyValue(String),
-    /// An option appeared more than once.
-    DuplicateOption(String),
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingCommand => write!(f, "no command given (try `escalate help`)"),
-            ArgError::UnknownCommand(c) => {
-                write!(f, "unknown command {c:?} (try `escalate help`)")
-            }
-            ArgError::BadValue {
-                option,
-                value,
-                expected,
-            } => {
-                write!(f, "--{option}: expected {expected}, got {value:?}")
-            }
-            ArgError::UnknownOption(o) => write!(f, "unknown option --{o}"),
-            ArgError::MissingValue(o) => write!(f, "--{o} requires a value"),
-            ArgError::EmptyValue(o) => {
-                write!(
-                    f,
-                    "--{o}= has an empty value; pass a value or drop the option"
-                )
-            }
-            ArgError::DuplicateOption(o) => {
-                write!(f, "--{o} given more than once; keep exactly one")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArgError {}
 
 impl ParsedArgs {
     /// Parses raw arguments (without the program name) against the
     /// command table. The first token names the command; the command's
     /// [`Grammar`] reads the rest.
     ///
-    /// Half-parsed configurations are hard errors, not silent fallbacks:
-    /// an explicit empty value (`--key=`) and a repeated option both
-    /// reject the whole line. A one-shot run would merely produce a
-    /// confusing result; a daemon started this way would serve it for its
-    /// whole lifetime.
-    ///
     /// # Errors
     ///
-    /// Returns the [`ArgError`] for the first token that breaks the
-    /// command's grammar.
-    pub fn parse<I, S>(args: I) -> Result<ParsedArgs, ArgError>
+    /// [`CliError::MissingCommand`] or [`CliError::UnknownCommand`] when
+    /// the first token names no command, else the option reader's error
+    /// for the first token that breaks the command's grammar.
+    pub fn parse<I, S>(args: I) -> Result<ParsedArgs, CliError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let mut iter = args.into_iter().map(Into::into);
-        let name = iter.next().ok_or(ArgError::MissingCommand)?;
-        let command = crate::commands::find(&name).ok_or(ArgError::UnknownCommand(name))?;
-        let mut out = ParsedArgs {
+        let name = iter.next().ok_or(CliError::MissingCommand)?;
+        let command = crate::commands::find(&name).ok_or(CliError::UnknownCommand(name))?;
+        let args = match command.grammar {
+            Grammar::PassThrough => Options {
+                positional: iter.collect(),
+                ..Options::default()
+            },
+            Grammar::Options { values, flags } => Options::parse(iter, values, flags)?,
+        };
+        Ok(ParsedArgs {
             command: command.name,
-            ..ParsedArgs::default()
-        };
-        let (values, flags) = match command.grammar {
-            Grammar::PassThrough => {
-                out.positional = iter.collect();
-                return Ok(out);
-            }
-            Grammar::Options { values, flags } => (values, flags),
-        };
-        while let Some(token) = iter.next() {
-            let Some(body) = token.strip_prefix("--") else {
-                out.positional.push(token);
-                continue;
-            };
-            // `--key=value`: the value is inline (and may itself contain
-            // `=` or start with `-`).
-            let (key, inline) = match body.split_once('=') {
-                Some((k, v)) => (k, Some(v)),
-                None => (body, None),
-            };
-            let first = if flags.contains(&key) {
-                if let Some(v) = inline {
-                    return Err(ArgError::BadValue {
-                        option: key.to_string(),
-                        value: v.to_string(),
-                        expected: "no value (it is a flag)",
-                    });
-                }
-                out.flags.insert(key.to_string())
-            } else if values.contains(&key) {
-                let value = match inline {
-                    Some("") => return Err(ArgError::EmptyValue(key.to_string())),
-                    Some(v) => v.to_string(),
-                    None => iter
-                        .next()
-                        .filter(|v| !v.starts_with("--"))
-                        .ok_or_else(|| ArgError::MissingValue(key.to_string()))?,
-                };
-                out.options.insert(key.to_string(), value).is_none()
-            } else {
-                return Err(ArgError::UnknownOption(key.to_string()));
-            };
-            if !first {
-                return Err(ArgError::DuplicateOption(key.to_string()));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reads an option parsed as `T`, with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError::BadValue`] when the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                option: key.to_string(),
-                value: v.clone(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
-    }
-
-    /// Whether a flag was passed.
-    pub fn flag(&self, key: &str) -> bool {
-        self.flags.contains(key)
+            args,
+        })
     }
 }
 
@@ -195,117 +68,27 @@ impl ParsedArgs {
 mod tests {
     use super::*;
 
-    fn parse(line: &[&str]) -> Result<ParsedArgs, ArgError> {
-        ParsedArgs::parse(line.iter().copied())
-    }
-
     #[test]
-    fn well_formed_lines_parse_per_the_command_table() {
-        /// (line, positional, valued options, flags)
-        type Case = (
-            &'static [&'static str],
-            &'static [&'static str],
-            &'static [(&'static str, &'static str)],
-            &'static [&'static str],
-        );
-        let cases: &[Case] = &[
-            (
-                &["simulate", "ResNet18", "--m", "7", "--seeds=2"],
-                &["ResNet18"],
-                &[("m", "7"), ("seeds", "2")],
-                &[],
-            ),
-            // A flag never takes the next token.
-            (
-                &["compress", "--layers", "MobileNet"],
-                &["MobileNet"],
-                &[],
-                &["layers"],
-            ),
-            (
-                &["compress", "VGG16", "--layers", "--m", "5"],
-                &["VGG16"],
-                &[("m", "5")],
-                &["layers"],
-            ),
-            // `=` values may contain `=` or start with `-`; only the first
-            // `=` splits, and the form never takes the next token.
-            (
-                &["simulate", "--network=a=b", "--threads=-5", "next"],
-                &["next"],
-                &[("network", "a=b"), ("threads", "-5")],
-                &[],
-            ),
-            // A pass-through command keeps every token, in order.
-            (
-                &["report", "--check", "table4", "--", "ResNet18"],
-                &["--check", "table4", "--", "ResNet18"],
-                &[],
-                &[],
-            ),
-        ];
-        for (line, positional, options, flags) in cases {
-            let a = parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
-            assert_eq!(a.positional, *positional, "{line:?}");
-            let options: HashMap<String, String> = options
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect();
-            assert_eq!(a.options, options, "{line:?}");
-            let flags: HashSet<String> = flags.iter().map(|f| f.to_string()).collect();
-            assert_eq!(a.flags, flags, "{line:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_lines_are_typed_errors() {
-        let missing = |o: &str| ArgError::MissingValue(o.to_string());
-        let duplicate = |o: &str| ArgError::DuplicateOption(o.to_string());
-        let cases: &[(&[&str], ArgError)] = &[
-            (&[], ArgError::MissingCommand),
-            (
-                &["frobnicate"],
-                ArgError::UnknownCommand("frobnicate".into()),
-            ),
-            (
-                &["compress", "VGG16", "--bogus", "1"],
-                ArgError::UnknownOption("bogus".into()),
-            ),
-            // `--threads` belongs to simulate, not compress.
-            (
-                &["compress", "VGG16", "--threads", "1"],
-                ArgError::UnknownOption("threads".into()),
-            ),
-            (&["simulate", "MobileNet", "--metrics"], missing("metrics")),
-            (
-                &["simulate", "MobileNet", "--metrics", "--seeds", "1"],
-                missing("metrics"),
-            ),
-            (&["sweep", "--out"], missing("out")),
-            // `--key=` is never a usable value and never a flag.
-            (&["simulate", "--m="], ArgError::EmptyValue("m".into())),
-            // Last-wins duplicates would hide typos; both spellings count.
-            (&["simulate", "--m", "5", "--m", "7"], duplicate("m")),
-            (&["simulate", "--m=5", "--m", "7"], duplicate("m")),
-            (&["compress", "--layers", "--layers"], duplicate("layers")),
-            (
-                &["compress", "--layers=yes"],
-                ArgError::BadValue {
-                    option: "layers".into(),
-                    value: "yes".into(),
-                    expected: "no value (it is a flag)",
-                },
-            ),
-        ];
-        for (line, want) in cases {
-            assert_eq!(parse(line).as_ref(), Err(want), "{line:?}");
-        }
-        assert!(ArgError::MissingValue("metrics".into())
-            .to_string()
-            .contains("--metrics"));
-        assert!(ArgError::EmptyValue("m".into())
-            .to_string()
-            .contains("--m="));
+    fn the_first_token_names_a_declared_command() {
+        assert!(matches!(
+            ParsedArgs::parse(Vec::<String>::new()),
+            Err(CliError::MissingCommand)
+        ));
+        assert!(matches!(
+            ParsedArgs::parse(["frobnicate"]),
+            Err(CliError::UnknownCommand(c)) if c == "frobnicate"
+        ));
+        // `--threads` belongs to simulate, not compress.
+        assert!(matches!(
+            ParsedArgs::parse(["compress", "VGG16", "--threads", "1"]),
+            Err(CliError::Args(escalate_bench::args::ArgError::UnknownOption(o))) if o == "threads"
+        ));
+        // A pass-through command keeps every token, in order.
+        let line = ["report", "--check", "table4", "--", "ResNet18"];
+        let a = ParsedArgs::parse(line).unwrap();
+        assert_eq!(a.command, "report");
+        assert_eq!(a.args.positional, line[1..]);
+        assert!(a.args.options.is_empty() && a.args.flags.is_empty());
     }
 
     #[test]
@@ -325,15 +108,5 @@ mod tests {
                 c.name
             );
         }
-    }
-
-    #[test]
-    fn values_parse_with_defaults_and_report_bad_input() {
-        let a = parse(&["compress", "VGG16", "--m", "six"]).unwrap();
-        assert_eq!(a.get_or("seed", 42u64).unwrap(), 42);
-        assert!(!a.flag("layers"));
-        let e = a.get_or("m", 6usize).unwrap_err();
-        assert!(matches!(e, ArgError::BadValue { .. }));
-        assert!(e.to_string().contains("six"));
     }
 }

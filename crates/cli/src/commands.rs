@@ -1,6 +1,7 @@
 //! Command handlers for the `escalate` CLI.
 
-use crate::args::{ArgError, Grammar, ParsedArgs};
+use crate::args::{Grammar, ParsedArgs};
+use escalate_bench::args::{ArgError, Options};
 use escalate_bench::{input_seeds, run_model};
 use escalate_core::artifact::{read_artifacts, write_artifacts, LayerArtifact};
 use escalate_core::pipeline::{compress_model_artifacts, CompressionConfig};
@@ -12,8 +13,15 @@ use std::io::Write;
 /// CLI-level error: argument problems or pipeline failures.
 #[derive(Debug)]
 pub enum CliError {
+    /// No subcommand given.
+    MissingCommand,
+    /// The subcommand is not in the command table.
+    UnknownCommand(String),
     /// Argument parsing/validation failed.
     Args(ArgError),
+    /// `report`'s own parser rejected its tokens; the payload is the
+    /// full message.
+    Report(String),
     /// A model spec did not resolve (unknown name, unreadable network
     /// file, or a bad generator spec); the payload is the full message.
     UnknownModel(String),
@@ -27,7 +35,12 @@ pub enum CliError {
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CliError::MissingCommand => write!(f, "no command given (try `escalate help`)"),
+            CliError::UnknownCommand(c) => {
+                write!(f, "unknown command {c:?} (try `escalate help`)")
+            }
             CliError::Args(e) => write!(f, "{e}"),
+            CliError::Report(msg) => write!(f, "{msg}"),
             CliError::UnknownModel(m) => write!(f, "{m}"),
             CliError::Pipeline(e) => write!(f, "pipeline failure: {e}"),
             CliError::Drift => write!(f, "golden drift detected (see the DRIFT lines above)"),
@@ -164,7 +177,7 @@ fn profile(spec: &str) -> Result<ModelProfile, CliError> {
 /// description file reads most naturally as `--network @FILE`, but the
 /// `@` is optional there — a bare path works too), else the first
 /// positional argument.
-fn model_arg(args: &ParsedArgs) -> Result<ModelProfile, CliError> {
+fn model_arg(args: &Options) -> Result<ModelProfile, CliError> {
     if let Some(spec) = args.options.get("network") {
         let spec = spec.clone();
         // `--network model.network` means the file, not a zoo name.
@@ -187,7 +200,7 @@ fn model_arg(args: &ParsedArgs) -> Result<ModelProfile, CliError> {
 }
 
 /// Parses a `--schedule` option into a [`ScheduleKind`] (default serial).
-fn schedule_arg(args: &ParsedArgs) -> Result<ScheduleKind, CliError> {
+fn schedule_arg(args: &Options) -> Result<ScheduleKind, CliError> {
     match args.options.get("schedule") {
         None => Ok(ScheduleKind::default()),
         Some(v) => ScheduleKind::parse(v).map_err(|msg| {
@@ -206,14 +219,14 @@ pub struct Command {
     pub name: &'static str,
     /// How the tokens after the name parse.
     pub grammar: Grammar,
-    run: fn(&ParsedArgs, &mut dyn Write) -> Result<(), CliError>,
+    run: fn(&Options, &mut dyn Write) -> Result<(), CliError>,
 }
 
 const fn command(
     name: &'static str,
     values: &'static [&'static str],
     flags: &'static [&'static str],
-    run: fn(&ParsedArgs, &mut dyn Write) -> Result<(), CliError>,
+    run: fn(&Options, &mut dyn Write) -> Result<(), CliError>,
 ) -> Command {
     Command {
         name,
@@ -292,24 +305,18 @@ pub fn find(name: &str) -> Option<&'static Command> {
 /// Returns a [`CliError`] with a user-facing message on any failure.
 pub fn dispatch(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let command =
-        find(args.command).ok_or_else(|| ArgError::UnknownCommand(args.command.into()))?;
-    (command.run)(args, out)
+        find(args.command).ok_or_else(|| CliError::UnknownCommand(args.command.into()))?;
+    (command.run)(&args.args, out)
 }
 
-fn cmd_help(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_help(_args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "{USAGE}")?;
     Ok(())
 }
 
-fn cmd_report(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_report(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use escalate_bench::experiments::{run_report, ReportOptions};
-    let opts = ReportOptions::parse(args.positional.iter().cloned()).map_err(|msg| {
-        CliError::Args(ArgError::BadValue {
-            option: "report".into(),
-            value: msg,
-            expected: "a report invocation (see `escalate help`)",
-        })
-    })?;
+    let opts = ReportOptions::parse(args.positional.iter().cloned()).map_err(CliError::Report)?;
     if run_report(&opts, out).map_err(|e| CliError::Pipeline(e.to_string()))? {
         Ok(())
     } else {
@@ -317,7 +324,7 @@ fn cmd_report(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-fn cmd_models(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_models(_args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "{:<12} {:<10} {:>8} {:>8} {:>9} {:>10}",
@@ -342,7 +349,7 @@ fn cmd_models(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
 /// `escalate network SPEC [--out FILE]`: resolve any model spec and emit
 /// its canonical `escalate-network/v1` description — how a generated or
 /// zoo network becomes an editable `.network` file.
-fn cmd_network(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_network(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let model = p.model();
     let text = model
@@ -374,7 +381,7 @@ fn bad_basis_count(m: usize) -> CliError {
 }
 
 /// `--m` (default 6), rejected at flag parsing unless in `1..=MAX_M`.
-fn m_arg(args: &ParsedArgs) -> Result<usize, CliError> {
+fn m_arg(args: &Options) -> Result<usize, CliError> {
     let m = args.get_or("m", 6usize)?;
     if (1..=escalate_sim::MAX_M).contains(&m) {
         Ok(m)
@@ -383,7 +390,7 @@ fn m_arg(args: &ParsedArgs) -> Result<usize, CliError> {
     }
 }
 
-fn cmd_compress(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_compress(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let cfg = CompressionConfig {
         m: m_arg(args)?,
@@ -417,7 +424,7 @@ fn cmd_compress(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
-fn cmd_simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_simulate(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let schedule = schedule_arg(args)?;
     let m = m_arg(args)?;
@@ -458,7 +465,7 @@ fn cmd_simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
-fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_sweep(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use escalate_bench::sweep::{parse_range, run_sweep, GoldenMode, Sampler, SweepOptions};
     let mut opts = SweepOptions::default();
     if !args.positional.is_empty() {
@@ -531,7 +538,7 @@ fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_inspect(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_inspect(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args
         .positional
         .first()
@@ -573,7 +580,7 @@ fn cmd_inspect(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_validate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_validate(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use escalate_core::pipeline::CompressionConfig;
     use escalate_sim::detailed::simulate_layer_detailed;
     use escalate_sim::trace::simulate_layer_traced;
@@ -637,7 +644,7 @@ fn cmd_validate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
-fn cmd_characterize(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_characterize(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
     let m = args.get_or("m", 6usize)?;
     let ch = escalate_models::analysis::ModelCharacter::of(&p, m);
@@ -663,7 +670,7 @@ fn cmd_characterize(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
     Ok(())
 }
 
-fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_serve(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = escalate_serve::ServeOptions {
         port: args.get_or("port", 0u16)?,
         workers: args.get_or("workers", 2usize)?,
@@ -688,7 +695,7 @@ fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// Resolves the daemon port for `submit`: `--port`, or `--port-file`
 /// written by an ephemerally-bound daemon.
-fn submit_port(args: &ParsedArgs) -> Result<u16, CliError> {
+fn submit_port(args: &Options) -> Result<u16, CliError> {
     if args.options.contains_key("port") {
         return args.get_or("port", 0u16).map_err(CliError::Args);
     }
@@ -710,7 +717,7 @@ fn submit_port(args: &ParsedArgs) -> Result<u16, CliError> {
     })
 }
 
-fn cmd_submit(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_submit(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let verb = args
         .positional
         .first()
@@ -768,7 +775,7 @@ fn cmd_submit(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_loadgen(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = escalate_serve::LoadgenOptions {
         jobs: args.get_or("jobs", 24usize)?,
         seed: args.get_or("seed", 42u64)?,

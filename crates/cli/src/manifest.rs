@@ -42,6 +42,7 @@ pub fn render_manifest(
     w.field_f64("frequency_mhz", cfg.frequency_mhz);
     w.field_f64("dram_bytes_per_cycle", cfg.dram_bytes_per_cycle);
     w.field_u64("sample_channels", cfg.sample_channels as u64);
+    w.field_str("schedule", cfg.schedule.as_str());
     w.field_u64("seeds", seeds);
     w.field_u64(
         "threads",
@@ -125,7 +126,10 @@ mod tests {
         let json = render_manifest(
             "simulate",
             "m",
-            &SimConfig::default(),
+            &SimConfig {
+                schedule: escalate_sim::ScheduleKind::Pipelined,
+                ..SimConfig::default()
+            },
             3,
             &run,
             &reg.snapshot(),
@@ -133,6 +137,7 @@ mod tests {
         for needle in [
             "\"schema\": \"escalate-run-manifest/v1\"",
             "\"config\":",
+            "\"schedule\": \"pipelined\"",
             "\"seeds\": 3",
             "\"accelerators\":",
             "\"ESCALATE\"",

@@ -134,3 +134,87 @@ fn a_valued_option_without_its_value_is_a_typed_error() {
         "{stderr}"
     );
 }
+
+/// Runs `escalate` in a fresh empty directory; returns the exit status,
+/// stdout, stderr, and whatever the run left in that directory.
+fn run_in_empty_dir(tag: &str, args: &[&str]) -> (bool, String, String, Vec<String>) {
+    let dir = std::env::temp_dir().join(format!("escalate_cli_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_escalate"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let left = std::fs::read_dir(&dir)
+        .expect("scratch dir readable")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        left,
+    )
+}
+
+/// A malformed `report` line fails with the shared option reader's typed
+/// message, before any experiment runs or any file is written.
+fn assert_report_rejected(tag: &str, args: &[&str], message: &str) {
+    let (ok, stdout, stderr, left) = run_in_empty_dir(tag, args);
+    assert!(!ok, "{args:?} must fail; stdout:\n{stdout}");
+    assert!(
+        stderr.starts_with(&format!("error: {message}")),
+        "{args:?}: {stderr}"
+    );
+    assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+    assert!(left.is_empty(), "{args:?} wrote {left:?}");
+}
+
+#[test]
+fn report_results_without_a_value_does_not_take_the_next_flag() {
+    // Taking `--check` as the directory would print Table 4 unchecked and
+    // exit 0.
+    assert_report_rejected(
+        "report_results",
+        &["report", "--results", "--check", "table4"],
+        "--results requires a value",
+    );
+}
+
+#[test]
+fn report_out_without_a_value_does_not_take_the_next_flag() {
+    assert_report_rejected(
+        "report_out",
+        &["report", "--out", "--json", "table4"],
+        "--out requires a value",
+    );
+}
+
+#[test]
+fn report_out_with_an_empty_value_is_rejected() {
+    assert_report_rejected(
+        "report_out_empty",
+        &["report", "--out=", "table4"],
+        "--out= has an empty value",
+    );
+}
+
+#[test]
+fn report_repeated_out_is_rejected() {
+    assert_report_rejected(
+        "report_out_twice",
+        &["report", "--out", "a", "--out", "b", "--json", "table4"],
+        "--out given more than once",
+    );
+}
+
+#[test]
+fn report_repeated_flag_is_rejected() {
+    assert_report_rejected(
+        "report_check_twice",
+        &["report", "--check", "--check", "table4"],
+        "--check given more than once",
+    );
+}

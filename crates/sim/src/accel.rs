@@ -69,65 +69,6 @@ fn serial_fold<A: Accelerator + ?Sized>(acc: &A, seed: u64, threads: usize) -> M
     }
 }
 
-/// A whole-network schedule: how per-layer simulation results compose
-/// into a model-level result. The layer-serial fold is the paper's
-/// evaluation schedule; the layer-pipelined schedule models all layers
-/// resident at once on a partitioned PE array.
-pub trait Schedule: Sync {
-    /// Canonical schedule name (matches [`ScheduleKind::as_str`]).
-    fn name(&self) -> &'static str;
-
-    /// Runs the accelerator's layers under this schedule.
-    fn run(&self, acc: &dyn Accelerator, cfg: &SimConfig, seed: u64, threads: usize) -> ModelStats;
-}
-
-/// The paper's schedule: layers run one after another, each using the
-/// full PE array; model cycles are the plain layer sum.
-pub struct LayerSerial;
-
-impl Schedule for LayerSerial {
-    fn name(&self) -> &'static str {
-        ScheduleKind::LayerSerial.as_str()
-    }
-
-    fn run(
-        &self,
-        acc: &dyn Accelerator,
-        _cfg: &SimConfig,
-        seed: u64,
-        threads: usize,
-    ) -> ModelStats {
-        serial_fold(acc, seed, threads)
-    }
-}
-
-/// HPIPE-style layer pipelining: consecutive layers are grouped into at
-/// most `N_PE` stages balanced by work, each stage gets a PE share
-/// proportional to its work, inter-stage feature maps hand off through
-/// on-chip buffers (spilling through DRAM when they exceed the configured
-/// SRAM), and steady state paces at the slowest stage.
-pub struct LayerPipelined;
-
-impl Schedule for LayerPipelined {
-    fn name(&self) -> &'static str {
-        ScheduleKind::Pipelined.as_str()
-    }
-
-    fn run(&self, acc: &dyn Accelerator, cfg: &SimConfig, seed: u64, threads: usize) -> ModelStats {
-        let mut stats = serial_fold(acc, seed, threads);
-        stats.pipeline = Some(pipeline_model(&stats, cfg));
-        stats
-    }
-}
-
-/// The schedule implementation for a [`ScheduleKind`].
-pub fn schedule_for(kind: ScheduleKind) -> &'static dyn Schedule {
-    match kind {
-        ScheduleKind::LayerSerial => &LayerSerial,
-        ScheduleKind::Pipelined => &LayerPipelined,
-    }
-}
-
 /// Analytic steady-state model of the layer-pipelined schedule, built on
 /// the per-layer results of the serial fold (whose cycles assume the full
 /// PE array):
@@ -292,11 +233,18 @@ impl Accelerator for Escalate<'_> {
         simulate_layer(&self.workload.layers[index], self.cfg, seed)
     }
 
-    /// ESCALATE dispatches on [`SimConfig::schedule`]; the baselines keep
-    /// the default layer-serial fold (they model the published designs,
-    /// which have no pipelined mode).
+    /// ESCALATE dispatches on [`SimConfig::schedule`]: the paper's
+    /// layer-serial fold, or that fold plus the steady-state model of
+    /// HPIPE-style layer pipelining ([`pipeline_model`]). The baselines
+    /// keep the default layer-serial fold (they model the published
+    /// designs, which have no pipelined mode).
     fn simulate(&self, seed: u64, threads: usize) -> ModelStats {
-        schedule_for(self.cfg.schedule).run(self, self.cfg, seed, threads)
+        let mut stats = serial_fold(self, seed, threads);
+        match self.cfg.schedule {
+            ScheduleKind::LayerSerial => {}
+            ScheduleKind::Pipelined => stats.pipeline = Some(pipeline_model(&stats, self.cfg)),
+        }
+        stats
     }
 }
 
@@ -361,13 +309,18 @@ mod tests {
     #[test]
     fn serial_schedule_is_byte_identical_to_the_plain_fold() {
         let w = toy_workload();
-        let cfg = SimConfig::default();
+        let cfg = SimConfig {
+            schedule: ScheduleKind::LayerSerial,
+            ..SimConfig::default()
+        };
         let acc = Escalate::new(&w, &cfg);
-        let via_schedule = schedule_for(ScheduleKind::LayerSerial).run(&acc, &cfg, 3, 1);
+        let via_schedule = acc.simulate(3, 1);
         let direct = serial_fold(&acc, 3, 1);
         assert_eq!(via_schedule, direct);
         assert_eq!(via_schedule.pipeline, None);
-        assert_eq!(acc.simulate(3, 1), direct, "default config is serial");
+        let default_cfg = SimConfig::default();
+        let default_run = Escalate::new(&w, &default_cfg).simulate(3, 1);
+        assert_eq!(default_run, direct, "default config is serial");
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub mod stats;
 pub mod trace;
 pub mod workload;
 
-pub use accel::{schedule_for, Accelerator, Escalate, LayerPipelined, LayerSerial, Schedule};
+pub use accel::{Accelerator, Escalate};
 pub use ca::{LayerPlan, PositionCost, PositionKernel, MAX_BATCH};
 pub use config::{DesignPoint, ScheduleKind, SimConfig, MAX_M};
 pub use context::{LayerContext, NoopObserver, SimObserver};

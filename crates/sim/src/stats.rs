@@ -83,8 +83,8 @@ impl LayerStats {
     }
 }
 
-/// Steady-state accounting of a layer-pipelined schedule (see
-/// [`crate::accel::LayerPipelined`]): stage partitioning, the pacing
+/// Steady-state accounting of a layer-pipelined schedule
+/// ([`crate::ScheduleKind::Pipelined`]): stage partitioning, the pacing
 /// interval, fill latency, stall slack, and inter-stage buffer pressure.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineStats {

@@ -54,6 +54,16 @@ grep -q '^Figure 11: layer-wise speedup over Eyeriss, ResNet18' <<< "$FIG11"
 SWEEP_DIR="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" "${SWEEP_PID:-}" 2>/dev/null || true' EXIT
+# `report` reads its options with the shared option reader, so a valued
+# option never takes the next flag as its value: this line fails typed
+# before any experiment runs, instead of printing an unchecked Table 4.
+if ./target/release/escalate report --results --check table4 \
+  > "$SWEEP_DIR/misuse.out" 2> "$SWEEP_DIR/misuse.err"; then
+  echo "report --results --check table4 must fail" >&2
+  exit 1
+fi
+grep -q -- '--results requires a value' "$SWEEP_DIR/misuse.err"
+[ ! -s "$SWEEP_DIR/misuse.out" ]
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
   --out "$SWEEP_DIR/cold.jsonl" --metrics "$SWEEP_DIR/cold.metrics.json" \
   --check results/sweep_frontier.txt > "$SWEEP_DIR/cold.txt"
@@ -97,15 +107,18 @@ grep -o '"ca.plan_reuses": [0-9]*' "$SWEEP_DIR/simulate.metrics.json" \
 # network as an escalate-network/v1 file, require the file → Model →
 # file round trip to be byte-identical, and simulate it under the
 # pipelined schedule (the pipeline stage/interval/stall line only
-# renders when that schedule actually ran).
+# renders when that schedule actually ran, and the run manifest records
+# the schedule).
 ./target/release/escalate network gen:dilated:blocks=2 \
   --out "$SWEEP_DIR/gen.network"
 ./target/release/escalate network "@$SWEEP_DIR/gen.network" \
   --out "$SWEEP_DIR/gen2.network"
 cmp "$SWEEP_DIR/gen.network" "$SWEEP_DIR/gen2.network"
 ./target/release/escalate simulate --network "$SWEEP_DIR/gen.network" \
-  --schedule pipelined --seeds 1 > "$SWEEP_DIR/pipelined.txt"
+  --schedule pipelined --seeds 1 --metrics "$SWEEP_DIR/pipelined.metrics.json" \
+  > "$SWEEP_DIR/pipelined.txt"
 grep -q '^pipeline: .* stage(s), interval ' "$SWEEP_DIR/pipelined.txt"
+grep -q '"schedule": "pipelined"' "$SWEEP_DIR/pipelined.metrics.json"
 # Serve smoke: an ephemerally-bound daemon (port discovered via
 # --port-file), one job per verb through `escalate submit`, well-formed
 # escalate-run-manifest/v1 unit records, non-empty metrics, and a
