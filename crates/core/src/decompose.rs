@@ -70,7 +70,7 @@ impl Decomposed {
         let coeffs = Matrix::from_vec(k * c, m, self.coeffs.as_slice().to_vec());
         let basis = Matrix::from_vec(m, rs, self.basis.as_slice().to_vec());
         let w = coeffs.matmul(&basis);
-        Tensor::from_vec(&[k, c, self.r(), self.s()], w.as_slice().to_vec())
+        Tensor::from_vec(&[k, c, self.r(), self.s()], w.into_vec())
     }
 
     /// The `m`-th basis kernel as an `R×S` tensor.
@@ -108,12 +108,21 @@ pub fn decompose(weights: &Tensor, m: usize) -> Result<Decomposed, EscalateError
         return Err(EscalateError::InvalidBasisCount { m, rs });
     }
     let reshaped = Matrix::from_vec(k * c, rs, weights.as_slice().to_vec());
-    let f = linalg::truncated_svd(&reshaped, m)?;
-    Ok(Decomposed {
-        basis: Tensor::from_vec(&[m, r, s], f.basis.as_slice().to_vec()),
-        coeffs: Tensor::from_vec(&[k, c, m], f.coeffs.as_slice().to_vec()),
+    Ok(decomposed(
+        linalg::truncated_svd(&reshaped, m)?,
+        [k, c, r, s],
+    ))
+}
+
+/// The factorization of a `K×C×R×S` tensor's `KC×RS` reshape as a
+/// [`Decomposed`], its buffers moved, not copied.
+fn decomposed(f: linalg::Factorization, [k, c, r, s]: [usize; 4]) -> Decomposed {
+    let m = f.basis.rows();
+    Decomposed {
+        basis: Tensor::from_vec(&[m, r, s], f.basis.into_vec()),
+        coeffs: Tensor::from_vec(&[k, c, m], f.coeffs.into_vec()),
         captured_energy: f.captured_energy,
-    })
+    }
 }
 
 /// Decomposes a weight tensor with the smallest basis count whose kept
@@ -148,7 +157,7 @@ pub fn decompose_adaptive(
     let rs = r * s;
     let threshold = energy_threshold.clamp(0.0, 1.0);
     let reshaped = Matrix::from_vec(k * c, rs, weights.as_slice().to_vec());
-    // One eigendecomposition serves every candidate rank.
+    // One eigendecomposition picks the rank and is then truncated to it.
     let eig = linalg::jacobi_eigen(&reshaped.gram())?;
     let total: f32 = eig.values.iter().map(|&l| l.max(0.0)).sum();
     let mut captured = 0.0f32;
@@ -160,7 +169,13 @@ pub fn decompose_adaptive(
             break;
         }
     }
-    decompose(weights, m)
+    if m == 0 {
+        return Err(EscalateError::InvalidBasisCount { m, rs });
+    }
+    Ok(decomposed(
+        linalg::truncate(&reshaped, &eig, m),
+        [k, c, r, s],
+    ))
 }
 
 /// Decomposes a depthwise weight tensor `C×R×S` (per-channel kernels) into
@@ -182,10 +197,7 @@ pub fn decompose_depthwise(weights: &Tensor, m: usize) -> Result<(Matrix, Tensor
     }
     let reshaped = Matrix::from_vec(c, rs, weights.as_slice().to_vec());
     let f = linalg::truncated_svd(&reshaped, m)?;
-    Ok((
-        f.coeffs,
-        Tensor::from_vec(&[m, r, s], f.basis.as_slice().to_vec()),
-    ))
+    Ok((f.coeffs, Tensor::from_vec(&[m, r, s], f.basis.into_vec())))
 }
 
 #[cfg(test)]
@@ -291,6 +303,31 @@ mod tests {
             let d = decompose_adaptive(&w, 0.999).unwrap();
             assert_eq!(d.m(), rank, "true rank {rank}");
             assert!(w.relative_error(&d.reconstruct()) < 0.05);
+        }
+    }
+
+    #[test]
+    fn adaptive_equals_fixed_rank_at_the_rank_it_picks() {
+        // The adaptive path truncates the eigenpairs it picked `m` from;
+        // a fixed-rank decomposition at that `m` recomputes them. Both
+        // must give the same bits.
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (w, t) in [
+            (low_rank_weights(8, 4, 6), 0.9),
+            (low_rank_weights(8, 4, 6), 0.999),
+            (low_rank_weights(5, 3, 2), 0.5),
+            (
+                Tensor::from_fn(&[6, 5, 3, 3], |i| {
+                    ((i[0] * 45 + i[1] * 9 + i[2] * 3 + i[3]) as f32 * 0.37).sin()
+                }),
+                0.95,
+            ),
+        ] {
+            let a = decompose_adaptive(&w, t).unwrap();
+            let d = decompose(&w, a.m()).unwrap();
+            assert_eq!(bits(&a.basis), bits(&d.basis), "basis at m = {}", a.m());
+            assert_eq!(bits(&a.coeffs), bits(&d.coeffs), "coeffs at m = {}", a.m());
+            assert_eq!(a.captured_energy.to_bits(), d.captured_energy.to_bits());
         }
     }
 

@@ -658,7 +658,7 @@ fn compress_unit_fresh(
                 let _t = escalate_obs::span("pipeline.decompose");
                 crate::decompose::decompose_depthwise(&dw_w, m)?
             };
-            let coeffs = Tensor::from_vec(&[layer.c, 1, m], ce.as_slice().to_vec());
+            let coeffs = Tensor::from_vec(&[layer.c, 1, m], ce.into_vec());
             let d = Decomposed {
                 basis,
                 coeffs,

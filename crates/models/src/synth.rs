@@ -21,10 +21,12 @@
 //! survive. So each generator works in bounded chunks of three phases:
 //!
 //! 1. draw the raw stream serially, in the fixed per-draw order, keeping
-//!    each uniform's 24-bit index and each `gen_bool` verdict;
+//!    each uniform's 24-bit index and each `gen_bool` verdict (as the sign
+//!    bit it puts on its coefficient);
 //! 2. turn the index pairs into Gaussians in batches;
-//! 3. run the scalar tail (coefficient magnitude, sign, latent sums,
-//!    noise, normalization) over the converted chunk.
+//! 3. run the tail over the converted chunk: the coefficient magnitudes'
+//!    `ln_1p` in one batch, the sign as an XOR of that bit, then the latent
+//!    sums and noise, and finally the normalization.
 //!
 //! Phase 2 takes an AVX2+FMA kernel when the host has both (detected once
 //! at runtime — the same condition under which glibc selects its FMA
@@ -32,8 +34,15 @@
 //! (the ARM optimized-routines algorithms and tables) eight lanes at a
 //! time, so it reproduces the host libm bit for bit on the two domains it
 //! sees; the tests check both exhaustively, over all 2^24 indices, against
-//! the scalar expression. Other hosts and every batch tail evaluate the
-//! scalar expression through the host libm.
+//! the scalar expression. Phase 3's batch `ln_1p` is glibc 2.36's
+//! `log1pf`, fdlibm's float algorithm, which the host libm builds without
+//! FMA: the kernel performs its float operations in its order, eight lanes
+//! at a time, and picks each lane's branch with a blend. Its inputs `|g|`
+//! are at most the largest radius (`|cos| ≤ 1`, and rounding is
+//! monotone), below `f32::from_bits(0x40B5_0000)`; an ignored test checks
+//! every f32 from 0 up to that bound against the host libm, and the
+//! default suite a sample of them. Other hosts and every batch tail
+//! evaluate the scalar expression through the host libm.
 
 use crate::layer::{LayerKind, LayerShape};
 use escalate_tensor::Tensor;
@@ -123,8 +132,90 @@ fn box_muller(u1: &[u32], u2: &[u32], out: &mut [f32]) -> usize {
     done
 }
 
-/// The AVX2+FMA batch kernel: glibc 2.36's FMA `logf` and `cosf`, eight
-/// lanes at a time, on the domains Box–Muller feeds them.
+/// The largest `ln_1p` input synthesis can produce, as bits: every `|g|`
+/// is at most the largest radius (the radius and angle tests assert it),
+/// and the batch kernel is checked against the host libm on every f32
+/// from 0 up to it.
+const MAX_MAGNITUDE: u32 = 0x40B5_0000;
+
+/// `x[j] = x[j].ln_1p()` for values in `[0, f32::from_bits(MAX_MAGNITUDE)]`:
+/// eight at a time through the batch kernel when the host has it, the
+/// rest through the host libm. Returns how many the batch kernel
+/// converted.
+fn ln_1p(x: &mut [f32]) -> usize {
+    debug_assert!(
+        x.iter()
+            .all(|v| (0.0..=f32::from_bits(MAX_MAGNITUDE)).contains(v)),
+        "ln_1p input outside the range checked against the host libm"
+    );
+    #[cfg(target_arch = "x86_64")]
+    let done = if simd::available() {
+        // SAFETY: `available` checked the avx2 the kernel needs.
+        unsafe { simd::ln_1p(x) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for v in &mut x[done..] {
+        *v = v.ln_1p();
+    }
+    done
+}
+
+/// Phase 3's sums over one zeroed chunk of `rs`-element kernels: kernel
+/// `j` becomes `Σ_l coefs[j][l] · latent_l + noise · n_j`, accumulated
+/// from `+0` element by element in latent order, where `n_j` is the tail
+/// of kernel `j`'s Gaussians. The kernel areas the benchmark networks
+/// synthesize — 1×1, 3×3, 4×4 (the ViT patchify) and 7×7 — each get a
+/// fixed-width copy of the loop, which the compiler unrolls; other areas
+/// run it with a runtime width.
+fn latent_sums(
+    chunk: &mut [f32],
+    coefs: &[f32],
+    gauss: &[f32],
+    latent: &[f32],
+    rs: usize,
+    noise: f32,
+) {
+    match rs {
+        1 => latent_sums_of_width(chunk, coefs, gauss, latent, 1, noise),
+        9 => latent_sums_of_width(chunk, coefs, gauss, latent, 9, noise),
+        16 => latent_sums_of_width(chunk, coefs, gauss, latent, 16, noise),
+        49 => latent_sums_of_width(chunk, coefs, gauss, latent, 49, noise),
+        _ => latent_sums_of_width(chunk, coefs, gauss, latent, rs, noise),
+    }
+}
+
+#[inline(always)]
+fn latent_sums_of_width(
+    chunk: &mut [f32],
+    coefs: &[f32],
+    gauss: &[f32],
+    latent: &[f32],
+    rs: usize,
+    noise: f32,
+) {
+    let rank = latent.len() / rs;
+    let kernels = chunk
+        .chunks_exact_mut(rs)
+        .zip(coefs.chunks_exact(rank))
+        .zip(gauss.chunks_exact(2 * rank + rs));
+    for ((kernel, coefs), g) in kernels {
+        for (&coef, l) in coefs.iter().zip(latent.chunks_exact(rs)) {
+            for (kv, &lv) in kernel.iter_mut().zip(l) {
+                *kv += coef * lv;
+            }
+        }
+        for (kv, &n) in kernel.iter_mut().zip(&g[2 * rank..]) {
+            *kv += noise * n;
+        }
+    }
+}
+
+/// The AVX2+FMA batch kernels: glibc 2.36's FMA `logf` and `cosf` on the
+/// domains Box–Muller feeds them, and its `log1pf` on the coefficient
+/// magnitudes, eight lanes at a time.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::{TWO_PI, UNIT};
@@ -325,6 +416,125 @@ mod simd {
         _mm256_cvtpd_ps(_mm256_xor_pd(poly, sign))
     }
 
+    // glibc 2.36's `__log1pf`, fdlibm's float algorithm compiled to plain
+    // SSE `mulss`/`addss`/`divss` (the host libm has no FMA variant of
+    // it): ln 2 split high/low, and the polynomial Lp1..Lp7 in
+    // `R = z·(Lp1 + z·(Lp2 + … + z·Lp7))`.
+    const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+    const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+    const LP: [f32; 7] = [
+        f32::from_bits(0x3f2a_aaab),
+        f32::from_bits(0x3ecc_cccd),
+        f32::from_bits(0x3e92_4925),
+        f32::from_bits(0x3e63_8e29),
+        f32::from_bits(0x3e3a_3325),
+        f32::from_bits(0x3e1c_d04f),
+        f32::from_bits(0x3e17_8897),
+    ];
+
+    /// Replaces the leading whole groups of eight values `x` with
+    /// `x.ln_1p()` and returns how many.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx2` (callers dispatch on [`available`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn ln_1p(x: &mut [f32]) -> usize {
+        let mut done = 0;
+        for v in x.chunks_exact_mut(8) {
+            // SAFETY: each chunk holds exactly eight lanes; loadu/storeu
+            // take unaligned pointers.
+            unsafe { _mm256_storeu_ps(v.as_mut_ptr(), log1p(_mm256_loadu_ps(v.as_ptr()))) };
+            done += 8;
+        }
+        done
+    }
+
+    /// glibc's `log1pf` for eight inputs in `[0, f32::from_bits(0x40B5_0000)]`,
+    /// the range checked against the host libm, every branch evaluated and
+    /// the lane's own picked by a blend. Each lane performs glibc's float
+    /// operations in glibc's order, so it rounds the same.
+    #[target_feature(enable = "avx2,fma")]
+    fn log1p(x: __m256) -> __m256 {
+        let (ps, epi) = (_mm256_set1_ps, _mm256_set1_epi32);
+        let one = ps(1.0);
+        let hx = _mm256_castps_si256(x);
+
+        // x ≥ 0.41422: u = 1 + x = 2^k·m, c = the rounding error of u over
+        // u, and f = m − 1 with m normalized into [√2/2, √2).
+        let u = _mm256_add_ps(x, one);
+        let hu = _mm256_castps_si256(u);
+        let k = _mm256_sub_epi32(_mm256_srai_epi32::<23>(hu), epi(127));
+        let c = _mm256_blendv_ps(
+            _mm256_sub_ps(x, _mm256_sub_ps(u, one)),
+            _mm256_sub_ps(one, _mm256_sub_ps(u, x)),
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, _mm256_setzero_si256())),
+        );
+        let c = _mm256_div_ps(c, u);
+        let mant = _mm256_and_si256(hu, epi(0x7f_ffff));
+        // All ones where m ≥ √2: halve m and count it in k.
+        let halve = _mm256_cmpgt_epi32(mant, epi(0x35_04f6));
+        let k = _mm256_sub_epi32(k, halve);
+        let m = _mm256_or_si256(
+            mant,
+            _mm256_blendv_epi8(epi(0x3f80_0000), epi(0x3f00_0000), halve),
+        );
+        let hu = _mm256_blendv_epi8(
+            mant,
+            _mm256_srai_epi32::<2>(_mm256_sub_epi32(epi(0x80_0000), mant)),
+            halve,
+        );
+        let f = _mm256_sub_ps(_mm256_castsi256_ps(m), one);
+
+        // x < 0.41422: k = 0 and f = x.
+        let small = _mm256_cmpgt_epi32(epi(0x3ed4_13d7), hx);
+        let f = _mm256_blendv_ps(f, x, _mm256_castsi256_ps(small));
+        let k = _mm256_andnot_si256(small, k);
+
+        let hfsq = _mm256_mul_ps(_mm256_mul_ps(ps(0.5), f), f);
+        let s = _mm256_div_ps(f, _mm256_add_ps(ps(2.0), f));
+        let z = _mm256_mul_ps(s, s);
+        let mut r = _mm256_mul_ps(ps(LP[6]), z);
+        for &lp in LP[..6].iter().rev() {
+            r = _mm256_mul_ps(_mm256_add_ps(r, ps(lp)), z);
+        }
+        let t = _mm256_mul_ps(_mm256_add_ps(r, hfsq), s);
+        let kf = _mm256_cvtepi32_ps(k);
+        let hi = _mm256_mul_ps(kf, ps(LN2_HI));
+        let lo = _mm256_add_ps(_mm256_mul_ps(kf, ps(LN2_LO)), c);
+        let y = _mm256_blendv_ps(
+            // k ≠ 0: k·ln2_hi − ((hfsq − ((c + k·ln2_lo) + s·(hfsq + R))) − f)
+            _mm256_sub_ps(
+                hi,
+                _mm256_sub_ps(_mm256_sub_ps(hfsq, _mm256_add_ps(lo, t)), f),
+            ),
+            // k = 0: f − (hfsq − s·(hfsq + R))
+            _mm256_sub_ps(f, _mm256_sub_ps(hfsq, t)),
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_setzero_si256())),
+        );
+
+        // |f| < 2^-20 (glibc's `hu == 0`). Only the x ≥ 0.41422 branch gets
+        // here, with m = 1 (u = 2^k) or m just below 1 after halving, so
+        // k ≥ 1 and glibc's k = 0 returns never apply.
+        let near = _mm256_andnot_si256(small, _mm256_cmpeq_epi32(hu, _mm256_setzero_si256()));
+        let r = _mm256_mul_ps(_mm256_sub_ps(one, _mm256_mul_ps(ps(LP[0]), f)), hfsq);
+        let y_near = _mm256_blendv_ps(
+            _mm256_sub_ps(hi, _mm256_sub_ps(_mm256_sub_ps(r, lo), f)),
+            // f = 0: k·ln2_hi + (c + k·ln2_lo)
+            _mm256_add_ps(lo, hi),
+            _mm256_cmp_ps::<_CMP_EQ_OQ>(f, _mm256_setzero_ps()),
+        );
+        let y = _mm256_blendv_ps(y, y_near, _mm256_castsi256_ps(near));
+
+        // x < 2^-29: x itself. glibc returns x − x·x·0.5 (or x below
+        // 2^-54), but x·x·0.5 is under half an ulp of x there.
+        _mm256_blendv_ps(
+            y,
+            x,
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(epi(0x3100_0000), hx)),
+        )
+    }
+
     /// [`radius`] and [`angle`] over one group of eight indices, for the
     /// exhaustive tests.
     #[cfg(test)]
@@ -389,13 +599,18 @@ pub fn weights(layer: &LayerShape, rank: usize, noise: f32, seed: u64) -> Tensor
         vec![0u32; chunk_draws],
         vec![0.0f32; chunk_draws],
     );
-    let mut signs = vec![false; chunk_kernels * rank];
+    let (mut signs, mut coefs) = (
+        vec![0u32; chunk_kernels * rank],
+        vec![0.0f32; chunk_kernels * rank],
+    );
     for chunk in data.chunks_mut(CHUNK_KERNELS * rs) {
         let n = chunk.len() / rs;
         let (u1, u2) = (&mut u1[..n * per_kernel], &mut u2[..n * per_kernel]);
-        let (gauss, signs) = (&mut gauss[..n * per_kernel], &mut signs[..n * rank]);
+        let gauss = &mut gauss[..n * per_kernel];
+        let (signs, coefs) = (&mut signs[..n * rank], &mut coefs[..n * rank]);
 
-        // Phase 1: the chunk's raw stream, serially.
+        // Phase 1: the chunk's raw stream, serially. A coefficient's sign
+        // is kept as the sign bit that negates it.
         let draws = u1
             .chunks_exact_mut(per_kernel)
             .zip(u2.chunks_exact_mut(per_kernel))
@@ -406,32 +621,35 @@ pub fn weights(layer: &LayerShape, rank: usize, noise: f32, seed: u64) -> Tensor
             let mags = mag_a.chunks_exact_mut(2).zip(mag_b.chunks_exact_mut(2));
             for ((a, b), sign) in mags.zip(signs) {
                 draw_indices(&mut rng, a, b);
-                *sign = rng.gen_bool(0.5);
+                *sign = u32::from(!rng.gen_bool(0.5)) << 31;
             }
             draw_indices(&mut rng, noise_a, noise_b);
         }
         // Phase 2: the chunk's Gaussians, batched.
         box_muller(u1, u2, gauss);
-        // Phase 3: the scalar tail.
-        let kernels = chunk
-            .chunks_exact_mut(rs)
+        // Phase 3: the tail. Laplace-like heavy-tailed coefficients, sign ·
+        // exp-distributed magnitude, with the magnitudes' `ln_1p` batched.
+        for (coefs, g) in coefs
+            .chunks_exact_mut(rank)
             .zip(gauss.chunks_exact(per_kernel))
-            .zip(signs.chunks_exact(rank));
-        for ((kernel, g), signs) in kernels {
-            let (mags, noises) = g.split_at(2 * rank);
-            let terms = latent.chunks_exact(rs).zip(mags.chunks_exact(2)).zip(signs);
-            for ((l, m), &positive) in terms {
-                // Laplace-like heavy tail: sign * exp-distributed magnitude.
-                let mag = -m[0].abs().ln_1p() + m[1].abs().powi(2) * 0.4;
-                let coef = if positive { mag } else { -mag };
-                for (kv, &lv) in kernel.iter_mut().zip(l) {
-                    *kv += coef * lv;
-                }
-            }
-            for (kv, &n) in kernel.iter_mut().zip(noises) {
-                *kv += noise * n;
+        {
+            for (coef, m) in coefs.iter_mut().zip(g.chunks_exact(2)) {
+                *coef = m[0].abs();
             }
         }
+        ln_1p(coefs);
+        let kernels = coefs
+            .chunks_exact_mut(rank)
+            .zip(gauss.chunks_exact(per_kernel))
+            .zip(signs.chunks_exact(rank));
+        for ((coefs, g), signs) in kernels {
+            for ((coef, m), &sign) in coefs.iter_mut().zip(g.chunks_exact(2)).zip(signs) {
+                // `-mag` is `mag` with its sign bit flipped.
+                let mag = -*coef + m[1].abs().powi(2) * 0.4;
+                *coef = f32::from_bits(mag.to_bits() ^ sign);
+            }
+        }
+        latent_sums(chunk, coefs, gauss, &latent, rs, noise);
     }
 
     // Normalize to a He-like fan-in scale so outputs are well-conditioned.
@@ -676,6 +894,9 @@ mod tests {
             let fast = simd::lanes(group, simd::radius);
             for (&i, got) in group.iter().zip(fast) {
                 assert_eq!(got.to_bits(), radius(i).to_bits(), "u1 index {i}");
+                // With |cos| ≤ 1 and monotone rounding, |g| ≤ the radius:
+                // the exhaustive `ln_1p` test covers every magnitude.
+                assert!(got <= f32::from_bits(MAX_MAGNITUDE), "u1 index {i}");
             }
         }
     }
@@ -690,18 +911,80 @@ mod tests {
             let fast = simd::lanes(group, simd::angle);
             for (&i, got) in group.iter().zip(fast) {
                 assert_eq!(got.to_bits(), angle(i).to_bits(), "u2 index {i}");
+                assert!(got.abs() <= 1.0, "u2 index {i}");
             }
         }
     }
 
     #[test]
     fn avx2_fma_hosts_take_the_batch_kernel() {
-        // Guards the two exhaustive tests above against passing vacuously.
+        // Guards the exhaustive tests above and below against passing
+        // vacuously.
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             let idx: Vec<u32> = (0..20).map(|i| i * 838_861).collect();
             assert_eq!(box_muller(&idx, &idx, &mut [0.0; 20]), 16);
+            assert_eq!(ln_1p(&mut [0.5; 20]), 16);
         }
+    }
+
+    /// Runs the batched `ln_1p` over the values with bit patterns `bits`
+    /// and asserts each equals the host libm's.
+    fn assert_ln_1p_matches_libm(bits: impl Iterator<Item = u32>) {
+        let mut want = Vec::with_capacity(4096);
+        let mut bits = bits.peekable();
+        while bits.peek().is_some() {
+            want.clear();
+            want.extend(bits.by_ref().take(4096).map(f32::from_bits));
+            let mut got = want.clone();
+            ln_1p(&mut got);
+            for (&x, y) in want.iter().zip(got) {
+                assert_eq!(
+                    y.to_bits(),
+                    x.ln_1p().to_bits(),
+                    "ln_1p({x:e}), bits {:#x}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_ln_1p_matches_libm_on_samples_and_branch_points() {
+        // Every 4099th pattern of the reachable range, then ±256 ulps
+        // around each of glibc's branch points: |x| < 2^-54, |x| < 2^-29,
+        // x < 0.41422, the normalization edge m < √2 (hu < 0x3504f7) of
+        // u = 1 + x for u in [1, 2), [2, 4) and [4, 8), and the inputs
+        // with |f| < 2^-20 around x = 1 and x = 3 (u = 2, u = 4).
+        let u_edge = |k: u32| (f32::from_bits((127 + k) << 23 | 0x35_04f7) - 1.0).to_bits();
+        let points = [
+            0x2480_0000,
+            0x3100_0000,
+            0x3ed4_13d7,
+            u_edge(0),
+            u_edge(1),
+            u_edge(2),
+            1.0f32.to_bits(),
+            3.0f32.to_bits(),
+        ];
+        let around = points.into_iter().flat_map(|p| p - 256..=p + 256);
+        assert_ln_1p_matches_libm((0..=MAX_MAGNITUDE).step_by(4099).chain(around));
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 1.09e9 inputs: run in release"]
+    fn batch_ln_1p_matches_libm_on_every_reachable_input() {
+        let threads = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(4) as u32;
+        let span = MAX_MAGNITUDE / threads + 1;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let lo = t * span;
+                let hi = (lo + span - 1).min(MAX_MAGNITUDE);
+                s.spawn(move || assert_ln_1p_matches_libm(lo..=hi));
+            }
+        });
     }
 
     /// The per-draw generators the two-phase ones replaced, kept as the
@@ -797,6 +1080,23 @@ mod tests {
             3 => LayerShape::fc("l", c, k),
             4 => LayerShape::grouped_conv("l", 2 * c, 2 * k, 8, 8, rs, 1, 0, 2),
             _ => LayerShape::dilated_conv("l", c, k, 16, 16, rs, 1, 0, 2),
+        }
+    }
+
+    #[test]
+    fn weights_match_the_per_draw_oracle_on_4x4_kernels() {
+        // The ViT patchify's kernel area has its own fixed-width latent
+        // sums, which the proptest below (sides 1, 3, 5, 7) never reaches.
+        for kind in [0, 1, 4, 5] {
+            for (i, rank) in [1, 6, 16, 18].into_iter().enumerate() {
+                let layer = layer_of_kind(kind, 5, 3, 4);
+                let seed = 0x4a4a + i as u64;
+                assert_eq!(
+                    bits(weights(&layer, rank, 0.05, seed).as_slice()),
+                    bits(&oracle::weights(&layer, rank, 0.05, seed)),
+                    "kind {kind}, rank {rank}"
+                );
+            }
         }
     }
 

@@ -64,7 +64,7 @@ pub fn conv2d_gemm(input: &Tensor, weight: &Tensor, stride: usize, pad: usize) -
     let out = w.matmul(&cols);
     let ox = conv_out_size(x, r, stride, pad);
     let oy = conv_out_size(y, s, stride, pad);
-    Tensor::from_vec(&[k, ox, oy], out.as_slice().to_vec())
+    Tensor::from_vec(&[k, ox, oy], out.into_vec())
 }
 
 #[cfg(test)]

@@ -183,12 +183,27 @@ pub fn truncated_svd(a: &Matrix, m: usize) -> Result<Factorization, TensorError>
             got: format!("m = {m}"),
         });
     }
-    let eig = jacobi_eigen(&a.gram())?;
+    Ok(truncate(a, &jacobi_eigen(&a.gram())?, m))
+}
+
+/// The rank-`m` factorization of `a` from `eig`, the eigendecomposition
+/// of `a.gram()`: the last step of [`truncated_svd`], for a caller that
+/// already holds the eigenpairs (to pick `m` from the spectrum, say).
+///
+/// # Panics
+///
+/// Panics if `m` exceeds `a.cols()` or `eig` is not `a.cols()`-square.
+pub fn truncate(a: &Matrix, eig: &SymmetricEigen, m: usize) -> Factorization {
+    let n = a.cols();
+    assert!(
+        m <= n && eig.values.len() == n,
+        "rank {m} truncation of a {n}-column eigendecomposition"
+    );
     // basis: top-m eigenvectors of the Gram matrix as rows (right singular
     // vectors of `a`).
-    let mut basis = Matrix::zeros(m, a.cols());
+    let mut basis = Matrix::zeros(m, n);
     for comp in 0..m {
-        for c in 0..a.cols() {
+        for c in 0..n {
             basis.set(comp, c, eig.vectors.get(c, comp));
         }
     }
@@ -197,7 +212,7 @@ pub fn truncated_svd(a: &Matrix, m: usize) -> Result<Factorization, TensorError>
     let coeffs = a.matmul(&basis.transpose());
     let energy: f32 = eig.values.iter().map(|&l| l.max(0.0)).sum();
     let captured: f32 = eig.values.iter().take(m).map(|&l| l.max(0.0)).sum();
-    Ok(Factorization {
+    Factorization {
         coeffs,
         basis,
         captured_energy: if energy > 0.0 {
@@ -205,7 +220,7 @@ pub fn truncated_svd(a: &Matrix, m: usize) -> Result<Factorization, TensorError>
         } else {
             1.0
         },
-    })
+    }
 }
 
 /// A rank-`m` factorization `a ≈ coeffs · basis` produced by
@@ -326,6 +341,98 @@ mod tests {
             truncated_svd(&a, 4),
             Err(TensorError::ShapeMismatch { .. })
         ));
+    }
+
+    /// The Gram and product loops before they went branch-free, with
+    /// their zero skip and ragged inner loop, kept as the oracle.
+    mod old {
+        use crate::Matrix;
+
+        #[allow(clippy::needless_range_loop)]
+        pub fn gram(a: &Matrix) -> Matrix {
+            let n = a.cols();
+            let mut out = Matrix::zeros(n, n);
+            for row in 0..a.rows() {
+                let r = a.row(row);
+                for i in 0..n {
+                    let ri = r[i];
+                    if ri == 0.0 {
+                        continue;
+                    }
+                    for j in i..n {
+                        out.set(i, j, out.get(i, j) + ri * r[j]);
+                    }
+                }
+            }
+            for i in 0..n {
+                for j in 0..i {
+                    out.set(i, j, out.get(j, i));
+                }
+            }
+            out
+        }
+
+        #[allow(clippy::needless_range_loop)]
+        pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for k in 0..a.cols() {
+                    let x = a.get(i, k);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..b.cols() {
+                        out.set(i, j, out.get(i, j) + x * b.get(k, j));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An entry that is `+0`, `-0` or a value of either sign over six
+    /// decades.
+    fn entry((kind, v): (u8, i32)) -> f32 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v as f32 * [1e-3, 1e-1, 1e1][usize::from(kind % 3)],
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn gram_and_matmul_match_the_zero_skipping_loops(
+            width in 0usize..6,
+            rows in 0usize..24,
+            m_pick in 0usize..49,
+            zero_rows in proptest::arbitrary::any::<u32>(),
+            a in proptest::collection::vec((0u8..6, -1000i32..1000), 24 * 49),
+            v in proptest::collection::vec((0u8..6, -1000i32..1000), 49 * 49),
+        ) {
+            // The Gram's fixed-width copies (1, 9, 16, 49) and two widths
+            // that take its runtime-width loop.
+            let n = [1, 4, 9, 16, 25, 49][width];
+            let m = 1 + m_pick % n;
+            let mut a: Vec<f32> = a.into_iter().take(rows * n).map(entry).collect();
+            // Whole rows of +0 or -0, which the old loops skipped.
+            for (r, row) in a.chunks_exact_mut(n).enumerate() {
+                if zero_rows >> (r % 32) & 1 == 1 {
+                    row.fill(if r % 2 == 0 { 0.0 } else { -0.0 });
+                }
+            }
+            let a = Matrix::from_vec(rows, n, a);
+            // An `n×m` right factor, the shape of the projection `a · basisᵀ`.
+            let b = Matrix::from_vec(n, m, v.into_iter().take(n * m).map(entry).collect());
+            proptest::prop_assert_eq!(bits(&a.gram()), bits(&old::gram(&a)));
+            proptest::prop_assert_eq!(bits(&a.matmul(&b)), bits(&old::matmul(&a, &b)));
+        }
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Dense row-major `f32` matrix with the products needed by kernel
 //! decomposition.
 
+/// Lanes of [`Matrix::matmul`]'s fixed-width accumulators: one group
+/// covers decomposition's projection onto at most eight basis kernels.
+const LANES: usize = 8;
+
 /// A dense 2-D matrix stored in row-major order.
 ///
 /// # Examples
@@ -132,7 +136,19 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Consumes the matrix, returning its row-major buffer.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Matrix product `self * other`.
+    ///
+    /// Each output row keeps one accumulator per group of [`LANES`]
+    /// columns and adds `self[i][k]·other[k]` for `k` in order from `+0`,
+    /// reading a copy of the group's columns of `other`, so the inner loop
+    /// has a fixed width and no branch at any output width. The sum never
+    /// becomes `-0`, so for finite entries a zero term changes nothing:
+    /// the result has the bits a loop that skips zeros of `self` gives.
     ///
     /// # Panics
     ///
@@ -143,21 +159,37 @@ impl Matrix {
             "matmul inner dimensions differ: {} vs {}",
             self.cols, other.rows
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
+        let (n, m) = (self.cols, other.cols);
+        let mut out = vec![0.0f32; self.rows * m];
+        if n == 0 || m == 0 {
+            return Matrix::from_vec(self.rows, m, out);
+        }
+        // One group's columns of `other`, row by row, reused across
+        // groups: lanes past `m` in the last group keep stale values,
+        // whose sums are never written.
+        let mut group = vec![0.0f32; n * LANES];
+        for g in 0..m.div_ceil(LANES) {
+            let cols = g * LANES..m.min(g * LANES + LANES);
+            for (dst, row) in group
+                .chunks_exact_mut(LANES)
+                .zip(other.data.chunks_exact(m))
+            {
+                dst[..cols.len()].copy_from_slice(&row[cols.clone()]);
+            }
+            let (group, _) = group.as_chunks::<LANES>();
+            for (out, row) in out.chunks_exact_mut(m).zip(self.data.chunks_exact(n)) {
+                let mut acc = [0.0f32; LANES];
+                for (&x, b) in row.iter().zip(group) {
+                    for (acc, &b) in acc.iter_mut().zip(b) {
+                        *acc += x * b;
+                    }
                 }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let dst = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (d, &b) in dst.iter_mut().zip(orow) {
-                    *d += a * b;
+                for (o, acc) in out[cols.clone()].iter_mut().zip(acc) {
+                    *o = acc;
                 }
             }
         }
-        out
+        Matrix::from_vec(self.rows, m, out)
     }
 
     /// The transpose of the matrix.
@@ -172,28 +204,34 @@ impl Matrix {
     }
 
     /// The Gram matrix `selfᵀ * self` (always `cols x cols`, symmetric).
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// Each row adds `r[i]·r[j]` into every entry of the upper triangle,
+    /// with no branch, and the lower triangle mirrors it at the end: each
+    /// entry sums over the rows in row order from `+0`. The sum never
+    /// becomes `-0`, so for finite entries adding a zero product changes
+    /// nothing and skipping zeros would give the same bits. The kernel
+    /// areas the benchmark networks decompose — 1×1, 3×3, 4×4 (the ViT
+    /// patchify) and 7×7 — each get a fixed-width copy of the loop, which
+    /// the compiler unrolls; other widths run it with a runtime width,
+    /// several times slower.
     pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        for row in 0..self.rows {
-            let r = self.row(row);
-            for i in 0..self.cols {
-                let ri = r[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                for j in i..self.cols {
-                    out.data[i * self.cols + j] += ri * r[j];
-                }
-            }
+        let n = self.cols;
+        let mut out = vec![0.0f32; n * n];
+        match n {
+            0 => {}
+            1 => gram_rows(&self.data, &mut out, 1),
+            9 => gram_rows(&self.data, &mut out, 9),
+            16 => gram_rows(&self.data, &mut out, 16),
+            49 => gram_rows(&self.data, &mut out, 49),
+            n => gram_rows(&self.data, &mut out, n),
         }
         // Mirror the upper triangle.
-        for i in 0..self.cols {
+        for i in 0..n {
             for j in 0..i {
-                out.data[i * self.cols + j] = out.data[j * self.cols + i];
+                out[i * n + j] = out[j * n + i];
             }
         }
-        out
+        Matrix::from_vec(n, n, out)
     }
 
     /// Frobenius norm.
@@ -210,6 +248,21 @@ impl Matrix {
                 .iter()
                 .zip(&other.data)
                 .all(|(a, b)| (a - b).abs() <= tol + tol * a.abs().max(b.abs()))
+    }
+}
+
+/// Adds `r[i]·r[j]` into `out[i][j]` for `j ≥ i`, for each `n`-wide row
+/// `r` of `a` in order.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn gram_rows(a: &[f32], out: &mut [f32], n: usize) {
+    for r in a.chunks_exact(n) {
+        for i in 0..n {
+            let ri = r[i];
+            for j in i..n {
+                out[i * n + j] += ri * r[j];
+            }
+        }
     }
 }
 

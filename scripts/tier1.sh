@@ -19,6 +19,11 @@ cargo test -q --offline --workspace
 # test matrix (unit + doc tests) explicitly so a workspace-level filter
 # can never silently drop it.
 cargo test -q --offline -p escalate-obs
+# The batched `log1pf` of weight synthesis against the host libm on every
+# input synthesis can reach (1.09e9 f32 values, ~20 s in release on a
+# 2-core host); the default suite runs a sampled version of it.
+cargo test -q --release --offline -p escalate-models --lib -- --ignored \
+  batch_ln_1p_matches_libm_on_every_reachable_input
 # Benchmark smoke: one iteration of every perfbench workload at smoke
 # size, untraced and traced, with output digests checked and the metric
 # catalogue matched against BENCHMARK.json. perfbench is its own
@@ -151,7 +156,8 @@ grep -q '"serve.jobs_done": 5' "$SERVE_DIR/metrics.txt"
 grep -o '"sim.walk_cache.hits": [0-9]*' "$SERVE_DIR/metrics.txt" | grep -qv ': 0$'
 submit shutdown | grep -q '"drained": true'
 for _ in $(seq 1 300); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.1; done
-! kill -0 "$SERVE_PID" 2>/dev/null
+# Not `! kill -0 …`: `set -e` ignores the status of a `!`-negated command.
+if kill -0 "$SERVE_PID" 2>/dev/null; then echo "daemon alive after shutdown" >&2; exit 1; fi
 grep -q "drained — 5 jobs done, 0 failed" "$SERVE_DIR/serve.txt"
 cargo fmt --check
 cargo clippy --all-targets --offline --workspace -- -D warnings
