@@ -4,7 +4,7 @@
 //! VGG16 as 1.5× faster than sparse MobileNetV2.
 
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
-use crate::{compress_cached, run_escalate, tline};
+use crate::{compress_cached, run_escalate_workload, tline, workload_cached};
 use escalate_core::pipeline::{accuracy_proxy, CompressionConfig};
 use escalate_core::ModelCompression;
 use escalate_models::ModelProfile;
@@ -46,12 +46,11 @@ impl Experiment for Discussion {
         let mut latencies = Vec::new();
         for name in ["VGG16", "MobileNetV2"] {
             let profile = ModelProfile::for_model(name).expect("known model");
-            let artifacts = compress_cached(&profile, &CompressionConfig::default())?;
-            let stats = ModelCompression {
-                model_name: name.to_string(),
-                layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
-            };
-            let run = run_escalate(&profile, &artifacts, cfg, 5);
+            let compression = CompressionConfig::default();
+            let stats =
+                ModelCompression::from_artifacts(name, &compress_cached(&profile, &compression)?);
+            let workload = workload_cached(&profile, &compression)?;
+            let run = run_escalate_workload(&workload, cfg, 5);
             let latency = run.cycles / (cfg.frequency_mhz * 1e3);
             let proxy = accuracy_proxy(profile.baseline_top1, stats.mean_weight_error());
             tline!(

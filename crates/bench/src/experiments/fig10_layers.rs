@@ -6,7 +6,7 @@
 //! Takes an optional model-name argument (default ResNet18).
 
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
-use crate::{compress_cached, escalate_layer_energies, run_escalate, tline};
+use crate::{escalate_layer_energies, run_escalate_workload, tline, workload_cached};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 
@@ -31,8 +31,8 @@ impl Experiment for Fig10Layers {
         let profile = ModelProfile::for_model(name)
             .ok_or_else(|| ExpError::Msg(format!("unknown model {name}")))?;
         let cfg = &ctx.sim;
-        let artifacts = compress_cached(&profile, &CompressionConfig::default())?;
-        let run = run_escalate(&profile, &artifacts, cfg, 1);
+        let workload = workload_cached(&profile, &CompressionConfig::default())?;
+        let run = run_escalate_workload(&workload, cfg, 1);
         let layers = escalate_layer_energies(&run, cfg);
 
         let mut t = Table::new(self.name(), self.paper_anchor());

@@ -3,11 +3,11 @@
 //! optional model-name argument to analyze a different network.
 
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
-use crate::{compress_cached, tline};
+use crate::{tline, workload_cached};
 use escalate_baselines::{BaselineWorkload, Eyeriss, LayerModel, Scnn, SparTen};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
-use escalate_sim::{simulate_model, Workload};
+use escalate_sim::simulate_model;
 
 /// Registry entry for Figure 11.
 pub struct Fig11;
@@ -30,8 +30,7 @@ impl Experiment for Fig11 {
         let name = ctx.arg_or("ResNet18");
         let profile = ModelProfile::for_model(name)
             .ok_or_else(|| ExpError::Msg(format!("unknown model {name}")))?;
-        let artifacts = compress_cached(&profile, &CompressionConfig::default())?;
-        let workload = Workload::from_artifacts(&profile.name, &artifacts, &profile);
+        let workload = workload_cached(&profile, &CompressionConfig::default())?;
         let esc = simulate_model(&workload, cfg, 0);
 
         let bw = BaselineWorkload::for_profile(&profile);

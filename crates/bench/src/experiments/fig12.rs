@@ -3,7 +3,7 @@
 //! budget constant (ResNet18 and ResNet50).
 
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
-use crate::{compress_cached, run_escalate, tline};
+use crate::{compress_cached, run_escalate_workload, tline, workload_cached};
 use escalate_core::pipeline::{accuracy_proxy, CompressionConfig};
 use escalate_core::{EscalateError, ModelCompression};
 use escalate_models::ModelProfile;
@@ -53,12 +53,10 @@ impl Experiment for Fig12 {
                     m,
                     ..CompressionConfig::default()
                 };
-                let artifacts = compress_cached(&profile, &cfg)?;
-                let stats = ModelCompression {
-                    model_name: model.to_string(),
-                    layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
-                };
-                let run = run_escalate(&profile, &artifacts, &sim_cfg, 3);
+                let stats =
+                    ModelCompression::from_artifacts(model, &compress_cached(&profile, &cfg)?);
+                let workload = workload_cached(&profile, &cfg)?;
+                let run = run_escalate_workload(&workload, &sim_cfg, 3);
                 let proxy = accuracy_proxy(profile.baseline_top1, stats.mean_weight_error());
                 let latency_ms = run.cycles / (sim_cfg.frequency_mhz * 1e3);
                 let energy_mj = run.energy_pj * 1e-9;

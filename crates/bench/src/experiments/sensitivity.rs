@@ -5,7 +5,7 @@
 //! levels.
 
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
-use crate::{compress_cached, tline};
+use crate::{tline, workload_cached};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 use escalate_sim::{simulate_model, Workload};
@@ -29,8 +29,7 @@ impl Experiment for Sensitivity {
     fn run(&self, ctx: &ExpContext) -> Result<Table, ExpError> {
         let cfg = &ctx.sim;
         let profile = ModelProfile::for_model("ResNet18").expect("known model");
-        let artifacts = compress_cached(&profile, &CompressionConfig::default())?;
-        let workload = Workload::from_artifacts("ResNet18", &artifacts, &profile);
+        let workload = workload_cached(&profile, &CompressionConfig::default())?;
 
         let mut t = Table::new(self.name(), self.paper_anchor());
 
@@ -63,7 +62,7 @@ impl Experiment for Sensitivity {
             "vs profile"
         );
         for sa in [0.0f64, 0.2, 0.4, 0.6, 0.8] {
-            let mut w = workload.clone();
+            let mut w = Workload::clone(&workload);
             for l in w.layers.iter_mut() {
                 l.act_sparsity = sa;
                 l.out_sparsity = sa;

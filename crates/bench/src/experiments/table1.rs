@@ -7,9 +7,9 @@
 //! mapping (see EXPERIMENTS.md).
 
 use super::{ExpContext, ExpError, Experiment, Record, Table};
-use crate::tline;
-use escalate_core::compress_model;
+use crate::{compress_cached, tline};
 use escalate_core::pipeline::{accuracy_proxy, CompressionConfig};
+use escalate_core::ModelCompression;
 use escalate_models::ModelProfile;
 
 /// Registry entry for Table 1.
@@ -53,7 +53,8 @@ impl Experiment for Table1 {
         );
         for profile in ModelProfile::all() {
             let model = profile.model();
-            let result = compress_model(&profile, &cfg)?;
+            let result =
+                ModelCompression::from_artifacts(&profile.name, &compress_cached(&profile, &cfg)?);
             let proxy = accuracy_proxy(profile.baseline_top1, result.mean_weight_error());
             tline!(
                 t,

@@ -12,18 +12,21 @@
 //!
 //! Orchestration lives in two layers: [`plan`] is the shared run-plan
 //! machinery (work-unit enumeration, deterministic parallel execution,
-//! output sinks with JSONL resume), and [`experiments`]/[`sweep`] are its
-//! two consumers — the paper's experiment registry and the design-space
-//! sweep behind `escalate sweep`. [`args`] is the option reader every
-//! command line shares, `report`'s included.
+//! output sinks with JSONL resume), and its consumers are the paper's
+//! experiment registry ([`experiments`]), the design-space sweep behind
+//! `escalate sweep` ([`sweep`]) and the job verbs ([`jobs`]: `simulate`,
+//! `compress` and `report`, each defined once for the CLI, the daemon and
+//! the experiments). [`args`] is the option reader every command line
+//! shares, `report`'s included.
 
 pub mod args;
 pub mod experiments;
+pub mod jobs;
 pub mod plan;
 pub mod render;
 pub mod sweep;
 
-use escalate_baselines::{BaselineSim, BaselineWorkload, Eyeriss, LayerModel, Scnn, SparTen};
+use crate::experiments::ExpError;
 use escalate_core::cache::SingleFlightCache;
 use escalate_core::pipeline::CompressionConfig;
 use escalate_core::{compress_model_artifacts, CompressedLayer, EscalateError};
@@ -334,23 +337,11 @@ pub fn run_accelerator(
     average_runs(acc.name().into(), per_seed)
 }
 
-/// Runs ESCALATE on a compressed model, averaged over input seeds — a
-/// thin wrapper binding [`Escalate`] to the workload and routing through
-/// [`run_accelerator`] with the Table 2 buffer capacities.
-pub fn run_escalate(
-    profile: &ModelProfile,
-    artifacts: &[CompressedLayer],
-    sim_cfg: &SimConfig,
-    seeds: u64,
-) -> AccelRun {
-    let workload = Workload::from_artifacts(&profile.name, artifacts, profile);
-    run_escalate_workload(&workload, sim_cfg, seeds)
-}
-
-/// [`run_escalate`] against an already-built [`Workload`] — the sweep's
-/// shared-work path hands in a cached workload ([`workload_cached`])
-/// instead of rebuilding it per design point. The workload is read-only
-/// to the simulation, so sharing cannot change results.
+/// Runs ESCALATE on a compressed model's [`Workload`], averaged over
+/// input seeds — [`run_accelerator`] with the Table 2 buffer capacities.
+/// Callers hand in the cached workload ([`workload_cached`]) instead of
+/// rebuilding it per design point or experiment; it is read-only to the
+/// simulation, so sharing cannot change results.
 pub fn run_escalate_workload(workload: &Workload, sim_cfg: &SimConfig, seeds: u64) -> AccelRun {
     escalate_core::par::configure_threads(sim_cfg.threads);
     let caps = BufferCaps::from_config(sim_cfg);
@@ -407,112 +398,35 @@ pub fn workload_cached(
     Ok(look.value)
 }
 
-/// The cached ESCALATE workload of `profile` compressed at `sim_cfg.m`
-/// with the default compression settings.
-fn escalate_workload(
-    profile: &ModelProfile,
-    sim_cfg: &SimConfig,
-) -> Result<Arc<Workload>, EscalateError> {
-    workload_cached(
-        profile,
-        &CompressionConfig {
-            m: sim_cfg.m,
-            ..CompressionConfig::default()
-        },
-    )
-}
-
-/// Runs all four accelerators on one model, each through
-/// [`run_accelerator_by_name`].
-///
-/// The four simulations are independent, so they run concurrently (nested
-/// joins on the global pool) unless `sim_cfg.threads == 1`; the ESCALATE
-/// workload comes from the per-process workload cache
-/// ([`workload_cached`]).
+/// Runs all four accelerators on one model: the simulate plan
+/// ([`jobs::SimulatePlan`], the same one a served `simulate` job runs)
+/// executed into a [`plan::TableSink`] (its unit tables are empty; only
+/// the assembled result is kept). The ESCALATE workload comes
+/// from the per-process workload cache ([`workload_cached`]).
 ///
 /// # Errors
 ///
-/// Propagates compression failures.
+/// Propagates compression failures, and a basis count outside
+/// `1..=MAX_M`.
 pub fn run_model(
     profile: &ModelProfile,
     sim_cfg: &SimConfig,
     seeds: u64,
 ) -> Result<ModelRun, EscalateError> {
     let _t = escalate_obs::span_labeled("bench.model", &profile.name);
-    // Size the pool before the joins below would initialize it.
-    escalate_core::par::configure_threads(sim_cfg.threads);
-    let run = |name: &str| run_accelerator_by_name(name, profile, sim_cfg, seeds);
-    let (escalate, (eyeriss, (scnn, sparten))) = if sim_cfg.threads == 1 {
-        (
-            run("ESCALATE"),
-            (run("Eyeriss"), (run("SCNN"), run("SparTen"))),
-        )
-    } else {
-        rayon::join(
-            || run("ESCALATE"),
-            || {
-                rayon::join(
-                    || run("Eyeriss"),
-                    || rayon::join(|| run("SCNN"), || run("SparTen")),
-                )
+    jobs::SimulatePlan::new(profile.clone(), sim_cfg, sim_cfg.m, seeds)?
+        .run(&mut plan::TableSink::default())
+        .map_err(|e| match e {
+            ExpError::Pipeline(e) => e,
+            other => EscalateError::Simulation {
+                what: other.to_string(),
             },
-        )
-    };
-    Ok(ModelRun {
-        model: profile.name.to_string(),
-        escalate: escalate?,
-        eyeriss: eyeriss?,
-        scnn: scnn?,
-        sparten: sparten?,
-    })
+        })
 }
 
 /// The four designs [`run_model`] compares, in the comparison table's row
 /// order (ESCALATE last).
 pub const ACCELERATOR_NAMES: [&str; 4] = ["Eyeriss", "SCNN", "SparTen", "ESCALATE"];
-
-/// Runs one of the four accelerators by name — the one dispatch behind
-/// [`run_model`], also called directly by callers (the serve daemon's
-/// simulate plan) that fan the comparison out as independent work units.
-/// Every stage is order-preserving with per-seed RNGs, so assembling the
-/// four results into a [`ModelRun`] is bit-identical to one `run_model`
-/// call at any thread count.
-///
-/// # Errors
-///
-/// Propagates compression failures; an unknown name reports the valid
-/// set.
-pub fn run_accelerator_by_name(
-    name: &str,
-    profile: &ModelProfile,
-    sim_cfg: &SimConfig,
-    seeds: u64,
-) -> Result<AccelRun, EscalateError> {
-    escalate_core::par::configure_threads(sim_cfg.threads);
-    if name == "ESCALATE" {
-        let workload = escalate_workload(profile, sim_cfg)?;
-        return Ok(run_escalate_workload(&workload, sim_cfg, seeds));
-    }
-    let (eyeriss, scnn, sparten) = (Eyeriss::default(), Scnn::default(), SparTen::default());
-    let model: &dyn LayerModel = match name {
-        "Eyeriss" => &eyeriss,
-        "SCNN" => &scnn,
-        "SparTen" => &sparten,
-        other => {
-            return Err(EscalateError::Simulation {
-                what: format!("unknown accelerator {other:?} (expected {ACCELERATOR_NAMES:?})"),
-            })
-        }
-    };
-    let bw = BaselineWorkload::for_profile(profile);
-    let caps = BufferCaps::baseline(64 * 1024);
-    Ok(run_accelerator(
-        &BaselineSim::new(model, &bw),
-        &caps,
-        seeds,
-        sim_cfg.threads,
-    ))
-}
 
 /// Per-layer energy of one accelerator run (ESCALATE buffer pricing).
 pub fn escalate_layer_energies(
@@ -611,25 +525,6 @@ mod tests {
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(20.0, 10.0, 10).len(), 10);
         assert_eq!(bar(1.0, 0.0, 10), "");
-    }
-
-    #[test]
-    fn accelerator_by_name_matches_run_model_bitwise() {
-        // The serve daemon fans the four designs out as independent work
-        // units through `run_accelerator_by_name`; its bit-identity claim
-        // against the one-shot `run_model` path is pinned here.
-        let profile = ModelProfile::for_model("MobileNet").unwrap();
-        let cfg = SimConfig::default();
-        let whole = run_model(&profile, &cfg, 2).unwrap();
-        let parts = [&whole.eyeriss, &whole.scnn, &whole.sparten, &whole.escalate];
-        for (name, expect) in ACCELERATOR_NAMES.iter().zip(parts) {
-            let run = run_accelerator_by_name(name, &profile, &cfg, 2).unwrap();
-            assert_eq!(run.name, expect.name);
-            assert_eq!(run.cycles.to_bits(), expect.cycles.to_bits(), "{name}");
-            assert_eq!(run.dram_bytes.to_bits(), expect.dram_bytes.to_bits());
-            assert_eq!(run.energy_pj.to_bits(), expect.energy_pj.to_bits());
-        }
-        assert!(run_accelerator_by_name("TPU", &profile, &cfg, 1).is_err());
     }
 
     #[test]

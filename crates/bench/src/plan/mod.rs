@@ -28,6 +28,7 @@ pub mod jsonl;
 pub use jsonl::JsonlSink;
 
 use crate::experiments::{ExpError, Table};
+use escalate_core::par::lock_recover;
 
 /// One schedulable unit of work inside a [`RunPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,9 +161,10 @@ fn is_permutation(order: &[usize], n: usize) -> bool {
 /// prefix, and a served job's client sees records as they complete.
 ///
 /// Units run on scoped worker threads sized to the global pool
-/// (`rayon::current_num_threads`); nested parallelism inside `run_unit`
-/// still shares the global pool's token budget, so total concurrency
-/// stays bounded. Workers claim pending units in [`RunPlan::schedule`]
+/// (`rayon::current_num_threads`), or on the calling thread when that is
+/// one thread or one unit; nested parallelism inside `run_unit` still
+/// shares the global pool's token budget, so total concurrency stays
+/// bounded. Workers claim pending units in [`RunPlan::schedule`]
 /// order (enumeration order when the plan has none, or returns something
 /// that is not a permutation), so cache-friendly neighbours run
 /// adjacently; the sink feed stays strictly in unit order, so neither the
@@ -194,16 +196,26 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
         }
     }
     let ran = pending.len();
-    if pending.len() <= 1 {
-        for unit in pending {
-            sink.write_unit(unit, plan.run_unit(unit)?)?;
-        }
-        return Ok(ExecSummary { ran, skipped });
-    }
     let order: Vec<usize> = match plan.schedule(&pending) {
         Some(o) if is_permutation(&o, pending.len()) => o,
         _ => (0..pending.len()).collect(),
     };
+    let workers = rayon::current_num_threads().min(pending.len());
+    if workers <= 1 {
+        // One worker is this thread: run in schedule order, feeding each
+        // output once it and every unit before it have run.
+        let mut slots: Vec<Option<Result<UnitOutput, ExpError>>> =
+            pending.iter().map(|_| None).collect();
+        let mut fed = 0;
+        for &i in &order {
+            slots[i] = Some(plan.run_unit(pending[i]));
+            while let Some(out) = slots.get_mut(fed).and_then(Option::take) {
+                sink.write_unit(pending[fed], out?)?;
+                fed += 1;
+            }
+        }
+        return Ok(ExecSummary { ran, skipped });
+    }
 
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex as StdMutex};
@@ -225,7 +237,6 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
         next: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
     };
-    let workers = rayon::current_num_threads().clamp(1, pending.len());
     let mut fed = Ok(());
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -249,11 +260,7 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
                         if !self.armed {
                             return;
                         }
-                        let mut slots = self
-                            .shared
-                            .slots
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let mut slots = lock_recover(&self.shared.slots);
                         slots[self.index] = Some(Err(ExpError::Msg("work unit panicked".into())));
                         self.shared.ready.notify_all();
                     }
@@ -265,10 +272,7 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
                 };
                 let out = plan.run_unit(pending[i]);
                 guard.armed = false;
-                let mut slots = shared
-                    .slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut slots = lock_recover(&shared.slots);
                 slots[i] = Some(out);
                 shared.ready.notify_all();
             });
@@ -276,10 +280,7 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
         // The feeder: consume slots strictly in unit order.
         for (i, unit) in pending.iter().enumerate() {
             let out = {
-                let mut slots = shared
-                    .slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut slots = lock_recover(&shared.slots);
                 loop {
                     if let Some(out) = slots[i].take() {
                         break out;

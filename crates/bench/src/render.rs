@@ -112,11 +112,8 @@ mod tests {
     fn compress_summary_names_the_model_and_ratio() {
         let profile = ModelProfile::for_model("MobileNet").unwrap();
         let cfg = escalate_core::pipeline::CompressionConfig::default();
-        let artifacts = escalate_core::pipeline::compress_model_artifacts(&profile, &cfg).unwrap();
-        let result = ModelCompression {
-            model_name: profile.name.to_string(),
-            layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
-        };
+        let artifacts = crate::compress_cached(&profile, &cfg).unwrap();
+        let result = ModelCompression::from_artifacts(&profile.name, &artifacts);
         let brief = render_compress(&profile.name, profile.baseline_top1, cfg.m, &result, false);
         assert!(brief.starts_with("MobileNet (M=6):"), "{brief}");
         let detailed = render_compress(&profile.name, profile.baseline_top1, cfg.m, &result, true);

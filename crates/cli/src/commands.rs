@@ -2,10 +2,11 @@
 
 use crate::args::{Grammar, ParsedArgs};
 use escalate_bench::args::{ArgError, Options};
-use escalate_bench::{input_seeds, run_model};
+use escalate_bench::jobs::CompressPlan;
+use escalate_bench::plan::TableSink;
+use escalate_bench::{input_seeds, run_model, workload_cached};
 use escalate_core::artifact::{read_artifacts, write_artifacts, LayerArtifact};
-use escalate_core::pipeline::{compress_model_artifacts, CompressionConfig};
-use escalate_core::ModelCompression;
+use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 use escalate_sim::{ScheduleKind, SimConfig};
 use std::io::Write;
@@ -371,23 +372,16 @@ fn cmd_network(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The `--m` flag error: a basis count outside `1..=MAX_M`.
-fn bad_basis_count(m: usize) -> CliError {
-    CliError::Args(ArgError::BadValue {
-        option: "m".into(),
-        value: m.to_string(),
-        expected: "a basis count from 1 to 1024",
-    })
-}
-
 /// `--m` (default 6), rejected at flag parsing unless in `1..=MAX_M`.
 fn m_arg(args: &Options) -> Result<usize, CliError> {
     let m = args.get_or("m", 6usize)?;
-    if (1..=escalate_sim::MAX_M).contains(&m) {
-        Ok(m)
-    } else {
-        Err(bad_basis_count(m))
-    }
+    escalate_sim::check_basis_count(m).map_err(|_| {
+        CliError::Args(ArgError::BadValue {
+            option: "m".into(),
+            value: m.to_string(),
+            expected: "a basis count from 1 to 1024",
+        })
+    })
 }
 
 fn cmd_compress(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
@@ -398,12 +392,10 @@ fn cmd_compress(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         seed: args.get_or("seed", 42u64)?,
         ..CompressionConfig::default()
     };
-    let artifacts =
-        compress_model_artifacts(&p, &cfg).map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let result = ModelCompression {
-        model_name: p.name.to_string(),
-        layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
-    };
+    let (artifacts, text) = CompressPlan::new(p, cfg, args.flag("layers"))
+        .map_err(|e| CliError::Pipeline(e.to_string()))?
+        .run(&mut TableSink::default())
+        .map_err(|e| CliError::Pipeline(e.to_string()))?;
     if let Some(path) = args.options.get("out") {
         let file = std::fs::File::create(path)
             .map_err(|e| CliError::Pipeline(format!("cannot create {path}: {e}")))?;
@@ -417,11 +409,35 @@ fn cmd_compress(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         write_artifacts(std::io::BufWriter::new(file), &arts)
             .map_err(|e| CliError::Pipeline(e.to_string()))?;
     }
-    let layers = args.flag("layers");
-    let text =
-        escalate_bench::render::render_compress(&p.name, p.baseline_top1, cfg.m, &result, layers);
     out.write_all(text.as_bytes())?;
     Ok(())
+}
+
+/// Runs `run`, with a metrics recorder installed for its duration when
+/// `--metrics FILE` is given (without one the simulators take their
+/// zero-cost no-op path), then writes `document(result, recorder)` to
+/// that file.
+fn with_metrics<T, E: std::fmt::Display>(
+    args: &Options,
+    run: impl FnOnce() -> Result<T, E>,
+    document: impl FnOnce(&T, &escalate_obs::Registry) -> String,
+) -> Result<T, CliError> {
+    let path = args.options.get("metrics");
+    let registry = path.map(|_| {
+        let r = std::sync::Arc::new(escalate_obs::Registry::new());
+        escalate_obs::install(std::sync::Arc::clone(&r));
+        r
+    });
+    let result = run();
+    if registry.is_some() {
+        escalate_obs::uninstall();
+    }
+    let result = result.map_err(|e| CliError::Pipeline(e.to_string()))?;
+    if let (Some(path), Some(reg)) = (path, &registry) {
+        std::fs::write(path, document(&result, reg))
+            .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
+    }
+    Ok(result)
 }
 
 fn cmd_simulate(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
@@ -430,37 +446,18 @@ fn cmd_simulate(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let m = m_arg(args)?;
     let seeds = args.get_or("seeds", input_seeds())?;
     let threads = args.get_or("threads", 0usize)?;
-    let metrics_path = args.options.get("metrics").cloned();
     let mut cfg = SimConfig::default()
         .with_m(m)
-        .map_err(|_| bad_basis_count(m))?;
+        .map_err(|e| CliError::Pipeline(e.to_string()))?;
     cfg.threads = threads;
     cfg.schedule = schedule;
-
-    // With --metrics, install a recorder for the duration of the run;
-    // without it the simulators take their zero-cost no-op path.
-    let registry = metrics_path.as_ref().map(|_| {
-        let r = std::sync::Arc::new(escalate_obs::Registry::new());
-        escalate_obs::install(std::sync::Arc::clone(&r));
-        r
-    });
-    let run = run_model(&p, &cfg, seeds);
-    if registry.is_some() {
-        escalate_obs::uninstall();
-    }
-    let run = run.map_err(|e| CliError::Pipeline(e.to_string()))?;
-    if let (Some(path), Some(reg)) = (&metrics_path, &registry) {
-        let json = crate::manifest::render_manifest(
-            "simulate",
-            &p.name,
-            &cfg,
-            seeds,
-            &run,
-            &reg.snapshot(),
-        );
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
-    }
+    let run = with_metrics(
+        args,
+        || run_model(&p, &cfg, seeds),
+        |run, reg| {
+            crate::manifest::render_manifest("simulate", &p.name, &cfg, seeds, run, &reg.snapshot())
+        },
+    )?;
     out.write_all(escalate_bench::render::render_simulate(&run, &cfg).as_bytes())?;
     Ok(())
 }
@@ -520,21 +517,7 @@ fn cmd_sweep(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         }
         opts.golden = Some((std::path::PathBuf::from(path), mode));
     }
-    let metrics_path = args.options.get("metrics").cloned();
-    let registry = metrics_path.as_ref().map(|_| {
-        let r = std::sync::Arc::new(escalate_obs::Registry::new());
-        escalate_obs::install(std::sync::Arc::clone(&r));
-        r
-    });
-    let run = run_sweep(&opts, out);
-    if registry.is_some() {
-        escalate_obs::uninstall();
-    }
-    run.map_err(|e| CliError::Pipeline(e.to_string()))?;
-    if let (Some(path), Some(reg)) = (&metrics_path, &registry) {
-        std::fs::write(path, reg.to_json())
-            .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
-    }
+    with_metrics(args, || run_sweep(&opts, out), |_, reg| reg.to_json())?;
     Ok(())
 }
 
@@ -581,15 +564,13 @@ fn cmd_inspect(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_validate(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
-    use escalate_core::pipeline::CompressionConfig;
     use escalate_sim::detailed::simulate_layer_detailed;
     use escalate_sim::trace::simulate_layer_traced;
-    use escalate_sim::{simulate_layer, Workload, WorkloadMode};
+    use escalate_sim::{simulate_layer, WorkloadMode};
 
     let p = model_arg(args)?;
-    let artifacts = compress_model_artifacts(&p, &CompressionConfig::default())
+    let workload = workload_cached(&p, &CompressionConfig::default())
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let workload = Workload::from_artifacts(&p.name, &artifacts, &p);
 
     // Pick the requested layer, or the widest decomposed layer small
     // enough for the detailed mode.
@@ -646,8 +627,7 @@ fn cmd_validate(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 
 fn cmd_characterize(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = model_arg(args)?;
-    let m = args.get_or("m", 6usize)?;
-    let ch = escalate_models::analysis::ModelCharacter::of(&p, m);
+    let ch = escalate_models::analysis::ModelCharacter::of(&p, m_arg(args)?);
     writeln!(
         out,
         "{:<24} {:>12} {:>10} {:>10} {:>9} {:>9}",

@@ -7,12 +7,10 @@
 //! and timing spans) recorded by the `escalate-obs` registry during the
 //! run. The schema is documented in DESIGN.md ("Observability").
 
+use escalate_bench::jobs::MANIFEST_SCHEMA;
 use escalate_bench::ModelRun;
 use escalate_obs::{JsonWriter, Snapshot};
 use escalate_sim::SimConfig;
-
-/// Manifest schema identifier, bumped on incompatible layout changes.
-pub const MANIFEST_SCHEMA: &str = "escalate-run-manifest/v1";
 
 /// Renders the run manifest as a JSON string.
 ///

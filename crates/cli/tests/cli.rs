@@ -55,10 +55,15 @@ fn compress_produces_summary() {
 #[test]
 fn compress_out_of_range_m_fails_at_flag_parsing() {
     // `compress --m 0` used to compress until the first layer and report
-    // "basis count 0 exceeds kernel area 9".
-    for m in ["0", "1025", "576460752303423488"] {
-        let (ok, _, stderr) = run(&["compress", "MobileNet", "--m", m]);
-        assert!(!ok, "--m {m} must fail");
+    // "basis count 0 exceeds kernel area 9"; `characterize --m 0` printed
+    // a C/M bound computed with M = 1.
+    for (command, m) in ["compress", "characterize"]
+        .into_iter()
+        .flat_map(|c| ["0", "1025", "576460752303423488"].map(|m| (c, m)))
+    {
+        let (ok, stdout, stderr) = run(&[command, "MobileNet", "--m", m]);
+        assert!(!ok, "{command} --m {m} must fail");
+        assert!(stdout.is_empty(), "{command} --m {m}: {stdout}");
         assert!(stderr.starts_with("error: --m:"), "{stderr}");
         assert!(
             stderr.contains(&escalate_sim::MAX_M.to_string()),

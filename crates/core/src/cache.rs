@@ -31,15 +31,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
-/// Locks a mutex, recovering the data from a poisoned lock instead of
-/// cascading the panic: every value behind these locks is valid at every
-/// instant (a poisoned slot is simply still empty), so one panicking
-/// computation must not take the whole cache down.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::par::lock_recover;
 
 /// The result of one [`SingleFlightCache::get_or_compute`] lookup.
 #[derive(Debug)]

@@ -14,12 +14,22 @@
 //! thread count, including 1.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the default thread count.
 pub const THREADS_ENV: &str = "ESCALATE_THREADS";
 
 /// What `configure_threads` resolved to (0 = not yet configured).
 static RESOLVED: AtomicUsize = AtomicUsize::new(0);
+
+/// Locks a mutex, recovering the data from a poisoned lock instead of
+/// cascading the panic: every value the workspace's parallel stages share
+/// behind a lock (cache slots, a plan's result slots, the daemon's queue)
+/// is valid at every instant, so one panicking worker must not take the
+/// others down.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Parses a positive-integer override from the environment.
 ///

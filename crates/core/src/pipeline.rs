@@ -102,6 +102,15 @@ pub struct ModelCompression {
 }
 
 impl ModelCompression {
+    /// The compression outcome of `model_name` from its per-layer
+    /// artifacts (their accounting, in execution order).
+    pub fn from_artifacts(model_name: &str, artifacts: &[CompressedLayer]) -> ModelCompression {
+        ModelCompression {
+            model_name: model_name.to_string(),
+            layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
+        }
+    }
+
     /// Whole-model compression ratio (fp32 conv weights vs compressed).
     pub fn compression_ratio(&self) -> f64 {
         let orig: usize = self.layers.iter().map(|l| l.original_bits).sum();
@@ -378,10 +387,7 @@ pub fn compress_model(
     cfg: &CompressionConfig,
 ) -> Result<ModelCompression, EscalateError> {
     let artifacts = compress_model_artifacts(profile, cfg)?;
-    Ok(ModelCompression {
-        model_name: profile.name.to_string(),
-        layers: artifacts.into_iter().map(|a| a.stats).collect(),
-    })
+    Ok(ModelCompression::from_artifacts(&profile.name, &artifacts))
 }
 
 /// One compressed layer (or fused DSC pair) together with the quantized

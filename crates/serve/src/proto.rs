@@ -18,9 +18,7 @@ use std::io::{BufRead, Read, Write};
 /// Protocol schema identifier (the `"schema"` field of `accepted` frames).
 pub const PROTOCOL_SCHEMA: &str = "escalate-serve/v1";
 
-/// Schema tag carried by every streamed unit record, shared with the
-/// one-shot CLI's `--metrics` manifest.
-pub const MANIFEST_SCHEMA: &str = "escalate-run-manifest/v1";
+pub use escalate_bench::jobs::MANIFEST_SCHEMA;
 
 /// Upper bound on one frame line, request or response. A request larger
 /// than this is rejected before parsing (the daemon never buffers an

@@ -23,14 +23,14 @@ use crate::proto::{
 use escalate_bench::experiments::ExpError;
 use escalate_bench::plan::{UnitOutput, UnitSink, WorkUnit};
 use escalate_bench::{CACHE_CAP_ENV, SEEDS_ENV};
-use escalate_core::par::{strict_positive_env, THREADS_ENV};
+use escalate_core::par::{lock_recover, strict_positive_env, THREADS_ENV};
 use escalate_obs::Registry;
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the daemon is configured (CLI flags map onto this 1:1).
@@ -69,10 +69,6 @@ pub struct ServeSummary {
     pub jobs_done: u64,
     /// Jobs that failed with an `error` frame.
     pub jobs_failed: u64,
-}
-
-fn lock_recover<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Refuses to start when a tuning env var is set but malformed.
@@ -114,8 +110,6 @@ impl Client {
 /// of them, each under its own job id.
 struct QueuedJob {
     job: CompiledJob,
-    /// [`CompiledJob::coalesce_key`], precomputed at submission.
-    key: String,
     clients: Vec<Client>,
 }
 
@@ -160,7 +154,11 @@ impl JobQueue {
         if inner.1 {
             return Push::Rejected;
         }
-        if let Some(entry) = inner.0.iter_mut().find(|j| j.key == candidate.key) {
+        if let Some(entry) = inner
+            .0
+            .iter_mut()
+            .find(|j| j.job.coalesce_key() == candidate.job.coalesce_key())
+        {
             entry.clients.append(&mut candidate.clients);
             return Push::Coalesced(inner.0.len());
         }
@@ -493,10 +491,8 @@ fn submit_job(req: &Request, conn: &Arc<Conn>, shared: &Shared) {
         }
     };
     let id = shared.next_job.fetch_add(1, Ordering::SeqCst);
-    let key = job.coalesce_key();
     let queued = QueuedJob {
         job,
-        key,
         clients: vec![Client {
             id,
             conn: Arc::clone(conn),
@@ -598,7 +594,6 @@ mod tests {
         })
         .unwrap();
         QueuedJob {
-            key: job.coalesce_key(),
             job,
             clients: vec![Client {
                 id,

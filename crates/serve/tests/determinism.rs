@@ -1,8 +1,10 @@
 //! The served output must be byte-identical to the one-shot CLI's: a
 //! `simulate` job's `done.output` is exactly what `escalate simulate`
-//! prints, and the streamed unit records carry the same numbers.
+//! prints, and the streamed unit records carry the same numbers; a
+//! `compress` job's is exactly what `escalate compress` prints.
 
 use escalate_bench::{render, run_model, ACCELERATOR_NAMES};
+use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 use escalate_obs::jsonl::{json_f64_field, json_string_field};
 use escalate_serve::{start, submit, Request, ServeOptions};
@@ -82,4 +84,47 @@ fn served_simulate_is_bit_identical_to_the_one_shot_cli() {
             "{unit}"
         );
     }
+}
+
+#[test]
+fn served_compress_is_byte_identical_to_the_one_shot_cli() {
+    let model = "MobileNet";
+    // The one-shot text, from the uncached pipeline: what `escalate
+    // compress MobileNet [--layers]` prints (the compression result at
+    // the default M = 6, QAT 0, seed 42, rendered by `render_compress`).
+    let profile = ModelProfile::for_model(model).expect("model");
+    let cfg = CompressionConfig::default();
+    let result = escalate_core::compress_model(&profile, &cfg).expect("one-shot compression");
+    let expected =
+        |layers| render::render_compress(model, profile.baseline_top1, cfg.m, &result, layers);
+
+    let handle = start(ServeOptions::default()).expect("start");
+    let port = handle.port();
+    let served = |layers| {
+        let frames = submit(
+            port,
+            &Request::Compress {
+                model: model.into(),
+                m: cfg.m,
+                qat: cfg.qat_epochs,
+                seed: cfg.seed,
+                layers,
+            },
+        )
+        .expect("submit");
+        let done = frames.last().expect("done frame").clone();
+        assert_eq!(
+            json_string_field(&done, "type").as_deref(),
+            Some("done"),
+            "{done}"
+        );
+        json_string_field(&done, "output").expect("output")
+    };
+    let (brief, detailed) = (served(false), served(true));
+    let shutdown = submit(port, &Request::Shutdown);
+    handle.join().expect("clean exit");
+    assert!(shutdown.is_ok());
+
+    assert_eq!(brief, expected(false), "served summary differs");
+    assert_eq!(detailed, expected(true), "served --layers report differs");
 }

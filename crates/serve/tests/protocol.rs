@@ -108,20 +108,33 @@ fn an_out_of_range_m_gets_an_error_frame_and_the_daemon_keeps_serving() {
     let handle = start(ServeOptions::default()).expect("start");
     let port = handle.port();
 
-    // Both once panicked the connection thread inside job compilation
-    // (an assert, and an overflow into a divide by zero), so the client
-    // saw EOF instead of an error frame.
+    // The simulate values once panicked the connection thread inside job
+    // compilation (an assert, and an overflow into a divide by zero), so
+    // the client saw EOF instead of an error frame. A compress at m = 0
+    // was queued and failed mid-pipeline, and one at m = 1025 succeeded.
+    let simulate = |m| Request::Simulate {
+        model: "MobileNet".into(),
+        m,
+        seeds: 1,
+        schedule: "serial".into(),
+    };
+    let compress = |m| Request::Compress {
+        model: "MobileNet".into(),
+        m,
+        qat: 0,
+        seed: 42,
+        layers: false,
+    };
     let mut conn = Raw::connect(port);
-    for m in [0, 1usize << 59] {
-        conn.send(
-            &Request::Simulate {
-                model: "MobileNet".into(),
-                m,
-                seeds: 1,
-                schedule: "serial".into(),
-            }
-            .to_line(),
-        );
+    let requests: [(usize, Request); 5] = [
+        (0, simulate(0)),
+        (1 << 59, simulate(1 << 59)),
+        (0, compress(0)),
+        (1025, compress(1025)),
+        (1 << 59, compress(1 << 59)),
+    ];
+    for (m, request) in &requests {
+        conn.send(&request.to_line());
         let reply = conn.recv().expect("error frame, not EOF");
         assert_eq!(frame_type(&reply), "error", "{reply}");
         assert!(
@@ -135,7 +148,8 @@ fn an_out_of_range_m_gets_an_error_frame_and_the_daemon_keeps_serving() {
     let reply = conn.recv().expect("pong");
     assert_eq!(frame_type(&reply), "pong", "{reply}");
     drop(conn);
-    assert_eq!(wait_for_counter(port, "serve.bad_requests", 2), 2);
+    let n = requests.len() as u64;
+    assert_eq!(wait_for_counter(port, "serve.bad_requests", n), n);
 
     assert_eq!(shutdown(port), 0, "no job was accepted");
     handle.join().expect("clean exit");

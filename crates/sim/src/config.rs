@@ -8,6 +8,20 @@ use crate::error::SimError;
 /// overflow.
 pub const MAX_M: usize = 1024;
 
+/// The one range check on a basis count, `1 ≤ m ≤ MAX_M`: behind
+/// [`SimConfig::with_m`], the job plans and the CLI's `--m`.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidBasisCount`] outside that range.
+pub fn check_basis_count(m: usize) -> Result<usize, SimError> {
+    if (1..=MAX_M).contains(&m) {
+        Ok(m)
+    } else {
+        Err(SimError::InvalidBasisCount { m })
+    }
+}
+
 /// Whole-network schedule mode: how per-layer work shares the PE array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {
@@ -169,9 +183,7 @@ impl SimConfig {
     ///
     /// Returns [`SimError::InvalidBasisCount`] unless `1 ≤ m ≤ MAX_M`.
     pub fn with_m(&self, m: usize) -> Result<SimConfig, SimError> {
-        if !(1..=MAX_M).contains(&m) {
-            return Err(SimError::InvalidBasisCount { m });
-        }
+        let m = check_basis_count(m)?;
         let budget = self.total_macs();
         let l = (budget / (self.n_pe * m)).max(1);
         Ok(SimConfig { m, l, ..*self })

@@ -144,6 +144,9 @@ grep -q '"type": "done"' "$SERVE_DIR/simulate.txt"
 # re-serving walks it already simulated.
 submit simulate MobileNet --seeds 1 | grep -q '"type": "done"'
 submit compress MobileNet | grep -q '"type": "done"'
+# An out-of-range M is a bad request, not a job: the daemon answers with
+# an error frame, and the drain count below stays at five jobs.
+submit compress MobileNet --m 0 | grep -q '"type": "error"'
 submit report table4 | grep -q '"type": "done"'
 # A served custom-network pipelined job: the daemon resolves the same
 # @FILE spec the CLI does and its done frame carries the pipeline line.

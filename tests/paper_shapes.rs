@@ -4,7 +4,7 @@
 //! preserve. Absolute cycle counts are not asserted.
 
 use escalate::algo::compress_model;
-use escalate::algo::pipeline::{compress_model_artifacts, CompressionConfig};
+use escalate::algo::pipeline::CompressionConfig;
 use escalate::models::{Dataset, ModelProfile};
 use escalate::sim::SimConfig;
 use escalate_bench::run_model;
@@ -166,14 +166,13 @@ fn m_tradeoff_direction() {
             m,
             ..CompressionConfig::default()
         };
-        let artifacts = compress_model_artifacts(&profile, &cfg).expect("compression succeeds");
-        let stats = escalate::algo::ModelCompression {
-            model_name: "r18".into(),
-            layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
-        };
-        let run = escalate_bench::run_escalate(
-            &profile,
-            &artifacts,
+        let artifacts =
+            escalate_bench::compress_cached(&profile, &cfg).expect("compression succeeds");
+        let stats = escalate::algo::ModelCompression::from_artifacts("r18", &artifacts);
+        let workload =
+            escalate_bench::workload_cached(&profile, &cfg).expect("compression succeeds");
+        let run = escalate_bench::run_escalate_workload(
+            &workload,
             &SimConfig::default().with_m(m).unwrap(),
             1,
         );
