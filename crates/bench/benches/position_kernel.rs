@@ -10,6 +10,7 @@
 //! --bench position_kernel` measures it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use escalate_bench::plan::splitmix64;
 use escalate_sim::ca::{position_cost_scalar, CaScratch, PositionKernel, MAX_BATCH};
 use escalate_sim::{PositionCost, SimConfig};
 
@@ -23,15 +24,6 @@ const M: usize = 6;
 /// length so one iteration is one realistic channel visit.
 const POSITIONS: usize = 48;
 
-/// Deterministic splitmix64 — mask material without RNG dependencies.
-fn splitmix(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// A `c`-channel mask with roughly `keep_per_mille`/1000 bits set.
 fn mask(seed: &mut u64, c: usize, keep_per_mille: u64) -> Vec<u64> {
     let words = c.div_ceil(64);
@@ -39,7 +31,7 @@ fn mask(seed: &mut u64, c: usize, keep_per_mille: u64) -> Vec<u64> {
         .map(|_| {
             let mut w = 0u64;
             for b in 0..64 {
-                if splitmix(seed) % 1000 < keep_per_mille {
+                if splitmix64(seed) % 1000 < keep_per_mille {
                     w |= 1 << b;
                 }
             }

@@ -10,7 +10,7 @@
 //! slices caught up. DRAM fetches are the §4.3 cost; stalls are the price
 //! the ref-counted design pays instead.
 
-use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
+use super::{Cell, ExpContext, ExpError, Record, Table};
 use crate::tline;
 use escalate_sim::buffers::InputBuffer;
 use rand::rngs::StdRng;
@@ -52,147 +52,129 @@ impl UnifiedFifo {
     }
 }
 
-/// Registry entry for the §4.3 input-buffer ablation.
-pub struct BufferAblation;
+pub(super) fn run(_ctx: &ExpContext, t: &mut Table) -> Result<(), ExpError> {
+    let chunks = 4096u64;
+    let slices = 32u32;
+    let chunk_bytes = 64u32;
+    let mut rng = StdRng::seed_from_u64(42);
 
-impl Experiment for BufferAblation {
-    fn name(&self) -> &'static str {
-        "buffer_ablation"
-    }
+    tline!(
+        t,
+        "Serving one layer's trace ({chunks} chunks x {slices} skewed consumers)"
+    );
+    tline!(t);
+    tline!(
+        t,
+        "{:>6} {:>10} | {:>12} {:>8} | {:>12} {:>9}",
+        "skew",
+        "capacity",
+        "dist fetch",
+        "stalls",
+        "unif fetch",
+        "extra DRAM"
+    );
+    for (skew, cap_chunks) in [(8u64, 16u32), (32, 16), (64, 32), (256, 64)] {
+        // Per-slice lag: slice s starts reading chunk 0 at time lag[s].
+        let lags: Vec<u64> = (0..slices).map(|_| rng.gen_range(0..=skew)).collect();
 
-    fn paper_anchor(&self) -> &'static str {
-        "§4.3"
-    }
-
-    fn summary(&self) -> &'static str {
-        "ref-counted distributed input buffers vs a unified FIFO"
-    }
-
-    fn run(&self, _ctx: &ExpContext) -> Result<Table, ExpError> {
-        let chunks = 4096u64;
-        let slices = 32u32;
-        let chunk_bytes = 64u32;
-        let mut rng = StdRng::seed_from_u64(42);
-
-        let mut t = Table::new(self.name(), self.paper_anchor());
-        tline!(
-            t,
-            "Serving one layer's trace ({chunks} chunks x {slices} skewed consumers)"
-        );
-        tline!(t);
-        tline!(
-            t,
-            "{:>6} {:>10} | {:>12} {:>8} | {:>12} {:>9}",
-            "skew",
-            "capacity",
-            "dist fetch",
-            "stalls",
-            "unif fetch",
-            "extra DRAM"
-        );
-        for (skew, cap_chunks) in [(8u64, 16u32), (32, 16), (64, 32), (256, 64)] {
-            // Per-slice lag: slice s starts reading chunk 0 at time lag[s].
-            let lags: Vec<u64> = (0..slices).map(|_| rng.gen_range(0..=skew)).collect();
-
-            // Distributed ref-counted buffer.
-            let mut dist = InputBuffer::new(cap_chunks * chunk_bytes);
-            let mut id_map: HashMap<u64, u64> = HashMap::new();
-            let mut next_fetch = 0u64;
-            let mut cursors = vec![0u64; slices as usize];
-            let mut stalls = 0u64;
-            let mut done = 0usize;
-            let mut time = 0u64;
-            while done < slices as usize {
-                time += 1;
-                done = 0;
-                // Prefetch as far as capacity allows.
-                while next_fetch < chunks {
-                    match dist.push(chunk_bytes, slices) {
-                        Some(buf_id) => {
-                            id_map.insert(next_fetch, buf_id);
-                            next_fetch += 1;
-                        }
-                        None => break,
+        // Distributed ref-counted buffer.
+        let mut dist = InputBuffer::new(cap_chunks * chunk_bytes);
+        let mut id_map: HashMap<u64, u64> = HashMap::new();
+        let mut next_fetch = 0u64;
+        let mut cursors = vec![0u64; slices as usize];
+        let mut stalls = 0u64;
+        let mut done = 0usize;
+        let mut time = 0u64;
+        while done < slices as usize {
+            time += 1;
+            done = 0;
+            // Prefetch as far as capacity allows.
+            while next_fetch < chunks {
+                match dist.push(chunk_bytes, slices) {
+                    Some(buf_id) => {
+                        id_map.insert(next_fetch, buf_id);
+                        next_fetch += 1;
                     }
-                }
-                for (s, cur) in cursors.iter_mut().enumerate() {
-                    if *cur >= chunks {
-                        done += 1;
-                        continue;
-                    }
-                    if *cur + lags[s] >= time {
-                        continue; // this slice has not started yet
-                    }
-                    if let Some(&buf_id) = id_map.get(cur) {
-                        let served = dist.request(buf_id);
-                        debug_assert!(served, "resident chunk must serve");
-                        *cur += 1;
-                    } else {
-                        stalls += 1; // waiting for the producer (buffer full)
-                    }
+                    None => break,
                 }
             }
-            let dist_fetches = dist.stats().pushes;
-
-            // Unified FIFO: same trace, no coordination.
-            let mut uni = UnifiedFifo::new(cap_chunks * chunk_bytes);
-            let mut cursors = vec![0u64; slices as usize];
-            let mut done = 0usize;
-            let mut time = 0u64;
-            while done < slices as usize {
-                time += 1;
-                done = 0;
-                for (s, cur) in cursors.iter_mut().enumerate() {
-                    if *cur >= chunks {
-                        done += 1;
-                        continue;
-                    }
-                    if *cur + lags[s] >= time {
-                        continue;
-                    }
-                    uni.read(*cur, chunk_bytes);
+            for (s, cur) in cursors.iter_mut().enumerate() {
+                if *cur >= chunks {
+                    done += 1;
+                    continue;
+                }
+                if *cur + lags[s] >= time {
+                    continue; // this slice has not started yet
+                }
+                if let Some(&buf_id) = id_map.get(cur) {
+                    let served = dist.request(buf_id);
+                    debug_assert!(served, "resident chunk must serve");
                     *cur += 1;
+                } else {
+                    stalls += 1; // waiting for the producer (buffer full)
                 }
             }
-
-            tline!(
-                t,
-                "{:>6} {:>9}B | {:>12} {:>8} | {:>12} {:>8.1}x",
-                skew,
-                cap_chunks * chunk_bytes,
-                dist_fetches,
-                stalls,
-                uni.fetches,
-                uni.fetches as f64 / dist_fetches as f64,
-            );
-            t.push_record(Record::new([
-                ("skew", Cell::from(skew)),
-                (
-                    "capacity_bytes",
-                    Cell::from(u64::from(cap_chunks * chunk_bytes)),
-                ),
-                ("distributed_fetches", Cell::from(dist_fetches)),
-                ("stalls", Cell::from(stalls)),
-                ("unified_fetches", Cell::from(uni.fetches)),
-                (
-                    "extra_dram_x",
-                    (uni.fetches as f64 / dist_fetches as f64).into(),
-                ),
-            ]));
         }
-        tline!(t);
+        let dist_fetches = dist.stats().pushes;
+
+        // Unified FIFO: same trace, no coordination.
+        let mut uni = UnifiedFifo::new(cap_chunks * chunk_bytes);
+        let mut cursors = vec![0u64; slices as usize];
+        let mut done = 0usize;
+        let mut time = 0u64;
+        while done < slices as usize {
+            time += 1;
+            done = 0;
+            for (s, cur) in cursors.iter_mut().enumerate() {
+                if *cur >= chunks {
+                    done += 1;
+                    continue;
+                }
+                if *cur + lags[s] >= time {
+                    continue;
+                }
+                uni.read(*cur, chunk_bytes);
+                *cur += 1;
+            }
+        }
+
         tline!(
             t,
-            "The ref-counted circular queue fetches each chunk exactly once, stalling"
+            "{:>6} {:>9}B | {:>12} {:>8} | {:>12} {:>8.1}x",
+            skew,
+            cap_chunks * chunk_bytes,
+            dist_fetches,
+            stalls,
+            uni.fetches,
+            uni.fetches as f64 / dist_fetches as f64,
         );
-        tline!(
-            t,
-            "fast slices when the skew exceeds the buffered window; the unified FIFO"
-        );
-        tline!(
-            t,
-            "re-fetches evicted chunks for the laggards, multiplying DRAM traffic."
-        );
-        Ok(t)
+        t.push_record(Record::new([
+            ("skew", Cell::from(skew)),
+            (
+                "capacity_bytes",
+                Cell::from(u64::from(cap_chunks * chunk_bytes)),
+            ),
+            ("distributed_fetches", Cell::from(dist_fetches)),
+            ("stalls", Cell::from(stalls)),
+            ("unified_fetches", Cell::from(uni.fetches)),
+            (
+                "extra_dram_x",
+                (uni.fetches as f64 / dist_fetches as f64).into(),
+            ),
+        ]));
     }
+    tline!(t);
+    tline!(
+        t,
+        "The ref-counted circular queue fetches each chunk exactly once, stalling"
+    );
+    tline!(
+        t,
+        "fast slices when the skew exceeds the buffered window; the unified FIFO"
+    );
+    tline!(
+        t,
+        "re-fetches evicted chunks for the laggards, multiplying DRAM traffic."
+    );
+    Ok(())
 }

@@ -6,7 +6,7 @@
 //!   policy; 2 bits uses the ternary path);
 //! - *basis-only*: coefficients kept at fp32, basis swept.
 
-use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
+use super::{Cell, ExpContext, ExpError, Record, Table};
 use crate::tline;
 use escalate_core::pipeline::accuracy_proxy;
 use escalate_core::quant::{quantize_linear, quantize_linear_grouped, TernaryCoeffs};
@@ -20,93 +20,75 @@ struct PolicyPoint {
     error: f64,
 }
 
-/// Registry entry for Figure 7.
-pub struct Fig7;
+pub(super) fn run(_ctx: &ExpContext, t: &mut Table) -> Result<(), ExpError> {
+    let profile = ModelProfile::for_model("ResNet18").expect("known model");
+    let model = profile.model();
+    let layers: Vec<LayerShape> = model
+        .conv_layers()
+        .filter(|l| l.is_decomposable())
+        .cloned()
+        .collect();
 
-impl Experiment for Fig7 {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
+    // Decompose every layer once (M = 6), then post-training-quantize
+    // under each policy.
+    let decomposed: Vec<(LayerShape, Tensor, Decomposed)> = layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            let w = synth::weights(l, 6, 0.05, synth::layer_seed(42, i, 0));
+            let m = 6.min(l.r * l.s);
+            let d = decompose(&w, m)?;
+            Ok((l.clone(), w, d))
+        })
+        .collect::<Result<_, escalate_core::EscalateError>>()?;
 
-    fn paper_anchor(&self) -> &'static str {
-        "Figure 7"
-    }
-
-    fn summary(&self) -> &'static str {
-        "quantization-policy sweep (uniform/hybrid/basis-only) on ResNet18"
-    }
-
-    fn run(&self, _ctx: &ExpContext) -> Result<Table, ExpError> {
-        let profile = ModelProfile::for_model("ResNet18").expect("known model");
-        let model = profile.model();
-        let layers: Vec<LayerShape> = model
-            .conv_layers()
-            .filter(|l| l.is_decomposable())
-            .cloned()
-            .collect();
-
-        // Decompose every layer once (M = 6), then post-training-quantize
-        // under each policy.
-        let decomposed: Vec<(LayerShape, Tensor, Decomposed)> = layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let w = synth::weights(l, 6, 0.05, synth::layer_seed(42, i, 0));
-                let m = 6.min(l.r * l.s);
-                let d = decompose(&w, m)?;
-                Ok((l.clone(), w, d))
-            })
-            .collect::<Result<_, escalate_core::EscalateError>>()?;
-
-        let mut t = Table::new(self.name(), self.paper_anchor());
-        tline!(
-            t,
-            "Figure 7: quantization policy sweep on decomposed ResNet18 (CIFAR-10)"
-        );
-        tline!(t);
-        tline!(
-            t,
-            "{:<12} {:>5} {:>10} {:>9} {:>12}",
-            "Policy",
-            "bits",
-            "size(MB)",
-            "err",
-            "proxy top-1"
-        );
-        for policy in ["uniform", "hybrid", "basis-only"] {
-            for bits in [2u32, 3, 4, 6, 8] {
-                let p = evaluate(&decomposed, policy, bits)?;
-                let proxy = accuracy_proxy(profile.baseline_top1, p.error);
-                tline!(
-                    t,
-                    "{:<12} {:>5} {:>10.3} {:>9.4} {:>12.2}",
-                    policy,
-                    p.bits,
-                    p.size_mb,
-                    p.error,
-                    proxy
-                );
-                t.push_record(Record::new([
-                    ("policy", Cell::from(policy)),
-                    ("bits", Cell::from(u64::from(p.bits))),
-                    ("size_mb", p.size_mb.into()),
-                    ("weight_error", p.error.into()),
-                    ("proxy_top1", proxy.into()),
-                ]));
-            }
-            tline!(t);
+    tline!(
+        t,
+        "Figure 7: quantization policy sweep on decomposed ResNet18 (CIFAR-10)"
+    );
+    tline!(t);
+    tline!(
+        t,
+        "{:<12} {:>5} {:>10} {:>9} {:>12}",
+        "Policy",
+        "bits",
+        "size(MB)",
+        "err",
+        "proxy top-1"
+    );
+    for policy in ["uniform", "hybrid", "basis-only"] {
+        for bits in [2u32, 3, 4, 6, 8] {
+            let p = evaluate(&decomposed, policy, bits)?;
+            let proxy = accuracy_proxy(profile.baseline_top1, p.error);
+            tline!(
+                t,
+                "{:<12} {:>5} {:>10.3} {:>9.4} {:>12.2}",
+                policy,
+                p.bits,
+                p.size_mb,
+                p.error,
+                proxy
+            );
+            t.push_record(Record::new([
+                ("policy", Cell::from(policy)),
+                ("bits", Cell::from(u64::from(p.bits))),
+                ("size_mb", p.size_mb.into()),
+                ("weight_error", p.error.into()),
+                ("proxy_top1", proxy.into()),
+            ]));
         }
-        tline!(
-            t,
-            "Expected shape (paper): hybrid tracks uniform's size while holding accuracy"
-        );
-        tline!(
-            t,
-            "near the basis-only (fp32-coefficient) curve — the frequently-reused basis"
-        );
-        tline!(t, "kernels need high precision, the coefficients do not.");
-        Ok(t)
+        tline!(t);
     }
+    tline!(
+        t,
+        "Expected shape (paper): hybrid tracks uniform's size while holding accuracy"
+    );
+    tline!(
+        t,
+        "near the basis-only (fp32-coefficient) curve — the frequently-reused basis"
+    );
+    tline!(t, "kernels need high precision, the coefficients do not.");
+    Ok(())
 }
 
 fn evaluate(

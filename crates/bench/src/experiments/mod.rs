@@ -75,55 +75,164 @@ impl From<std::io::Error> for ExpError {
     }
 }
 
-/// One registered experiment: a named producer of a [`Table`].
-pub trait Experiment: Sync {
+/// One registered experiment: a named, paper-anchored producer of a
+/// [`Table`].
+#[derive(Debug)]
+pub struct Experiment {
     /// Registry name — also the `results/<name>.txt` golden file stem.
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// Where in the paper the output belongs (`"Figure 8"`, `"§6.3"`, …).
-    fn paper_anchor(&self) -> &'static str;
-
+    pub paper_anchor: &'static str,
     /// One-line description for `report --list`.
-    fn summary(&self) -> &'static str;
+    pub summary: &'static str,
+    /// Fills the table [`Experiment::table`] created from `name` and
+    /// `paper_anchor`, under the given context.
+    pub run: fn(&ExpContext, &mut Table) -> Result<(), ExpError>,
+}
 
+impl Experiment {
     /// Runs the experiment under `ctx`, producing its output table.
     ///
     /// # Errors
     ///
     /// Returns an [`ExpError`] on pipeline failures or invalid arguments.
-    fn run(&self, ctx: &ExpContext) -> Result<Table, ExpError>;
+    pub fn table(&self, ctx: &ExpContext) -> Result<Table, ExpError> {
+        let mut table = Table::new(self.name, self.paper_anchor);
+        (self.run)(ctx, &mut table)?;
+        Ok(table)
+    }
 }
 
 /// All registered experiments, in the presentation order of the paper's
 /// evaluation (tables, figures, then the ablation/extension studies).
-pub fn registry() -> &'static [&'static dyn Experiment] {
+pub fn registry() -> &'static [Experiment] {
     &[
-        &table1::Table1,
-        &fig7::Fig7,
-        &table4::Table4,
-        &fig8::Fig8,
-        &fig9::Fig9,
-        &fig10::Fig10,
-        &fig10_layers::Fig10Layers,
-        &fig11::Fig11,
-        &fig12::Fig12,
-        &fig13::Fig13,
-        &sensitivity::Sensitivity,
-        &discussion::Discussion,
-        &adaptive_m::AdaptiveM,
-        &buffer_ablation::BufferAblation,
-        &ca_ablation::CaAblation,
-        &encoding_sweep::EncodingSweep,
-        &psum_ablation::PsumAblation,
-        &reorg_ablation::ReorgAblation,
-        &rs_mapping::RsMapping,
-        &schedule::ScheduleCompare,
+        Experiment {
+            name: "table1",
+            paper_anchor: "Table 1",
+            summary: "compression ratio / sparsity / pruning of all six models vs the paper",
+            run: table1::run,
+        },
+        Experiment {
+            name: "fig7",
+            paper_anchor: "Figure 7",
+            summary: "quantization-policy sweep (uniform/hybrid/basis-only) on ResNet18",
+            run: fig7::run,
+        },
+        Experiment {
+            name: "table4",
+            paper_anchor: "Table 4",
+            summary: "PE-block power/area model (65 nm) and the whole-chip estimate",
+            run: table4::run,
+        },
+        Experiment {
+            name: "fig8",
+            paper_anchor: "Figure 8",
+            summary: "speedup and energy efficiency over Eyeriss, all six models",
+            run: fig8::run,
+        },
+        Experiment {
+            name: "fig9",
+            paper_anchor: "Figure 9",
+            summary: "DRAM accesses normalized to ESCALATE, all six models",
+            run: fig9::run,
+        },
+        Experiment {
+            name: "fig10",
+            paper_anchor: "Figure 10",
+            summary: "ESCALATE inference energy breakdown per model",
+            run: fig10::run,
+        },
+        Experiment {
+            name: "fig10_layers",
+            paper_anchor: "Figure 10 (per-layer)",
+            summary: "layer-resolved ESCALATE energy breakdown for one model",
+            run: fig10_layers::run,
+        },
+        Experiment {
+            name: "fig11",
+            paper_anchor: "Figure 11",
+            summary: "layer-wise sparsity and speedup over Eyeriss (default ResNet18)",
+            run: fig11::run,
+        },
+        Experiment {
+            name: "fig12",
+            paper_anchor: "Figure 12",
+            summary: "accuracy/latency/energy trade-off vs M at a fixed MAC budget",
+            run: fig12::run,
+        },
+        Experiment {
+            name: "fig13",
+            paper_anchor: "Figure 13",
+            summary: "MAC idle cycles vs coefficient sparsity per MobileNet layer",
+            run: fig13::run,
+        },
+        Experiment {
+            name: "sensitivity",
+            paper_anchor: "§5.2.1",
+            summary: "input-seed variance and activation-sparsity sweep (ResNet18)",
+            run: sensitivity::run,
+        },
+        Experiment {
+            name: "discussion",
+            paper_anchor: "§6.3",
+            summary: "redundant-but-sparse VGG16 vs compact MobileNetV2 on ESCALATE",
+            run: discussion::run,
+        },
+        Experiment {
+            name: "adaptive_m",
+            paper_anchor: "§6.1 (extension)",
+            summary: "PENNI-style adaptive per-layer M vs the fixed M = 6",
+            run: adaptive_m::run,
+        },
+        Experiment {
+            name: "buffer_ablation",
+            paper_anchor: "§4.3",
+            summary: "ref-counted distributed input buffers vs a unified FIFO",
+            run: buffer_ablation::run,
+        },
+        Experiment {
+            name: "ca_ablation",
+            paper_anchor: "§4.2.3 / Figure 6",
+            summary: "concentration look-ahead/look-aside sweep vs perfect packing",
+            run: ca_ablation::run,
+        },
+        Experiment {
+            name: "encoding_sweep",
+            paper_anchor: "§4.2.1",
+            summary: "SparseMap vs 2-level vs CSR vs RLE storage across sparsity",
+            run: encoding_sweep::run,
+        },
+        Experiment {
+            name: "psum_ablation",
+            paper_anchor: "§4.1",
+            summary: "psum bank-conflict factor under the Basis-First scatter",
+            run: psum_ablation::run,
+        },
+        Experiment {
+            name: "reorg_ablation",
+            paper_anchor: "§3.1",
+            summary: "Eq.(2) vs Eq.(3) intermediate footprint and output agreement",
+            run: reorg_ablation::run,
+        },
+        Experiment {
+            name: "rs_mapping",
+            paper_anchor: "§5 baselines",
+            summary: "row-stationary mapping search vs the closed-form Eyeriss model",
+            run: rs_mapping::run,
+        },
+        Experiment {
+            name: "schedule_compare",
+            paper_anchor: "§4.1 (dataflow), extension",
+            summary: "layer-pipelined vs layer-serial ESCALATE schedule, all six models",
+            run: schedule::run,
+        },
     ]
 }
 
 /// Looks an experiment up by registry name.
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
-    registry().iter().copied().find(|e| e.name() == name)
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    registry().iter().find(|e| e.name == name)
 }
 
 #[cfg(test)]
@@ -132,7 +241,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_complete() {
-        let names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+        let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -145,15 +254,15 @@ mod tests {
 
     #[test]
     fn find_resolves_names() {
-        assert_eq!(find("fig8").map(|e| e.name()), Some("fig8"));
+        assert_eq!(find("fig8").map(|e| e.name), Some("fig8"));
         assert!(find("fig99").is_none());
     }
 
     #[test]
     fn every_experiment_names_a_paper_anchor_and_summary() {
         for e in registry() {
-            assert!(!e.paper_anchor().is_empty(), "{}", e.name());
-            assert!(!e.summary().is_empty(), "{}", e.name());
+            assert!(!e.paper_anchor.is_empty(), "{}", e.name);
+            assert!(!e.summary.is_empty(), "{}", e.name);
         }
     }
 }

@@ -10,112 +10,94 @@
 //! decision: even 4 banks keep the factor well under the slack the MAC
 //! service time provides.
 
-use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
+use super::{Cell, ExpContext, ExpError, Record, Table};
 use crate::tline;
 use escalate_sim::psum::{scatter_addresses, PsumBanks};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Registry entry for the §4.1 psum bank-conflict study.
-pub struct PsumAblation;
+pub(super) fn run(_ctx: &ExpContext, t: &mut Table) -> Result<(), ExpError> {
+    let m = 6usize; // MACs per slice
+    let (r, s) = (3usize, 3usize);
+    let out_width = 32usize; // output-row buffer width
+    let positions = 2048usize;
 
-impl Experiment for PsumAblation {
-    fn name(&self) -> &'static str {
-        "psum_ablation"
-    }
-
-    fn paper_anchor(&self) -> &'static str {
-        "§4.1"
-    }
-
-    fn summary(&self) -> &'static str {
-        "psum bank-conflict factor under the Basis-First scatter"
-    }
-
-    fn run(&self, _ctx: &ExpContext) -> Result<Table, ExpError> {
-        let m = 6usize; // MACs per slice
-        let (r, s) = (3usize, 3usize);
-        let out_width = 32usize; // output-row buffer width
-        let positions = 2048usize;
-
-        let mut t = Table::new(self.name(), self.paper_anchor());
-        tline!(t, "Psum bank-conflict factor under the Basis-First scatter");
-        tline!(
-            t,
-            "({m} MACs x {r}x{s} kernels, {out_width}-wide output rows, {positions} positions)"
-        );
-        tline!(t);
-        tline!(
-            t,
-            "{:>6} {:>12} {:>12} {:>16}",
-            "banks",
-            "accesses",
-            "cycles",
-            "conflict factor"
-        );
-        for banks in [2usize, 4, 8, 16, 32] {
-            let mut p = PsumBanks::new(banks, (r + 1) * out_width / banks + 1);
-            let mut rng = StdRng::seed_from_u64(11);
-            for _ in 0..positions {
-                // Each MAC owns one intermediate element at a random column of
-                // the row; per service cycle, the M MACs each write one of
-                // their R·S scatter targets.
-                let offsets: Vec<Vec<usize>> = (0..m)
-                    .map(|_| {
-                        let dy = rng.gen_range(0..out_width - s + 1);
-                        scatter_addresses(0, dy, r, s, out_width)
-                    })
+    tline!(t, "Psum bank-conflict factor under the Basis-First scatter");
+    tline!(
+        t,
+        "({m} MACs x {r}x{s} kernels, {out_width}-wide output rows, {positions} positions)"
+    );
+    tline!(t);
+    tline!(
+        t,
+        "{:>6} {:>12} {:>12} {:>16}",
+        "banks",
+        "accesses",
+        "cycles",
+        "conflict factor"
+    );
+    for banks in [2usize, 4, 8, 16, 32] {
+        let mut p = PsumBanks::new(banks, (r + 1) * out_width / banks + 1);
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..positions {
+            // Each MAC owns one intermediate element at a random column of
+            // the row; per service cycle, the M MACs each write one of
+            // their R·S scatter targets.
+            let offsets: Vec<Vec<usize>> = (0..m)
+                .map(|_| {
+                    let dy = rng.gen_range(0..out_width - s + 1);
+                    scatter_addresses(0, dy, r, s, out_width)
+                })
+                .collect();
+            // The MACs' service windows are phase-staggered (their CA
+            // elements complete at different cycles), so MAC j walks its
+            // scatter offsets shifted by j.
+            for step in 0..r * s {
+                let group: Vec<(usize, f32)> = offsets
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, o)| o.get((step + j) % o.len()).map(|&a| (a, 1.0)))
                     .collect();
-                // The MACs' service windows are phase-staggered (their CA
-                // elements complete at different cycles), so MAC j walks its
-                // scatter offsets shifted by j.
-                for step in 0..r * s {
-                    let group: Vec<(usize, f32)> = offsets
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(j, o)| o.get((step + j) % o.len()).map(|&a| (a, 1.0)))
-                        .collect();
-                    p.issue(&group);
-                }
-                let _ = p.drain();
+                p.issue(&group);
             }
-            let st = p.stats();
-            tline!(
-                t,
-                "{:>6} {:>12} {:>12} {:>15.2}x",
-                banks,
-                st.accesses,
-                st.cycles(),
-                st.conflict_factor()
-            );
-            t.push_record(Record::new([
-                ("banks", Cell::from(banks)),
-                ("accesses", Cell::from(st.accesses)),
-                ("cycles", Cell::from(st.cycles())),
-                ("conflict_factor_x", st.conflict_factor().into()),
-            ]));
+            let _ = p.drain();
         }
-        tline!(t);
+        let st = p.stats();
         tline!(
             t,
-            "With a factor f, the psum stage needs f*R*S cycles per position against"
+            "{:>6} {:>12} {:>12} {:>15.2}x",
+            banks,
+            st.accesses,
+            st.cycles(),
+            st.conflict_factor()
         );
-        tline!(
-            t,
-            "the slice's max(CA, R*S) pace. Stream-bound layers (CA of 14-29 cycles on"
-        );
-        tline!(
-            t,
-            "the ImageNet models) absorb f up to ~2-3 for free, and the accumulation"
-        );
-        tline!(
-            t,
-            "sits behind a write queue rather than in the MAC issue path — the paper's"
-        );
-        tline!(
-            t,
-            "rationale for leaving the psum buffer unoptimized (4.1)."
-        );
-        Ok(t)
+        t.push_record(Record::new([
+            ("banks", Cell::from(banks)),
+            ("accesses", Cell::from(st.accesses)),
+            ("cycles", Cell::from(st.cycles())),
+            ("conflict_factor_x", st.conflict_factor().into()),
+        ]));
     }
+    tline!(t);
+    tline!(
+        t,
+        "With a factor f, the psum stage needs f*R*S cycles per position against"
+    );
+    tline!(
+        t,
+        "the slice's max(CA, R*S) pace. Stream-bound layers (CA of 14-29 cycles on"
+    );
+    tline!(
+        t,
+        "the ImageNet models) absorb f up to ~2-3 for free, and the accumulation"
+    );
+    tline!(
+        t,
+        "sits behind a write queue rather than in the MAC issue path — the paper's"
+    );
+    tline!(
+        t,
+        "rationale for leaving the psum buffer unoptimized (4.1)."
+    );
+    Ok(())
 }

@@ -7,101 +7,83 @@
 //! output-sized maps to `M` input-sized maps. The criterion `kernels`
 //! bench times the two orders.
 
-use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
+use super::{Cell, ExpContext, ExpError, Record, Table};
 use crate::tline;
 use escalate_core::decompose;
 use escalate_core::reorg::{forward_eq2, forward_eq3, intermediate_footprint};
 use escalate_models::{synth, ModelProfile};
 
-/// Registry entry for the Eq.(2)-vs-Eq.(3) reorganization ablation.
-pub struct ReorgAblation;
+pub(super) fn run(_ctx: &ExpContext, t: &mut Table) -> Result<(), ExpError> {
+    let profile = ModelProfile::for_model("ResNet18").expect("known model");
+    tline!(
+        t,
+        "Eq.(2) vs Eq.(3): intermediate footprint (elements) and output agreement"
+    );
+    tline!(t);
+    tline!(
+        t,
+        "{:<20} {:>5} {:>5} {:>12} {:>12} {:>8}",
+        "Layer",
+        "C",
+        "K",
+        "inter eq2",
+        "inter eq3",
+        "agree"
+    );
+    // Scale the spatial size down so the dense reference runs quickly; the
+    // footprint ratio C·M/M is spatial-size independent.
+    for (i, layer) in profile
+        .model()
+        .conv_layers()
+        .filter(|l| l.is_decomposable())
+        .take(9)
+        .enumerate()
+    {
+        let mut l = layer.clone();
+        l.x = l.x.min(16);
+        l.y = l.y.min(16);
+        let w = synth::weights(&l, 6, 0.05, synth::layer_seed(7, i, 0));
+        let d = decompose(&w, 6.min(l.r * l.s))?;
+        let input = synth::activations(&l, 0.5, i as u64);
 
-impl Experiment for ReorgAblation {
-    fn name(&self) -> &'static str {
-        "reorg_ablation"
-    }
+        let (o2, i2) = forward_eq2(&d, &input, l.stride, l.pad);
+        let (o3, i3) = forward_eq3(&d, &input, l.stride, l.pad);
+        let (f2, f3) = intermediate_footprint(&d, l.x, l.y, l.stride, l.pad);
+        if (i2, i3) != (f2, f3) {
+            return Err(ExpError::Msg(format!(
+                "{}: footprint helper ({f2}, {f3}) disagrees with execution ({i2}, {i3})",
+                l.name
+            )));
+        }
 
-    fn paper_anchor(&self) -> &'static str {
-        "§3.1"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Eq.(2) vs Eq.(3) intermediate footprint and output agreement"
-    }
-
-    fn run(&self, _ctx: &ExpContext) -> Result<Table, ExpError> {
-        let profile = ModelProfile::for_model("ResNet18").expect("known model");
-        let mut t = Table::new(self.name(), self.paper_anchor());
-        tline!(
-            t,
-            "Eq.(2) vs Eq.(3): intermediate footprint (elements) and output agreement"
-        );
-        tline!(t);
+        let agree = o2.all_close(&o3, 1e-2);
         tline!(
             t,
             "{:<20} {:>5} {:>5} {:>12} {:>12} {:>8}",
-            "Layer",
-            "C",
-            "K",
-            "inter eq2",
-            "inter eq3",
-            "agree"
+            l.name,
+            l.c,
+            l.k,
+            i2,
+            i3,
+            if agree { "yes" } else { "NO" },
         );
-        // Scale the spatial size down so the dense reference runs quickly; the
-        // footprint ratio C·M/M is spatial-size independent.
-        for (i, layer) in profile
-            .model()
-            .conv_layers()
-            .filter(|l| l.is_decomposable())
-            .take(9)
-            .enumerate()
-        {
-            let mut l = layer.clone();
-            l.x = l.x.min(16);
-            l.y = l.y.min(16);
-            let w = synth::weights(&l, 6, 0.05, synth::layer_seed(7, i, 0));
-            let d = decompose(&w, 6.min(l.r * l.s))?;
-            let input = synth::activations(&l, 0.5, i as u64);
-
-            let (o2, i2) = forward_eq2(&d, &input, l.stride, l.pad);
-            let (o3, i3) = forward_eq3(&d, &input, l.stride, l.pad);
-            let (f2, f3) = intermediate_footprint(&d, l.x, l.y, l.stride, l.pad);
-            if (i2, i3) != (f2, f3) {
-                return Err(ExpError::Msg(format!(
-                    "{}: footprint helper ({f2}, {f3}) disagrees with execution ({i2}, {i3})",
-                    l.name
-                )));
-            }
-
-            let agree = o2.all_close(&o3, 1e-2);
-            tline!(
-                t,
-                "{:<20} {:>5} {:>5} {:>12} {:>12} {:>8}",
-                l.name,
-                l.c,
-                l.k,
-                i2,
-                i3,
-                if agree { "yes" } else { "NO" },
-            );
-            t.push_record(Record::new([
-                ("layer", Cell::from(l.name.clone())),
-                ("c", Cell::from(l.c)),
-                ("k", Cell::from(l.k)),
-                ("intermediate_eq2", Cell::from(i2)),
-                ("intermediate_eq3", Cell::from(i3)),
-                ("outputs_agree", agree.into()),
-            ]));
-        }
-        tline!(t);
-        tline!(
-            t,
-            "Eq.(3) holds only M maps live (vs C·M), enabling stream processing; both"
-        );
-        tline!(
-            t,
-            "orders produce identical outputs (distributivity of convolution)."
-        );
-        Ok(t)
+        t.push_record(Record::new([
+            ("layer", Cell::from(l.name.clone())),
+            ("c", Cell::from(l.c)),
+            ("k", Cell::from(l.k)),
+            ("intermediate_eq2", Cell::from(i2)),
+            ("intermediate_eq3", Cell::from(i3)),
+            ("outputs_agree", agree.into()),
+        ]));
     }
+    tline!(t);
+    tline!(
+        t,
+        "Eq.(3) holds only M maps live (vs C·M), enabling stream processing; both"
+    );
+    tline!(
+        t,
+        "orders produce identical outputs (distributivity of convolution)."
+    );
+    Ok(())
 }

@@ -1,7 +1,6 @@
 //! The `report` runner: one driver for the whole experiment registry,
-//! built on the shared run-plan layer (`crate::plan`). `escalate report`,
-//! served report jobs and perfbench all parse their report lines with
-//! [`ReportOptions::parse`]:
+//! built on the shared run-plan layer (`crate::plan`). `escalate report`
+//! and perfbench parse their report lines with [`ReportOptions::parse`]:
 //!
 //! ```text
 //! escalate report --list           # enumerate the registry
@@ -14,7 +13,8 @@
 //! ```
 //!
 //! The selected experiments form a [`ReportPlan`] (one work unit per
-//! experiment); `plan::execute` fans the units out over worker threads,
+//! experiment, the plan a served `report` job runs too); `plan::execute`
+//! fans the units out over worker threads,
 //! and one of four [`UnitSink`]s renders each output as soon as it and
 //! every earlier experiment have finished, strictly in request order —
 //! so stdout, per-file output, and golden checks (`ok NAME` lines appear
@@ -31,7 +31,8 @@
 
 use super::{find, registry, ExpContext, ExpError, Experiment};
 use crate::args::Options;
-use crate::plan::{self, RunPlan, UnitOutput, UnitSink, WorkUnit};
+use crate::jobs::ReportPlan;
+use crate::plan::{self, UnitOutput, UnitSink, WorkUnit};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -113,8 +114,8 @@ impl ReportOptions {
 }
 
 /// Resolves the experiment set a parsed command line selects.
-fn select(opts: &ReportOptions) -> Result<Vec<&'static dyn Experiment>, ExpError> {
-    let mut exps: Vec<&'static dyn Experiment> = Vec::new();
+fn select(opts: &ReportOptions) -> Result<Vec<&'static Experiment>, ExpError> {
+    let mut exps: Vec<&'static Experiment> = Vec::new();
     if opts.all {
         exps.extend(registry());
     }
@@ -122,7 +123,7 @@ fn select(opts: &ReportOptions) -> Result<Vec<&'static dyn Experiment>, ExpError
         let exp = find(name).ok_or_else(|| {
             ExpError::Msg(format!("unknown experiment {name:?} (see report --list)"))
         })?;
-        if !exps.iter().any(|e| e.name() == exp.name()) {
+        if !exps.iter().any(|e| e.name == exp.name) {
             exps.push(exp);
         }
     }
@@ -140,43 +141,6 @@ fn first_drift(expected: &str, actual: &str) -> String {
     format!("line counts differ: golden {el}, current {al}")
 }
 
-/// Fixed master seed of the report plan — experiments derive their own
-/// randomness internally, but every work unit still carries a seed per
-/// the plan contract.
-const REPORT_PLAN_SEED: u64 = 0x5eca_1a7e_9e37_79b9;
-
-/// The experiment registry as a [`RunPlan`]: one work unit per selected
-/// experiment, keyed by registry name.
-struct ReportPlan {
-    exps: Vec<&'static dyn Experiment>,
-    ctx: ExpContext,
-}
-
-impl RunPlan for ReportPlan {
-    fn name(&self) -> &str {
-        "report"
-    }
-
-    fn units(&self) -> Result<Vec<WorkUnit>, ExpError> {
-        Ok(self
-            .exps
-            .iter()
-            .enumerate()
-            .map(|(i, e)| WorkUnit {
-                key: e.name().to_string(),
-                seed: plan::unit_seed(REPORT_PLAN_SEED, i as u64),
-                index: i,
-            })
-            .collect())
-    }
-
-    fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
-        self.exps[unit.index]
-            .run(&self.ctx)
-            .map(UnitOutput::from_table)
-    }
-}
-
 /// `--check`: byte-diffs each experiment against its golden file.
 struct CheckSink<'w> {
     out: &'w mut dyn Write,
@@ -185,21 +149,22 @@ struct CheckSink<'w> {
 }
 
 impl UnitSink for CheckSink<'_> {
-    fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+    fn write_unit(&mut self, _unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+        let name = &out.table.experiment;
         let text = out.table.render_text();
-        let golden_path = self.results_dir.join(format!("{}.txt", unit.key));
+        let golden_path = self.results_dir.join(format!("{name}.txt"));
         match std::fs::read_to_string(&golden_path) {
             Ok(golden) if golden == text => {
-                writeln!(self.out, "ok    {}", unit.key)?;
+                writeln!(self.out, "ok    {name}")?;
             }
             Ok(golden) => {
                 self.clean = false;
-                writeln!(self.out, "DRIFT {}", unit.key)?;
+                writeln!(self.out, "DRIFT {name}")?;
                 writeln!(self.out, "{}", first_drift(&golden, &text))?;
             }
             Err(e) => {
                 self.clean = false;
-                writeln!(self.out, "DRIFT {} (no golden: {e})", unit.key)?;
+                writeln!(self.out, "DRIFT {name} (no golden: {e})")?;
             }
         }
         Ok(())
@@ -213,8 +178,10 @@ struct UpdateSink<'w> {
 }
 
 impl UnitSink for UpdateSink<'_> {
-    fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
-        let golden_path = self.results_dir.join(format!("{}.txt", unit.key));
+    fn write_unit(&mut self, _unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+        let golden_path = self
+            .results_dir
+            .join(format!("{}.txt", out.table.experiment));
         std::fs::write(&golden_path, out.table.render_text())?;
         writeln!(self.out, "updated {}", golden_path.display())?;
         Ok(())
@@ -229,9 +196,9 @@ struct DirSink<'w> {
 }
 
 impl UnitSink for DirSink<'_> {
-    fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+    fn write_unit(&mut self, _unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
         let ext = if self.json { "json" } else { "txt" };
-        let path = self.dir.join(format!("{}.{ext}", unit.key));
+        let path = self.dir.join(format!("{}.{ext}", out.table.experiment));
         let body = if self.json {
             out.table.render_json()
         } else {
@@ -282,13 +249,7 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
     if opts.list {
         writeln!(out, "{:<16} {:<18} summary", "name", "paper anchor")?;
         for e in registry() {
-            writeln!(
-                out,
-                "{:<16} {:<18} {}",
-                e.name(),
-                e.paper_anchor(),
-                e.summary()
-            )?;
+            writeln!(out, "{:<16} {:<18} {}", e.name, e.paper_anchor, e.summary)?;
         }
         return Ok(true);
     }
@@ -306,7 +267,7 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
     if opts.update {
         std::fs::create_dir_all(&results_dir)?;
     }
-    let plan = ReportPlan { exps, ctx };
+    let plan = ReportPlan::new(exps, ctx);
 
     let clean = if opts.check {
         let clean = {
@@ -356,6 +317,7 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::RunPlan;
 
     #[test]
     fn parse_rejects_unknown_flags_and_empty_invocations() {
@@ -417,9 +379,9 @@ mod tests {
         let names: Vec<&str> = select(&all)
             .expect("select")
             .iter()
-            .map(|e| e.name())
+            .map(|e| e.name)
             .collect();
-        let registered: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+        let registered: Vec<&str> = registry().iter().map(|e| e.name).collect();
         assert_eq!(names, registered);
     }
 
@@ -430,13 +392,10 @@ mod tests {
             ..ReportOptions::default()
         })
         .expect("select");
-        let plan = ReportPlan {
-            exps,
-            ctx: ExpContext::default(),
-        };
+        let plan = ReportPlan::new(exps, ExpContext::default());
         let units = plan.units().expect("units");
         let keys: Vec<&str> = units.iter().map(|u| u.key.as_str()).collect();
-        assert_eq!(keys, ["fig8", "table4"]);
+        assert_eq!(keys, ["report/fig8", "report/table4"]);
         assert_ne!(units[0].seed, units[1].seed);
         assert_eq!(units[1].index, 1);
     }
@@ -451,7 +410,7 @@ mod tests {
         assert!(run_report(&opts, &mut buf).expect("list"));
         let text = String::from_utf8(buf).expect("utf8");
         for e in registry() {
-            assert!(text.contains(e.name()), "{} missing from --list", e.name());
+            assert!(text.contains(e.name), "{} missing from --list", e.name);
         }
     }
 

@@ -4,92 +4,73 @@
 //! seeds at fixed sparsity, and (b) the sweep over activation-sparsity
 //! levels.
 
-use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
+use super::{Cell, ExpContext, ExpError, Record, Table};
 use crate::{tline, workload_cached};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 use escalate_sim::{simulate_model, Workload};
 
-/// Registry entry for the §5.2.1 sensitivity study.
-pub struct Sensitivity;
+pub(super) fn run(ctx: &ExpContext, t: &mut Table) -> Result<(), ExpError> {
+    let cfg = &ctx.sim;
+    let profile = ModelProfile::for_model("ResNet18").expect("known model");
+    let workload = workload_cached(&profile, &CompressionConfig::default())?;
 
-impl Experiment for Sensitivity {
-    fn name(&self) -> &'static str {
-        "sensitivity"
-    }
+    // (a) Input-sample variance at the profile's sparsity.
+    let cycles: Vec<f64> = (0..10u64)
+        .map(|seed| simulate_model(&workload, cfg, seed).total_cycles() as f64)
+        .collect();
+    let mean = cycles.iter().sum::<f64>() / cycles.len() as f64;
+    let var = cycles.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / cycles.len() as f64;
+    let cv = var.sqrt() / mean;
+    tline!(t, "ResNet18, 10 random input samples at profile sparsity:");
+    tline!(
+        t,
+        "  mean {mean:.0} cycles, coefficient of variation {:.2}%",
+        cv * 100.0
+    );
+    tline!(t);
+    t.push_record(Record::new([
+        ("section", Cell::from("seed_variance")),
+        ("mean_cycles", mean.into()),
+        ("cv_pct", (cv * 100.0).into()),
+    ]));
 
-    fn paper_anchor(&self) -> &'static str {
-        "§5.2.1"
-    }
-
-    fn summary(&self) -> &'static str {
-        "input-seed variance and activation-sparsity sweep (ResNet18)"
-    }
-
-    fn run(&self, ctx: &ExpContext) -> Result<Table, ExpError> {
-        let cfg = &ctx.sim;
-        let profile = ModelProfile::for_model("ResNet18").expect("known model");
-        let workload = workload_cached(&profile, &CompressionConfig::default())?;
-
-        let mut t = Table::new(self.name(), self.paper_anchor());
-
-        // (a) Input-sample variance at the profile's sparsity.
-        let cycles: Vec<f64> = (0..10u64)
-            .map(|seed| simulate_model(&workload, cfg, seed).total_cycles() as f64)
-            .collect();
-        let mean = cycles.iter().sum::<f64>() / cycles.len() as f64;
-        let var = cycles.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / cycles.len() as f64;
-        let cv = var.sqrt() / mean;
-        tline!(t, "ResNet18, 10 random input samples at profile sparsity:");
-        tline!(
-            t,
-            "  mean {mean:.0} cycles, coefficient of variation {:.2}%",
-            cv * 100.0
-        );
-        tline!(t);
-        t.push_record(Record::new([
-            ("section", Cell::from("seed_variance")),
-            ("mean_cycles", mean.into()),
-            ("cv_pct", (cv * 100.0).into()),
-        ]));
-
-        // (b) Activation-sparsity sweep (all layers forced to one level).
-        tline!(
-            t,
-            "{:>14} {:>12} {:>14}",
-            "act sparsity",
-            "cycles",
-            "vs profile"
-        );
-        for sa in [0.0f64, 0.2, 0.4, 0.6, 0.8] {
-            let mut w = Workload::clone(&workload);
-            for l in w.layers.iter_mut() {
-                l.act_sparsity = sa;
-                l.out_sparsity = sa;
-            }
-            let c = simulate_model(&w, cfg, 0).total_cycles() as f64;
-            tline!(t, "{:>13.0}% {:>12.0} {:>13.2}x", sa * 100.0, c, mean / c);
-            t.push_record(Record::new([
-                ("section", Cell::from("sparsity_sweep")),
-                ("act_sparsity_pct", (sa * 100.0).into()),
-                ("cycles", c.into()),
-                ("vs_profile_x", (mean / c).into()),
-            ]));
+    // (b) Activation-sparsity sweep (all layers forced to one level).
+    tline!(
+        t,
+        "{:>14} {:>12} {:>14}",
+        "act sparsity",
+        "cycles",
+        "vs profile"
+    );
+    for sa in [0.0f64, 0.2, 0.4, 0.6, 0.8] {
+        let mut w = Workload::clone(&workload);
+        for l in w.layers.iter_mut() {
+            l.act_sparsity = sa;
+            l.out_sparsity = sa;
         }
-        tline!(t);
-        tline!(
-            t,
-            "Denser activations lengthen the CA streams (and the DRAM traffic), so"
-        );
-        tline!(
-            t,
-            "cycles fall monotonically with activation sparsity; the per-sample"
-        );
-        tline!(
-            t,
-            "variance at a fixed level stays within a few percent, which is why the"
-        );
-        tline!(t, "paper's 10-sample averages are stable.");
-        Ok(t)
+        let c = simulate_model(&w, cfg, 0).total_cycles() as f64;
+        tline!(t, "{:>13.0}% {:>12.0} {:>13.2}x", sa * 100.0, c, mean / c);
+        t.push_record(Record::new([
+            ("section", Cell::from("sparsity_sweep")),
+            ("act_sparsity_pct", (sa * 100.0).into()),
+            ("cycles", c.into()),
+            ("vs_profile_x", (mean / c).into()),
+        ]));
     }
+    tline!(t);
+    tline!(
+        t,
+        "Denser activations lengthen the CA streams (and the DRAM traffic), so"
+    );
+    tline!(
+        t,
+        "cycles fall monotonically with activation sparsity; the per-sample"
+    );
+    tline!(
+        t,
+        "variance at a fixed level stays within a few percent, which is why the"
+    );
+    tline!(t, "paper's 10-sample averages are stable.");
+    Ok(())
 }

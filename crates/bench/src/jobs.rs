@@ -1,14 +1,17 @@
 //! The job verbs, each defined once as a [`RunPlan`]: `simulate` (the
 //! four-accelerator comparison), `compress` (the compression pipeline)
-//! and `report` (one registered experiment). The one-shot CLI, the serve
+//! and `report` (registered experiments). The one-shot CLI, the serve
 //! daemon and the experiments all run these plans ([`crate::run_model`]
-//! is the simulate plan run into a [`TableSink`]), so a served job's
+//! is the simulate plan run into a [`TableSink`], `escalate report` the
+//! report plan run into the report runner's sinks), so a served job's
 //! output is the one-shot output by construction. Each constructor
 //! validates its request (`M` in `1..=MAX_M`, a registered experiment),
 //! so no front end can queue work that fails half-way. Each unit streams
 //! one [`MANIFEST_SCHEMA`] record; the plan keeps its typed result.
+//!
+//! [`TableSink`]: crate::plan::TableSink
 
-use crate::experiments::{ExpError, Experiment, ReportOptions, Table};
+use crate::experiments::{find, ExpContext, ExpError, Experiment, Table};
 use crate::plan::{execute, unit_seed, RunPlan, UnitOutput, UnitSink, WorkUnit};
 use crate::{
     compress_cached, render, run_accelerator, run_escalate_workload, workload_cached, AccelRun,
@@ -247,62 +250,99 @@ impl RunPlan for CompressPlan {
     }
 }
 
-/// `report`: one unit running a registered experiment through the report
-/// runner, the code behind `escalate report <NAME>`.
-pub struct ExperimentPlan {
-    experiment: &'static dyn Experiment,
-    output: Mutex<Option<String>>,
+/// Fixed master seed of the report plan: experiments derive their own
+/// randomness internally, but every work unit still carries a seed per
+/// the plan contract.
+const REPORT_PLAN_SEED: u64 = 0x5eca_1a7e_9e37_79b9;
+
+/// `report`: one unit per selected experiment, keyed `report/NAME`,
+/// carrying the experiment's [`Table`] and its manifest record.
+/// `escalate report` executes it into the report runner's print, file and
+/// golden sinks; the daemon into a client's socket.
+pub struct ReportPlan {
+    exps: Vec<&'static Experiment>,
+    ctx: ExpContext,
 }
 
-impl ExperimentPlan {
-    /// The registered experiment `name`.
+impl ReportPlan {
+    /// The experiments `exps`, in this order, run under `ctx`.
+    pub(crate) fn new(exps: Vec<&'static Experiment>, ctx: ExpContext) -> ReportPlan {
+        ReportPlan { exps, ctx }
+    }
+
+    /// The registered experiment `name` under the default context: what
+    /// `escalate report NAME` runs.
     ///
     /// # Errors
     ///
     /// A user-facing message when no experiment has that name.
-    pub fn new(name: &str) -> Result<ExperimentPlan, String> {
-        let experiment = crate::experiments::find(name)
+    pub fn named(name: &str) -> Result<ReportPlan, String> {
+        let exp = find(name)
             .ok_or_else(|| format!("unknown experiment {name:?} (see `escalate report --list`)"))?;
-        Ok(ExperimentPlan {
-            experiment,
-            output: Mutex::new(None),
-        })
+        Ok(ReportPlan::new(vec![exp], ExpContext::default()))
     }
 
-    /// Executes the plan into `sink` and returns the rendered report.
+    /// Executes the plan into `sink` and returns the report text, what
+    /// `escalate report` prints for these experiments.
     ///
     /// # Errors
     ///
-    /// The experiment's failure, or the sink's write failure.
+    /// The first experiment failure in unit order, or the sink's write
+    /// failure.
     pub fn run(&self, sink: &mut dyn UnitSink) -> Result<String, ExpError> {
-        execute(self, sink)?;
-        produced(lock_recover(&self.output).take(), "report")
+        // Size the pool before `execute` reads it to size its workers.
+        escalate_core::par::configure_threads(0);
+        let mut tee = TextTee {
+            sink,
+            text: String::new(),
+        };
+        execute(self, &mut tee)?;
+        Ok(tee.text)
     }
 }
 
-impl RunPlan for ExperimentPlan {
+/// Forwards every unit to `sink` and keeps its text, experiments
+/// separated by a blank line as `escalate report` prints them.
+struct TextTee<'s> {
+    sink: &'s mut dyn UnitSink,
+    text: String,
+}
+
+impl UnitSink for TextTee<'_> {
+    fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+        if unit.index > 0 {
+            self.text.push('\n');
+        }
+        self.text.push_str(&out.table.render_text());
+        self.sink.write_unit(unit, out)
+    }
+}
+
+impl RunPlan for ReportPlan {
     fn name(&self) -> &str {
         "report"
     }
 
     fn units(&self) -> Result<Vec<WorkUnit>, ExpError> {
-        Ok(vec![WorkUnit {
-            key: format!("report/{}", self.experiment.name()),
-            seed: 0,
-            index: 0,
-        }])
+        Ok(self
+            .exps
+            .iter()
+            .enumerate()
+            .map(|(i, e)| WorkUnit {
+                key: format!("report/{}", e.name),
+                seed: unit_seed(REPORT_PLAN_SEED, i as u64),
+                index: i,
+            })
+            .collect())
     }
 
     fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
-        let opts =
-            ReportOptions::parse([self.experiment.name().to_string()]).map_err(ExpError::Msg)?;
-        let mut text = Vec::new();
-        crate::experiments::run_report(&opts, &mut text)?;
-        let text = String::from_utf8(text)
-            .map_err(|e| ExpError::Msg(format!("report produced non-UTF-8 output: {e}")))?;
-        let out = record(unit, |w| w.field_str("experiment", self.experiment.name()));
-        *lock_recover(&self.output) = Some(text);
-        Ok(out)
+        let exp = self.exps[unit.index];
+        let table = exp.table(&self.ctx)?;
+        Ok(UnitOutput {
+            table,
+            ..record(unit, |w| w.field_str("experiment", exp.name))
+        })
     }
 }
 

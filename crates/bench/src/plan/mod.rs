@@ -57,7 +57,7 @@ pub struct UnitOutput {
 }
 
 impl UnitOutput {
-    /// An output that is just a table (the experiment-registry case).
+    /// An output that is just a table, with no stream records.
     pub fn from_table(table: Table) -> UnitOutput {
         UnitOutput {
             table,
@@ -128,15 +128,29 @@ pub struct ExecSummary {
     pub skipped: usize,
 }
 
+/// The splitmix64 increment (the golden ratio in 64 bits).
+const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 finalizer: mixes one 64-bit value into one output.
+pub fn splitmix64_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One step of a splitmix64 stream: advances `state` and returns the
+/// stream's next value.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    splitmix64_finalize(*state)
+}
+
 /// Derives a work unit's seed from a plan-level master seed and the
 /// unit's enumeration index (splitmix64 finalizer): sample `i` draws the
 /// same seed whether the plan enumerates 2 units or 2000, and regardless
 /// of which units a resumed run skips.
 pub fn unit_seed(master: u64, index: u64) -> u64 {
-    let mut z = master ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64_finalize(master ^ index.wrapping_mul(SPLITMIX64_GAMMA))
 }
 
 /// Checks that `order` is a permutation of `0..n`.
@@ -162,15 +176,18 @@ fn is_permutation(order: &[usize], n: usize) -> bool {
 ///
 /// Units run on scoped worker threads sized to the global pool
 /// (`rayon::current_num_threads`), or on the calling thread when that is
-/// one thread or one unit; nested parallelism inside `run_unit` still
-/// shares the global pool's token budget, so total concurrency stays
-/// bounded. Workers claim pending units in [`RunPlan::schedule`]
-/// order (enumeration order when the plan has none, or returns something
-/// that is not a permutation), so cache-friendly neighbours run
-/// adjacently; the sink feed stays strictly in unit order, so neither the
-/// schedule nor the thread count can change a byte the sink sees. The
-/// price of a schedule that strays far from unit order is that the fed
-/// prefix can wait on its slowest scheduled group.
+/// one thread or one unit. These are plain scoped threads outside the
+/// pool's token budget: rayon parallelism inside `run_unit` shares the
+/// pool, but a plan executed inside a unit (an experiment calling
+/// [`crate::run_model`]) starts workers of its own on top, so total
+/// concurrency is not bounded by the pool size. Workers claim pending
+/// units in [`RunPlan::schedule`] order (enumeration order when the plan
+/// has none, or returns something that is not a permutation), so
+/// cache-friendly neighbours run adjacently; the sink feed stays strictly
+/// in unit order, so neither the schedule nor the thread count can change
+/// a byte the sink sees. The price of a schedule that strays far from
+/// unit order is that the fed prefix can wait on its slowest scheduled
+/// group.
 ///
 /// The first failing unit *in unit order* (or the first sink write
 /// failure) aborts the run: in-flight units finish, but unclaimed units
@@ -360,6 +377,23 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), a.len(), "64 units drew a colliding seed");
         assert_ne!(unit_seed(1, 0), unit_seed(2, 0), "master seed matters");
+    }
+
+    #[test]
+    fn splitmix64_is_the_reference_stream() {
+        // The published splitmix64 outputs from state 0.
+        let mut state = 0;
+        let stream: Vec<u64> = (0..3).map(|_| splitmix64(&mut state)).collect();
+        assert_eq!(
+            stream,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
+        // Unit 1 of master seed 0 finalizes the stream's first state.
+        assert_eq!(unit_seed(0, 1), stream[0]);
     }
 
     #[test]

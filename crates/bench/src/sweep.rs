@@ -163,11 +163,7 @@ struct SplitMix(u64);
 
 impl SplitMix {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        plan::splitmix64(&mut self.0)
     }
 
     fn pick(&mut self, options: &[usize]) -> usize {
@@ -348,12 +344,43 @@ impl SweepRecord {
 /// makes per-network frontiers comparable.
 pub struct SweepPlan {
     opts: SweepOptions,
+    /// Each network spec of `opts.networks`, resolved once: an `@FILE`
+    /// network is read when the plan is built, never per unit.
+    profiles: Vec<ModelProfile>,
+    /// The power-of-two PE counts inside `opts.pe_range` (never empty).
+    pes: Vec<usize>,
 }
 
 impl SweepPlan {
-    /// Wraps validated options (validation itself happens in `units`).
-    pub fn new(opts: SweepOptions) -> SweepPlan {
-        SweepPlan { opts }
+    /// Validates `opts` and resolves every network spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message when `samples` is zero, the PE range holds
+    /// no power of two, or a network spec does not resolve.
+    pub fn new(opts: SweepOptions) -> Result<SweepPlan, ExpError> {
+        if opts.samples == 0 {
+            return Err(ExpError::Msg("--samples must be positive".into()));
+        }
+        let pes = pe_choices(opts.pe_range);
+        if pes.is_empty() {
+            return Err(ExpError::Msg(format!(
+                "no power-of-two PE count in {}..{}",
+                opts.pe_range.0, opts.pe_range.1
+            )));
+        }
+        let profiles = opts
+            .networks
+            .iter()
+            .map(|network| {
+                escalate_models::resolve(network).map_err(|e| ExpError::Msg(e.to_string()))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(SweepPlan {
+            opts,
+            profiles,
+            pes,
+        })
     }
 
     fn key(&self, network: &str, sample: usize, seed: u64) -> String {
@@ -383,10 +410,10 @@ impl SweepPlan {
 
     /// Draws the design point for `(sample, seed)` under the configured
     /// sampler.
-    fn point_for(&self, sample: usize, seed: u64, pes: &[usize]) -> DesignPoint {
+    fn point_for(&self, sample: usize, seed: u64) -> DesignPoint {
         match self.opts.sampler {
-            Sampler::Uniform => sample_point(seed, &self.opts, pes),
-            Sampler::Halton => halton_point(sample, &self.opts, pes),
+            Sampler::Uniform => sample_point(seed, &self.opts, &self.pes),
+            Sampler::Halton => halton_point(sample, &self.opts, &self.pes),
         }
     }
 }
@@ -397,20 +424,8 @@ impl RunPlan for SweepPlan {
     }
 
     fn units(&self) -> Result<Vec<WorkUnit>, ExpError> {
-        if self.opts.samples == 0 {
-            return Err(ExpError::Msg("--samples must be positive".into()));
-        }
-        if pe_choices(self.opts.pe_range).is_empty() {
-            return Err(ExpError::Msg(format!(
-                "no power-of-two PE count in {}..{}",
-                self.opts.pe_range.0, self.opts.pe_range.1
-            )));
-        }
         let mut units = Vec::with_capacity(self.opts.networks.len() * self.opts.samples);
         for (ni, network) in self.opts.networks.iter().enumerate() {
-            if let Err(e) = escalate_models::resolve(network) {
-                return Err(ExpError::Msg(e.to_string()));
-            }
             for s in 0..self.opts.samples {
                 let seed = plan::unit_seed(self.opts.master_seed, s as u64);
                 units.push(WorkUnit {
@@ -425,11 +440,8 @@ impl RunPlan for SweepPlan {
 
     fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
         let sample = unit.index % self.opts.samples;
-        let network = &self.opts.networks[unit.index / self.opts.samples];
-        let profile =
-            escalate_models::resolve(network).map_err(|e| ExpError::Msg(e.to_string()))?;
-        let pes = pe_choices(self.opts.pe_range);
-        let point = self.point_for(sample, unit.seed, &pes);
+        let network = unit.index / self.opts.samples;
+        let point = self.point_for(sample, unit.seed);
         let mut cfg = point.to_config();
         cfg.threads = self.opts.threads;
         cfg.schedule = self.opts.schedule;
@@ -438,7 +450,7 @@ impl RunPlan for SweepPlan {
         // activation masks, compiled plans and walks); results are
         // bit-identical to a cold run.
         let workload = crate::workload_cached(
-            &profile,
+            &self.profiles[network],
             &CompressionConfig {
                 m: cfg.m,
                 ..CompressionConfig::default()
@@ -447,7 +459,7 @@ impl RunPlan for SweepPlan {
         let run = crate::run_escalate_workload(&workload, &cfg, self.opts.input_seeds);
         let record = SweepRecord {
             key: unit.key.clone(),
-            network: network.clone(),
+            network: self.opts.networks[network].clone(),
             sample: sample as u64,
             seed: unit.seed,
             point,
@@ -457,18 +469,9 @@ impl RunPlan for SweepPlan {
             energy_mj: run.energy_pj / 1e9,
             area_mm2: escalate_energy::chip_area_mm2(&cfg),
         };
-        let mut table = crate::experiments::Table::new("sweep", "design-space sweep");
-        crate::tline!(
-            table,
-            "{}: cycles {:.0}, energy {:.3} mJ, area {:.2} mm2",
-            unit.key,
-            record.cycles,
-            record.energy_mj,
-            record.area_mm2
-        );
         Ok(UnitOutput {
-            table,
             jsonl: vec![record.to_json_line()],
+            ..UnitOutput::default()
         })
     }
 
@@ -481,15 +484,11 @@ impl RunPlan for SweepPlan {
         // stable sort keeps enumeration order inside each group, and the
         // sink feed is unit-ordered regardless — the schedule cannot
         // change output bytes.
-        let pes = pe_choices(self.opts.pe_range);
-        if pes.is_empty() {
-            return None;
-        }
         let mut order: Vec<usize> = (0..pending.len()).collect();
         order.sort_by_key(|&i| {
             let unit = pending[i];
             let sample = unit.index % self.opts.samples;
-            let point = self.point_for(sample, unit.seed, &pes);
+            let point = self.point_for(sample, unit.seed);
             (
                 unit.index / self.opts.samples,
                 point.m,
@@ -678,19 +677,18 @@ fn cache_thrash_warning(distinct: usize, capacity: usize, evictions: u64) -> Opt
 /// stream I/O failures, or frontier drift from a checked golden.
 pub fn run_sweep(opts: &SweepOptions, out: &mut dyn Write) -> Result<(), ExpError> {
     escalate_core::par::configure_threads(opts.threads);
-    let plan = SweepPlan::new(opts.clone());
-    let units = plan.units()?; // validate before touching the stream
+    let plan = SweepPlan::new(opts.clone())?; // validate before touching the stream
+    let units = plan.units()?;
     let evictions_before = crate::artifact_cache_evictions();
     let mut sink = JsonlSink::open(&opts.out)?;
     let summary = plan::execute(&plan, &mut sink)?;
     // Warn (once, on stderr) when the grid's artifact working set cannot
     // fit the cache: every revisit of an evicted (network, M) pair
     // recompresses from scratch, usually the dominant cost of the run.
-    let pes = pe_choices(opts.pe_range);
     let mut pairs: Vec<(usize, usize)> = units
         .iter()
         .map(|u| {
-            let point = plan.point_for(u.index % opts.samples, u.seed, &pes);
+            let point = plan.point_for(u.index % opts.samples, u.seed);
             (u.index / opts.samples, point.m)
         })
         .collect();
@@ -801,7 +799,7 @@ mod tests {
             samples: 3,
             ..SweepOptions::default()
         };
-        let units = SweepPlan::new(opts).units().expect("units");
+        let units = SweepPlan::new(opts).expect("plan").units().expect("units");
         assert_eq!(units.len(), 6);
         assert!(units[0].key.starts_with("MobileNet/s000"));
         assert!(units[3].key.starts_with("VGG16/s000"));
@@ -817,17 +815,17 @@ mod tests {
             networks: vec!["NotANet".into()],
             ..SweepOptions::default()
         };
-        assert!(SweepPlan::new(unknown).units().is_err());
+        assert!(SweepPlan::new(unknown).is_err());
         let no_pe = SweepOptions {
             pe_range: (33, 63),
             ..SweepOptions::default()
         };
-        assert!(SweepPlan::new(no_pe).units().is_err());
+        assert!(SweepPlan::new(no_pe).is_err());
         let no_samples = SweepOptions {
             samples: 0,
             ..SweepOptions::default()
         };
-        assert!(SweepPlan::new(no_samples).units().is_err());
+        assert!(SweepPlan::new(no_samples).is_err());
     }
 
     #[test]
@@ -905,13 +903,15 @@ mod tests {
             networks: vec!["MobileNet".into()],
             samples: 1,
             ..SweepOptions::default()
-        });
+        })
+        .expect("plan");
         let halton = SweepPlan::new(SweepOptions {
             networks: vec!["MobileNet".into()],
             samples: 1,
             sampler: Sampler::Halton,
             ..SweepOptions::default()
-        });
+        })
+        .expect("plan");
         let uk = &uniform.units().expect("units")[0].key;
         let hk = &halton.units().expect("units")[0].key;
         assert!(uk.starts_with("MobileNet/s000"), "{uk}");
@@ -926,7 +926,7 @@ mod tests {
             samples: 16,
             ..SweepOptions::default()
         };
-        let plan = SweepPlan::new(opts.clone());
+        let plan = SweepPlan::new(opts.clone()).expect("plan");
         let units = plan.units().expect("units");
         let pending: Vec<&WorkUnit> = units.iter().collect();
         let order = plan.schedule(&pending).expect("sweep schedules");
@@ -935,12 +935,11 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..pending.len()).collect::<Vec<_>>());
         // (network, M) never interleaves: each pair appears as one run.
-        let pes = pe_choices(opts.pe_range);
         let keys: Vec<(usize, usize)> = order
             .iter()
             .map(|&i| {
                 let u = pending[i];
-                let p = plan.point_for(u.index % opts.samples, u.seed, &pes);
+                let p = plan.point_for(u.index % opts.samples, u.seed);
                 (u.index / opts.samples, p.m)
             })
             .collect();

@@ -1,6 +1,7 @@
 //! Integration tests for the run-plan layer driving a *real* sweep:
-//! the JSONL stream must resume to exactly the cold run's bytes, and the
-//! records must be independent of the host thread count.
+//! the JSONL stream must resume to exactly the cold run's bytes, the
+//! records must be independent of the host thread count, and each
+//! network spec is resolved once, when the plan is built.
 
 use escalate_bench::plan::{execute, JsonlSink};
 use escalate_bench::sweep::{SweepOptions, SweepPlan, SweepRecord};
@@ -29,7 +30,7 @@ fn real_sweep_resumes_to_the_cold_run_bytes() {
     std::fs::remove_file(&cold_path).ok();
     std::fs::remove_file(&resumed_path).ok();
 
-    let plan = SweepPlan::new(small_sweep(0));
+    let plan = SweepPlan::new(small_sweep(0)).expect("plan");
 
     let mut sink = JsonlSink::open(&cold_path).expect("open cold");
     let s = execute(&plan, &mut sink).expect("cold sweep");
@@ -73,10 +74,10 @@ fn sweep_records_are_identical_at_any_thread_count() {
     std::fs::remove_file(&seq_path).ok();
 
     let mut sink = JsonlSink::open(&par_path).expect("open");
-    execute(&SweepPlan::new(small_sweep(0)), &mut sink).expect("auto-thread sweep");
+    execute(&SweepPlan::new(small_sweep(0)).expect("plan"), &mut sink).expect("auto-thread sweep");
     drop(sink);
     let mut sink = JsonlSink::open(&seq_path).expect("open");
-    execute(&SweepPlan::new(small_sweep(1)), &mut sink).expect("sequential sweep");
+    execute(&SweepPlan::new(small_sweep(1)).expect("plan"), &mut sink).expect("sequential sweep");
     drop(sink);
 
     // The `threads` knob configures the host, not the modeled hardware:
@@ -95,4 +96,33 @@ fn sweep_records_are_identical_at_any_thread_count() {
 
     std::fs::remove_file(&par_path).ok();
     std::fs::remove_file(&seq_path).ok();
+}
+
+#[test]
+fn a_sweep_reads_its_network_file_once_when_the_plan_is_built() {
+    let network = tmp("once.network");
+    std::fs::write(
+        &network,
+        "escalate-network/v1\nmodel once\n\
+         layer conv c1 c=8 k=16 x=8 y=8 r=3 s=3 stride=1 pad=1\n\
+         layer pwconv c2 c=16 k=16 x=8 y=8 r=1 s=1 stride=1 pad=0\nend\n",
+    )
+    .expect("write network");
+    let out = tmp("once.jsonl");
+    std::fs::remove_file(&out).ok();
+    let plan = SweepPlan::new(SweepOptions {
+        networks: vec![format!("@{}", network.display())],
+        samples: 3,
+        input_seeds: 1,
+        ..SweepOptions::default()
+    })
+    .expect("plan");
+    // Every unit runs on the profile the plan resolved, so the file is
+    // not needed once the plan exists.
+    std::fs::remove_file(&network).expect("delete network");
+    let mut sink = JsonlSink::open(&out).expect("open");
+    let s = execute(&plan, &mut sink).expect("sweep without the network file");
+    assert_eq!((s.ran, s.skipped), (3, 0));
+    drop(sink);
+    std::fs::remove_file(&out).ok();
 }

@@ -93,7 +93,7 @@ fn report_update_then_check_round_trips_in_a_fresh_dir() {
 fn report_json_is_a_schema_tagged_document() {
     let table = experiments::find("table4")
         .expect("registered")
-        .run(&ExpContext::default())
+        .table(&ExpContext::default())
         .expect("runs");
     let json = table.render_json();
     let schema_tag = format!("\"schema\": \"{REPORT_SCHEMA}\"");

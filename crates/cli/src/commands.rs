@@ -263,7 +263,7 @@ pub const COMMANDS: &[Command] = &[
         cmd_sweep,
     ),
     command("characterize", &["m"], &[], cmd_characterize),
-    // `report` has its own grammar, shared with served report jobs.
+    // `report` has its own grammar, `ReportOptions::parse`.
     Command {
         name: "report",
         grammar: Grammar::PassThrough,

@@ -8,7 +8,8 @@
 //! is still parseable. The dependency policy forbids external JSON
 //! crates, so records are written through [`crate::JsonWriter`] and read
 //! back with the targeted field scanners here ([`json_string_field`],
-//! [`json_f64_field`], [`json_u64_field`]) instead of a full parser: the
+//! [`json_f64_field`], [`json_u64_field`], [`json_bool_field`]) instead
+//! of a full parser: the
 //! only records this workspace scans are ones it wrote itself, with known
 //! top-level field names.
 
@@ -146,6 +147,21 @@ pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
     scalar_token(line, key)?.parse().ok()
 }
 
+/// Extracts a boolean field (`true`/`false`) from one JSONL record.
+pub fn json_bool_field(line: &str, key: &str) -> Option<bool> {
+    match scalar_token(line, key)? {
+        "true" => Some(true),
+        "false" => Some(false),
+        _ => None,
+    }
+}
+
+/// Whether one JSONL record has a top-level `key` member, whatever its
+/// value: what tells an absent field from one whose value does not parse.
+pub fn json_has_field(line: &str, key: &str) -> bool {
+    value_start(line, key).is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +197,7 @@ mod tests {
         w.field_u64("sample", 7);
         w.field_f64("energy_mj", 1.25);
         w.field_f64("bad", f64::NAN);
+        w.field_bool("flag", true);
         w.end_object();
         let line = w.finish();
         assert_eq!(
@@ -192,6 +209,18 @@ mod tests {
         assert_eq!(json_f64_field(&line, "bad"), None, "null is not a float");
         assert_eq!(json_string_field(&line, "absent"), None);
         assert_eq!(json_u64_field(&line, "key"), None, "strings do not parse");
+        assert_eq!(json_bool_field(&line, "flag"), Some(true));
+        assert_eq!(json_bool_field(&line, "sample"), None, "7 is not a bool");
+        assert!(json_has_field(&line, "bad") && !json_has_field(&line, "absent"));
+    }
+
+    #[test]
+    fn scanners_read_compact_json() {
+        let line = "{\"verb\":\"compress\",\"m\":5,\"layers\":true,\"off\":false}";
+        assert_eq!(json_string_field(line, "verb").as_deref(), Some("compress"));
+        assert_eq!(json_u64_field(line, "m"), Some(5));
+        assert_eq!(json_bool_field(line, "layers"), Some(true));
+        assert_eq!(json_bool_field(line, "off"), Some(false));
     }
 
     #[test]

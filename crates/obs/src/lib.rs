@@ -52,7 +52,9 @@ pub mod registry;
 
 pub use histogram::Histogram;
 pub use json::JsonWriter;
-pub use jsonl::{json_f64_field, json_string_field, json_u64_field, JsonlWriter};
+pub use jsonl::{
+    json_bool_field, json_f64_field, json_has_field, json_string_field, json_u64_field, JsonlWriter,
+};
 pub use registry::{Registry, Snapshot, SpanBatch, SpanStats, SpanTimer};
 
 use std::sync::{Arc, RwLock};

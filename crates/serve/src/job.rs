@@ -6,7 +6,7 @@
 
 use crate::proto::Request;
 use escalate_bench::experiments::ExpError;
-use escalate_bench::jobs::{CompressPlan, ExperimentPlan, SimulatePlan};
+use escalate_bench::jobs::{CompressPlan, ReportPlan, SimulatePlan};
 use escalate_bench::plan::UnitSink;
 use escalate_bench::render;
 use escalate_core::pipeline::CompressionConfig;
@@ -22,7 +22,7 @@ pub struct CompiledJob {
 enum JobPlan {
     Simulate(SimulatePlan),
     Compress(CompressPlan),
-    Report(ExperimentPlan),
+    Report(ReportPlan),
 }
 
 impl CompiledJob {
@@ -75,7 +75,7 @@ impl CompiledJob {
                 (JobPlan::Compress(plan), Some(fingerprint))
             }
             Request::Report { experiment } => {
-                (JobPlan::Report(ExperimentPlan::new(experiment)?), None)
+                (JobPlan::Report(ReportPlan::named(experiment)?), None)
             }
             other => return Err(format!("{:?} is not a job verb", other.verb())),
         };

@@ -11,7 +11,7 @@
 //! to the one-shot CLI's. Frames and requests are hand-rendered/scanned
 //! (no external JSON dependency), mirroring the rest of the workspace.
 
-use escalate_obs::jsonl::{json_string_field, json_u64_field};
+use escalate_obs::jsonl::{json_bool_field, json_has_field, json_string_field, json_u64_field};
 use escalate_obs::JsonWriter;
 use std::io::{BufRead, Read, Write};
 
@@ -133,21 +133,27 @@ impl Request {
     }
 }
 
-/// Extracts a boolean field from one request line (the obs scanners cover
-/// strings and numbers; requests also carry flags).
-fn json_bool_field(line: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\": ");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+/// Reads an optional field of a request line: `None` when absent,
+/// `scan`'s value when present, and an error naming the field when its
+/// value does not parse.
+fn optional<T>(
+    line: &str,
+    key: &str,
+    scan: fn(&str, &str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    if !json_has_field(line, key) {
+        return Ok(None);
     }
+    scan(line, key)
+        .map(Some)
+        .ok_or_else(|| format!("malformed {key:?} field"))
 }
 
 /// Parses one request line.
+///
+/// An absent optional field takes its default; a present one whose value
+/// does not parse (`"m": -3`, `"seeds": "six"`, `"layers": 1`) is an
+/// error, never a silent default.
 ///
 /// # Errors
 ///
@@ -163,16 +169,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     match verb.as_str() {
         "simulate" => Ok(Request::Simulate {
             model: model(line)?,
-            m: json_u64_field(line, "m").unwrap_or(6) as usize,
-            seeds: json_u64_field(line, "seeds").unwrap_or(1),
-            schedule: json_string_field(line, "schedule").unwrap_or_else(|| "serial".to_string()),
+            m: optional(line, "m", json_u64_field)?.unwrap_or(6) as usize,
+            seeds: optional(line, "seeds", json_u64_field)?.unwrap_or(1),
+            schedule: optional(line, "schedule", json_string_field)?
+                .unwrap_or_else(|| "serial".to_string()),
         }),
         "compress" => Ok(Request::Compress {
             model: model(line)?,
-            m: json_u64_field(line, "m").unwrap_or(6) as usize,
-            qat: json_u64_field(line, "qat").unwrap_or(0) as usize,
-            seed: json_u64_field(line, "seed").unwrap_or(42),
-            layers: json_bool_field(line, "layers").unwrap_or(false),
+            m: optional(line, "m", json_u64_field)?.unwrap_or(6) as usize,
+            qat: optional(line, "qat", json_u64_field)?.unwrap_or(0) as usize,
+            seed: optional(line, "seed", json_u64_field)?.unwrap_or(42),
+            layers: optional(line, "layers", json_bool_field)?.unwrap_or(false),
         }),
         "report" => Ok(Request::Report {
             experiment: json_string_field(line, "experiment")
@@ -333,6 +340,9 @@ mod tests {
         for req in reqs {
             let line = req.to_line();
             assert_eq!(parse_request(&line).as_ref(), Ok(&req), "{line}");
+            // Compact JSON (no space after `:` or `,`) is the same request.
+            let compact = line.replace(": ", ":").replace(", ", ",");
+            assert_eq!(parse_request(&compact).as_ref(), Ok(&req), "{compact}");
         }
     }
 
@@ -362,6 +372,26 @@ mod tests {
         assert!(parse_request("{\"verb\": \"frobnicate\"}")
             .unwrap_err()
             .contains("frobnicate"));
+        // A present field whose value does not parse is an error naming
+        // the field, never its default.
+        for (verb, field, value) in [
+            ("simulate", "m", "-3"),
+            ("simulate", "m", "\"six\""),
+            ("simulate", "m", "1.5"),
+            ("simulate", "m", "18446744073709551616"),
+            ("simulate", "seeds", "-3"),
+            ("simulate", "schedule", "7"),
+            ("compress", "qat", "\"six\""),
+            ("compress", "seed", "1.5"),
+            ("compress", "seed", "18446744073709551616"),
+            ("compress", "layers", "1"),
+            ("compress", "layers", "\"true\""),
+        ] {
+            let line =
+                format!("{{\"verb\": \"{verb}\", \"model\": \"MobileNet\", \"{field}\": {value}}}");
+            let err = parse_request(&line).expect_err(&line);
+            assert!(err.contains(&format!("\"{field}\"")), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The served output must be byte-identical to the one-shot CLI's: a
 //! `simulate` job's `done.output` is exactly what `escalate simulate`
 //! prints, and the streamed unit records carry the same numbers; a
-//! `compress` job's is exactly what `escalate compress` prints.
+//! `compress` job's is exactly what `escalate compress` prints, and a
+//! `report` job's exactly what `escalate report NAME` prints.
 
+use escalate_bench::experiments::{run_report, ReportOptions};
 use escalate_bench::{render, run_model, ACCELERATOR_NAMES};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
@@ -127,4 +129,71 @@ fn served_compress_is_byte_identical_to_the_one_shot_cli() {
 
     assert_eq!(brief, expected(false), "served summary differs");
     assert_eq!(detailed, expected(true), "served --layers report differs");
+}
+
+#[test]
+fn served_report_is_byte_identical_to_the_one_shot_cli() {
+    // `table4` and `fig13` are the two reports of the benchmark's served
+    // mix.
+    let names = ["table4", "fig13"];
+    // The one-shot text: exactly what `escalate report NAME` prints.
+    let expected: Vec<String> = names
+        .iter()
+        .map(|name| {
+            let opts = ReportOptions::parse([name.to_string()]).expect("report line");
+            let mut out = Vec::new();
+            assert!(run_report(&opts, &mut out).expect("one-shot report"));
+            String::from_utf8(out).expect("utf8")
+        })
+        .collect();
+
+    let handle = start(ServeOptions::default()).expect("start");
+    let port = handle.port();
+    let served: Vec<Vec<String>> = names
+        .iter()
+        .map(|name| {
+            submit(
+                port,
+                &Request::Report {
+                    experiment: name.to_string(),
+                },
+            )
+            .expect("submit")
+        })
+        .collect();
+    let shutdown = submit(port, &Request::Shutdown);
+    handle.join().expect("clean exit");
+    assert!(shutdown.is_ok());
+
+    for ((name, frames), expected) in names.iter().zip(&served).zip(&expected) {
+        let done = frames.last().expect("done frame");
+        assert_eq!(
+            json_string_field(done, "type").as_deref(),
+            Some("done"),
+            "{done}"
+        );
+        assert_eq!(
+            json_string_field(done, "output").as_deref(),
+            Some(expected.as_str()),
+            "served {name} differs from `escalate report {name}`"
+        );
+        let units: Vec<&String> = frames
+            .iter()
+            .filter(|f| json_string_field(f, "type").as_deref() == Some("unit"))
+            .collect();
+        assert_eq!(units.len(), 1, "one unit per experiment: {frames:?}");
+        let key = format!("report/{name}");
+        assert_eq!(
+            json_string_field(units[0], "key").as_deref(),
+            Some(key.as_str()),
+            "{}",
+            units[0]
+        );
+        assert_eq!(
+            json_string_field(units[0], "schema").as_deref(),
+            Some("escalate-run-manifest/v1"),
+            "{}",
+            units[0]
+        );
+    }
 }

@@ -148,6 +148,8 @@ submit compress MobileNet | grep -q '"type": "done"'
 # an error frame, and the drain count below stays at five jobs.
 submit compress MobileNet --m 0 | grep -q '"type": "error"'
 submit report table4 | grep -q '"type": "done"'
+# An unregistered experiment is a bad request too: an error frame, no job.
+submit report fig99 | grep -q '"type": "error"'
 # A served custom-network pipelined job: the daemon resolves the same
 # @FILE spec the CLI does and its done frame carries the pipeline line.
 submit simulate "@$SWEEP_DIR/gen.network" --seeds 1 --schedule pipelined \
