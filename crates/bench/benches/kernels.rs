@@ -1,13 +1,18 @@
 //! Criterion micro-benchmarks for the computational kernels of the
-//! reproduction: synthetic weight generation, kernel decomposition,
-//! ternarization, the bit-gather network, dilution, concentration, and the
-//! two forward-pass orders.
+//! reproduction: synthetic weight generation, kernel decomposition, the
+//! compression tail (threshold search, ternarization, coefficient error,
+//! nonzero counts, coefficient masks), the bit-gather network, dilution,
+//! concentration, and the two forward-pass orders. Each compression-tail
+//! loop is checked bit for bit against its scalar oracle before it is
+//! timed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use escalate_core::decompose;
-use escalate_core::quant::{threshold_for_sparsity, TernaryCoeffs};
+use escalate_core::pipeline::ternary_storage_bits;
+use escalate_core::quant::{oracle, threshold_for_sparsity, TernaryCoeffs};
 use escalate_core::reorg::{forward_eq2, forward_eq3};
 use escalate_models::{synth, LayerShape};
+use escalate_sim::workload::CoefMasks;
 use escalate_sparse::{
     dilute, gather_bits, gather_bits_butterfly, ConcentrationBuffer, DilutionInput,
 };
@@ -43,15 +48,57 @@ fn bench_decompose(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ternarize(c: &mut Criterion) {
+/// Every tail loop must agree with its scalar oracle before we time it:
+/// a benchmark of a wrong loop is worse than no benchmark.
+fn assert_tail_matches_oracles(coeffs: &Tensor, t: f32, target: f64) {
+    assert_eq!(
+        threshold_for_sparsity(coeffs, target).to_bits(),
+        oracle::threshold_for_sparsity(coeffs, target).to_bits()
+    );
+    let q = TernaryCoeffs::ternarize(coeffs, t).expect("valid threshold");
+    let o = oracle::ternarize(coeffs, t).expect("valid threshold");
+    assert_eq!(q.ternary, o.ternary);
+    assert_eq!(q.quotient_code, o.quotient_code);
+    let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&q.w_pos), bits(&o.w_pos));
+    assert_eq!(
+        q.dequantized_error(coeffs).to_bits(),
+        oracle::dequantized_error(&q, coeffs).to_bits()
+    );
+    let counts = q.counts();
+    assert_eq!(counts.nnz, oracle::nnz(&q));
+    assert_eq!(counts.nonzero_groups, oracle::nonzero_groups(&q));
+    assert_eq!(ternary_storage_bits(&q), oracle::ternary_storage_bits(&q));
+    assert_eq!(
+        CoefMasks::from_ternary(&q),
+        CoefMasks::from_ternary_scalar(&q)
+    );
+}
+
+fn bench_compression_tail(c: &mut Criterion) {
     let coeffs = Tensor::from_fn(&[256, 256, 6], |i| {
         ((i[0] * 7 + i[1] * 3 + i[2]) as f32 * 0.37).sin()
+    });
+    // The pipeline ternarizes at the threshold its sparsity target picks.
+    let target = 0.95;
+    let t = threshold_for_sparsity(&coeffs, target);
+    assert_tail_matches_oracles(&coeffs, t, target);
+    assert_tail_matches_oracles(&coeffs, 0.05, target);
+    let q = TernaryCoeffs::ternarize(&coeffs, t).expect("valid threshold");
+    c.bench_function("threshold_search_256x256x6", |b| {
+        b.iter(|| threshold_for_sparsity(black_box(&coeffs), target))
     });
     c.bench_function("ternarize_256x256x6", |b| {
         b.iter(|| TernaryCoeffs::ternarize(black_box(&coeffs), 0.05).expect("valid threshold"))
     });
-    c.bench_function("threshold_search_256x256x6", |b| {
-        b.iter(|| threshold_for_sparsity(black_box(&coeffs), 0.95))
+    c.bench_function("dequantized_error_256x256x6", |b| {
+        b.iter(|| black_box(&q).dequantized_error(black_box(&coeffs)))
+    });
+    c.bench_function("ternary_counts_256x256x6", |b| {
+        b.iter(|| black_box(&q).counts())
+    });
+    c.bench_function("coef_masks_256x256x6", |b| {
+        b.iter(|| CoefMasks::from_ternary(black_box(&q)))
     });
 }
 
@@ -118,7 +165,7 @@ criterion_group!(
     benches,
     bench_synth,
     bench_decompose,
-    bench_ternarize,
+    bench_compression_tail,
     bench_bitgather,
     bench_dilution,
     bench_concentration,

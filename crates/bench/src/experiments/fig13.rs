@@ -2,16 +2,16 @@
 //! layer of MobileNet (ImageNet).
 
 use super::{Cell, ExpContext, ExpError, Record, Table};
-use crate::{bar, compress_cached, tline};
+use crate::{bar, compress_cached, tline, workload_cached};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
-use escalate_sim::{simulate_model, Workload};
+use escalate_sim::simulate_model;
 
 pub(super) fn run(ctx: &ExpContext, t: &mut Table) -> Result<(), ExpError> {
     let cfg = &ctx.sim;
     let profile = ModelProfile::for_model("MobileNet").expect("known model");
     let artifacts = compress_cached(&profile, &CompressionConfig::default())?;
-    let workload = Workload::from_artifacts("MobileNet", &artifacts, &profile);
+    let workload = workload_cached(&profile, &CompressionConfig::default())?;
     let stats = simulate_model(&workload, cfg, 0);
 
     tline!(

@@ -31,6 +31,10 @@ pub enum CliError {
     /// `escalate report --check` found golden drift (the check report
     /// has already been written to the output).
     Drift,
+    /// `escalate submit` got a terminal `error` or `rejected` frame (the
+    /// frames have already been written to the output); the payload is
+    /// the frame type.
+    Refused(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -45,6 +49,9 @@ impl std::fmt::Display for CliError {
             CliError::UnknownModel(m) => write!(f, "{m}"),
             CliError::Pipeline(e) => write!(f, "pipeline failure: {e}"),
             CliError::Drift => write!(f, "golden drift detected (see the DRIFT lines above)"),
+            CliError::Refused(kind) => {
+                write!(f, "the daemon's last frame is {kind:?} (printed above)")
+            }
         }
     }
 }
@@ -749,10 +756,16 @@ fn cmd_submit(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let port = submit_port(args)?;
     let frames = escalate_serve::submit(port, &req)
         .map_err(|e| CliError::Pipeline(format!("cannot reach 127.0.0.1:{port}: {e}")))?;
-    for frame in frames {
+    for frame in &frames {
         writeln!(out, "{frame}")?;
     }
-    Ok(())
+    match frames
+        .last()
+        .and_then(|f| escalate_obs::json_string_field(f, "type"))
+    {
+        Some(kind) if kind == "error" || kind == "rejected" => Err(CliError::Refused(kind)),
+        _ => Ok(()),
+    }
 }
 
 fn cmd_loadgen(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {

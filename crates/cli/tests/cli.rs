@@ -131,6 +131,28 @@ fn submit_with_a_flag_before_the_model_gets_past_argument_parsing() {
 }
 
 #[test]
+fn submit_prints_a_refusal_and_exits_non_zero() {
+    let handle = escalate_serve::start(escalate_serve::ServeOptions {
+        workers: 1,
+        ..escalate_serve::ServeOptions::default()
+    })
+    .expect("daemon starts");
+    let port = handle.port().to_string();
+    let (refused, stdout, stderr) = run(&["submit", "report", "fig99", "--port", &port]);
+    let (pinged, pong, _) = run(&["submit", "ping", "--port", &port]);
+    let (_, drained, _) = run(&["submit", "shutdown", "--port", &port]);
+    handle.join().expect("daemon drains");
+    assert!(!refused, "an error frame must fail the command:\n{stdout}");
+    assert!(stdout.contains(r#""type": "error""#), "{stdout}");
+    assert!(
+        stderr.contains(r#"the daemon's last frame is "error""#),
+        "{stderr}"
+    );
+    assert!(pinged && pong.contains(r#""type": "pong""#), "{pong}");
+    assert!(drained.contains(r#""drained": true"#), "{drained}");
+}
+
+#[test]
 fn a_valued_option_without_its_value_is_a_typed_error() {
     let (ok, _, stderr) = run(&["simulate", "MobileNet", "--metrics"]);
     assert!(!ok);

@@ -16,7 +16,9 @@ use crate::decompose::{decompose, Decomposed};
 use crate::dsc::decompose_dsc;
 use crate::error::EscalateError;
 use crate::qat::{retrain_coeffs, QatConfig};
-use crate::quant::{threshold_for_sparsity, HybridQuantized, QuantizedBasis, TernaryCoeffs};
+use crate::quant::{
+    threshold_for_sparsity, HybridQuantized, QuantizedBasis, TernaryCoeffs, TernaryCounts,
+};
 use escalate_models::{synth, LayerKind, LayerShape, ModelProfile};
 use escalate_sparse::TwoLevelSparseMap;
 use escalate_tensor::{Matrix, Tensor};
@@ -182,12 +184,20 @@ pub fn accuracy_proxy(baseline_top1: f64, mean_weight_error: f64) -> f64 {
 /// 2-level SparseMap encoding, plus the per-filter scale metadata
 /// (8-bit positive scale + 2-bit quotient).
 pub fn ternary_storage_bits(coeffs: &TernaryCoeffs) -> usize {
-    let [k, _, _] = coeffs.shape();
-    // Nonzero ternary values cost 1 bit (the sign).
+    storage_bits(coeffs.shape()[0], &coeffs.counts())
+}
+
+/// [`ternary_storage_bits`] of `k` filters from their counts.
+fn storage_bits(k: usize, counts: &TernaryCounts) -> usize {
+    // Nonzero ternary values cost 1 bit (the sign); the size rule is
+    // linear, so the K per-filter maps add up as one.
     k * (8 + 2)
-        + (0..k)
-            .map(|ki| TwoLevelSparseMap::size_bits_of(coeffs.slice(ki), 1))
-            .sum::<usize>()
+        + TwoLevelSparseMap::size_bits_from_counts(
+            counts.chunks,
+            counts.stored_chunks,
+            counts.nnz,
+            1,
+        )
 }
 
 /// Compresses one regular convolution layer via kernel decomposition.
@@ -287,17 +297,15 @@ fn compress_decomposed(
         ErrorReference::Weights(w) => (hybrid.reconstruction_error(w), w.len()),
         ErrorReference::Coeffs(params) => (hybrid.coeffs.dequantized_error(&d.coeffs), params),
     };
-    let coeff_total = hybrid.coeffs.ternary.len();
-    let coeff_nnz = hybrid.coeffs.nnz();
-    let compressed_bits = hybrid.basis.size_bits() + ternary_storage_bits(&hybrid.coeffs);
+    let counts = hybrid.coeffs.counts();
     let stats = LayerCompression {
         name: name.to_string(),
         original_bits: original_params * 32,
-        compressed_bits,
+        compressed_bits: hybrid.basis.size_bits() + storage_bits(hybrid.coeffs.shape()[0], &counts),
         original_params,
-        remaining_params: hybrid.basis.q.len() + hybrid.coeffs.nonzero_groups(),
-        coeff_total,
-        coeff_nnz,
+        remaining_params: hybrid.basis.q.len() + counts.nonzero_groups,
+        coeff_total: hybrid.coeffs.ternary.len(),
+        coeff_nnz: counts.nnz,
         weight_error,
         decomposed: true,
     };
@@ -323,17 +331,18 @@ fn compress_pointwise(
         let _t = escalate_obs::span("pipeline.quant");
         TernaryCoeffs::ternarize(&coeffs3, t)?
     };
+    let _t = escalate_obs::span("pipeline.reconstruct");
     let weight_error = coeffs.dequantized_error(&coeffs3);
     let original_params = w.len();
-    let coeff_nnz = coeffs.nnz();
+    let counts = coeffs.counts();
     let stats = LayerCompression {
         name: layer.name.clone(),
         original_bits: original_params * 32,
-        compressed_bits: ternary_storage_bits(&coeffs),
+        compressed_bits: storage_bits(layer.k, &counts),
         original_params,
-        remaining_params: coeff_nnz,
+        remaining_params: counts.nnz,
         coeff_total: coeffs.ternary.len(),
-        coeff_nnz,
+        coeff_nnz: counts.nnz,
         weight_error,
         decomposed: true,
     };

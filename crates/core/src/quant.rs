@@ -12,7 +12,11 @@
 
 use crate::decompose::Decomposed;
 use crate::error::EscalateError;
+use escalate_sparse::pack_byte_flags;
+use escalate_sparse::sparsemap::CHUNK_BITS;
 use escalate_tensor::{RelativeError, Tensor};
+
+pub mod oracle;
 
 /// Linearly (symmetrically) quantizes a tensor to the given bit width,
 /// returning the dequantized tensor and the storage cost in bits.
@@ -236,21 +240,35 @@ impl TernaryCoeffs {
         let mut quotient_code = Vec::with_capacity(k);
         for ki in 0..k {
             let slice = &coeffs.as_slice()[ki * slice_len..(ki + 1) * slice_len];
-            let max = slice.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+            let codes = &mut ternary[ki * slice_len..(ki + 1) * slice_len];
+            let max = max_abs(slice);
             let thr = t * max;
+            // The scales are f32 sums in index order over the survivors
+            // only, found through each 64-value block's sign bits. `thr` is
+            // never negative (at most `-0.0`), so no value passes both
+            // tests.
             let mut pos_sum = 0.0f32;
             let mut pos_n = 0usize;
             let mut neg_sum = 0.0f32;
             let mut neg_n = 0usize;
-            for (i, &v) in slice.iter().enumerate() {
-                if v > thr {
-                    ternary[ki * slice_len + i] = 1;
-                    pos_sum += v;
-                    pos_n += 1;
-                } else if v < -thr {
-                    ternary[ki * slice_len + i] = -1;
-                    neg_sum += -v;
-                    neg_n += 1;
+            for (values, block) in slice.chunks(64).zip(codes.chunks_mut(64)) {
+                let mut up = [0u8; 64];
+                let mut down = [0u8; 64];
+                for (j, (code, &v)) in block.iter_mut().zip(values).enumerate() {
+                    up[j] = u8::from(v > thr);
+                    down[j] = u8::from(v < -thr);
+                    *code = up[j] as i8 - down[j] as i8;
+                }
+                let (mut pos, mut neg) = (pack_byte_flags(&up), pack_byte_flags(&down));
+                pos_n += pos.count_ones() as usize;
+                neg_n += neg.count_ones() as usize;
+                while pos != 0 {
+                    pos_sum += values[pos.trailing_zeros() as usize];
+                    pos &= pos - 1;
+                }
+                while neg != 0 {
+                    neg_sum += -values[neg.trailing_zeros() as usize];
+                    neg &= neg - 1;
                 }
             }
             let wp = if pos_n > 0 {
@@ -303,14 +321,33 @@ impl TernaryCoeffs {
     /// pruning-ratio column: a pruned kernel connection disappears only
     /// when all of its basis coefficients are zero.
     pub fn nonzero_groups(&self) -> usize {
+        self.counts().nonzero_groups
+    }
+
+    /// The nonzero counts the pipeline's accounting reads, from one pass
+    /// over the codes: each code becomes one bit of a packed nonzero
+    /// bitmap, and the groups and SparseMap chunks are tests of bit
+    /// ranges in it.
+    pub fn counts(&self) -> TernaryCounts {
         let [k, c, m] = self.shape;
-        let mut groups = 0;
-        for g in 0..k * c {
-            if self.ternary[g * m..(g + 1) * m].iter().any(|&v| v != 0) {
-                groups += 1;
-            }
+        let slice_len = c * m;
+        let bits = nonzero_bits(&self.ternary);
+        let stored_chunks = (0..k)
+            .map(|ki| {
+                (0..slice_len)
+                    .step_by(CHUNK_BITS)
+                    .filter(|&off| {
+                        any_bit(&bits, ki * slice_len + off, CHUNK_BITS.min(slice_len - off))
+                    })
+                    .count()
+            })
+            .sum();
+        TernaryCounts {
+            nnz: bits.iter().map(|w| w.count_ones() as usize).sum(),
+            nonzero_groups: (0..k * c).filter(|&g| any_bit(&bits, g * m, m)).count(),
+            chunks: k * slice_len.div_ceil(CHUNK_BITS),
+            stored_chunks,
         }
-        groups
     }
 
     /// Dequantizes to a full `K×C×M` tensor.
@@ -356,12 +393,95 @@ impl TernaryCoeffs {
             &self.shape[..],
             "dequantized_error requires the coefficient shape"
         );
+        let [k, c, m] = self.shape;
+        let slice_len = c * m;
         let mut acc = RelativeError::default();
-        for (&r, q) in reference.as_slice().iter().zip(self.dequantized_values()) {
-            acc.push(r, q);
+        for ki in 0..k {
+            let (pos, neg) = self.levels(ki);
+            let table = [0.0, pos, neg];
+            let range = ki * slice_len..(ki + 1) * slice_len;
+            for (&r, &v) in reference.as_slice()[range.clone()]
+                .iter()
+                .zip(&self.ternary[range])
+            {
+                acc.push(r, table[level_index(v)]);
+            }
         }
         acc.value()
     }
+}
+
+/// The nonzero counts of a [`TernaryCoeffs`], from
+/// [`TernaryCoeffs::counts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TernaryCounts {
+    /// Nonzero codes ([`TernaryCoeffs::nnz`]).
+    pub nnz: usize,
+    /// `(k, c)` groups with a nonzero code
+    /// ([`TernaryCoeffs::nonzero_groups`]).
+    pub nonzero_groups: usize,
+    /// 16-code SparseMap chunks over the `K` filter slices, each slice
+    /// starting a fresh chunk.
+    pub chunks: usize,
+    /// Those chunks that hold a nonzero code (the ones a 2-level SparseMap
+    /// stores).
+    pub stored_chunks: usize,
+}
+
+/// Where [`level`] finds `v` in a `[0.0, pos, neg]` table.
+#[inline]
+fn level_index(v: i8) -> usize {
+    usize::from(v == 1) | usize::from(v == -1) << 1
+}
+
+/// `max |v|` over `values`, NaN skipped, `0.0` when nothing is left: the
+/// fold `values.iter().fold(0.0, |a, &v| a.max(v.abs()))` taken in 16
+/// lanes. Every candidate is a non-NaN magnitude, so the maximum is one
+/// value whatever order the lanes combine in.
+fn max_abs(values: &[f32]) -> f32 {
+    const LANES: usize = 16;
+    let mut lanes = [0.0f32; LANES];
+    let blocks = values.chunks_exact(LANES);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (lane, &v) in lanes.iter_mut().zip(block) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    lanes
+        .iter()
+        .chain(tail)
+        .fold(0.0f32, |a, &v| a.max(v.abs()))
+}
+
+/// One bit per code, set where the code is nonzero, in 64-code words,
+/// then one zero word so that any 64-bit field can be read from two words.
+fn nonzero_bits(codes: &[i8]) -> Vec<u64> {
+    let mut bits = Vec::with_capacity(codes.len().div_ceil(64) + 1);
+    bits.extend(codes.chunks(64).map(|block| {
+        let mut nonzero = [0u8; 64];
+        for (flag, &v) in nonzero.iter_mut().zip(block) {
+            *flag = u8::from(v != 0);
+        }
+        pack_byte_flags(&nonzero)
+    }));
+    bits.push(0);
+    bits
+}
+
+/// Whether any of the bits `start..start + len` of `bits` is set.
+#[inline]
+fn any_bit(bits: &[u64], start: usize, len: usize) -> bool {
+    let end = start + len;
+    let mut at = start;
+    let mut any = 0;
+    while at < end {
+        let n = (end - at).min(64);
+        let window = (u128::from(bits[at / 64]) | u128::from(bits[at / 64 + 1]) << 64) >> (at % 64);
+        any |= window as u64 & (u64::MAX >> (64 - n));
+        at += n;
+    }
+    any != 0
 }
 
 /// The dequantized value of ternary `v` given its channel's levels.
@@ -379,35 +499,124 @@ fn level(v: i8, pos: f32, neg: f32) -> f32 {
 ///
 /// Eq. (4) zeroes an element when `|c| ≤ t · max|slice|`, so the smallest
 /// sufficient `t` is the target-quantile of the per-element ratios
-/// `|c| / max|slice|` — computed exactly in one pass plus a linear-time
-/// selection. The ratios are never negative (no `-0.0` either), so
-/// [`f32::total_cmp`] orders them as `<` does and the selected order
-/// statistic is the one a full sort would put at that index. A ratio is
-/// NaN only when the slice holds non-finite values; `total_cmp` ranks it
-/// above every number.
+/// `|c| / max|slice|`: the order statistic that
+/// `select_nth_unstable_by(f32::total_cmp)` picks from those ratios
+/// ([`oracle::threshold_for_sparsity`]). Each ratio is compared as its
+/// [`total_order_key`], whose unsigned order is `total_cmp`'s. A sample of
+/// the keys brackets the quantile; one pass then counts the keys below
+/// the bracket and keeps those inside it, and the quantile is selected
+/// among the kept keys. If the sample missed, the bracket widens to every
+/// key, which is the exact selection over all ratios. A ratio is NaN only
+/// when the slice holds non-finite values; `total_cmp` ranks a positive
+/// NaN above every number and a negative one (`inf / inf`) below.
 pub fn threshold_for_sparsity(coeffs: &Tensor, target: f64) -> f32 {
+    /// Sampled keys (at least this many, fewer than twice as many).
+    const SAMPLE: usize = 4096;
     let shape: [usize; 3] = coeffs.shape().try_into().expect("coeffs must be K*C*M");
-    let [k, c, m] = shape;
+    let [_, c, m] = shape;
     let slice_len = c * m;
-    let mut ratios = Vec::with_capacity(coeffs.len());
-    for ki in 0..k {
-        let slice = &coeffs.as_slice()[ki * slice_len..(ki + 1) * slice_len];
-        let max = slice.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-        if max == 0.0 {
-            ratios.extend(std::iter::repeat_n(0.0f32, slice.len()));
-        } else {
-            ratios.extend(slice.iter().map(|&v| v.abs() / max));
-        }
-    }
-    if ratios.is_empty() {
+    let n = coeffs.len();
+    if n == 0 {
         return 0.0;
     }
-    let n = ratios.len();
     let idx = ((target * n as f64).ceil() as usize)
         .min(n)
         .saturating_sub(1);
-    let (_, &mut t, _) = ratios.select_nth_unstable_by(idx, f32::total_cmp);
-    t.clamp(0.0, 0.999)
+    let values = coeffs.as_slice();
+    // `n > 0`, so the slices are not empty.
+    let maxes: Vec<f32> = values.chunks_exact(slice_len).map(max_abs).collect();
+    let key_at = |i: usize| ratio_key(values[i], maxes[i / slice_len]);
+    // A Weyl sequence spreads the sample over the tensor without locking
+    // onto its K×C×M strides.
+    let samples = n.min(SAMPLE);
+    let mut sample: Vec<u32> = (0..samples as u64)
+        .map(|j| {
+            let u = j.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            key_at(((u128::from(u) * n as u128) >> 64) as usize)
+        })
+        .collect();
+    sample.sort_unstable();
+    // Four standard deviations of the sample quantile's rank either side.
+    let rank = idx as f64 / n as f64 * samples as f64;
+    let spread = 4.0 * (rank * (1.0 - rank / samples as f64)).sqrt() + 2.0;
+    let lo = sample[((rank - spread).max(0.0) as usize).min(samples - 1)];
+    let hi = sample[((rank + spread) as usize).min(samples - 1)];
+    let key = select_key(values, slice_len, &maxes, idx, lo, hi)
+        .or_else(|| select_key(values, slice_len, &maxes, idx, 0, u32::MAX))
+        .expect("the whole key range holds every ratio");
+    f32::from_bits(from_total_order_key(key)).clamp(0.0, 0.999)
+}
+
+/// The key of rank `idx` among the ratio keys of `values`, if it lies in
+/// `lo..=hi`: one pass counts the keys below `lo` and keeps those in
+/// range.
+fn select_key(
+    values: &[f32],
+    slice_len: usize,
+    maxes: &[f32],
+    idx: usize,
+    lo: u32,
+    hi: u32,
+) -> Option<u32> {
+    let mut keys = [0u32; 64];
+    let mut below = 0usize;
+    // The whole key range keeps every ratio: allocate once for it.
+    let whole = lo == 0 && hi == u32::MAX;
+    let mut kept = Vec::with_capacity(if whole { values.len() } else { 0 });
+    for (slice, &max) in values.chunks_exact(slice_len).zip(maxes) {
+        for block in slice.chunks(64) {
+            let keys = ratio_keys(block, max, &mut keys);
+            let mut flags = [0u8; 64];
+            for (flag, &k) in flags.iter_mut().zip(keys) {
+                below += usize::from(k < lo);
+                *flag = u8::from(k.wrapping_sub(lo) <= hi.wrapping_sub(lo));
+            }
+            let mut inside = pack_byte_flags(&flags);
+            while inside != 0 {
+                kept.push(keys[inside.trailing_zeros() as usize]);
+                inside &= inside - 1;
+            }
+        }
+    }
+    let rank = idx.checked_sub(below).filter(|&r| r < kept.len())?;
+    Some(*kept.select_nth_unstable(rank).1)
+}
+
+/// The [`total_order_key`] of the ratio `|v| / max` (`0.0` when `max` is
+/// zero).
+#[inline]
+fn ratio_key(v: f32, max: f32) -> u32 {
+    let ratio = if max == 0.0 { 0.0 } else { v.abs() / max };
+    total_order_key(ratio.to_bits())
+}
+
+/// The [`total_order_key`]s of `block`'s ratios `|v| / max` (all `0.0`
+/// when `max` is zero), written to the front of `keys`.
+#[inline]
+fn ratio_keys<'a>(block: &[f32], max: f32, keys: &'a mut [u32; 64]) -> &'a [u32] {
+    let keys = &mut keys[..block.len()];
+    if max == 0.0 {
+        keys.fill(ratio_key(0.0, 0.0));
+    } else {
+        for (key, &v) in keys.iter_mut().zip(block) {
+            *key = total_order_key((v.abs() / max).to_bits());
+        }
+    }
+    keys
+}
+
+/// The bits of an `f32` mapped so that unsigned order is
+/// [`f32::total_cmp`]'s: a set sign flips every bit, a clear one flips
+/// just the sign.
+#[inline]
+fn total_order_key(bits: u32) -> u32 {
+    bits ^ (((bits as i32) >> 31) as u32 | 0x8000_0000)
+}
+
+/// The inverse of [`total_order_key`].
+#[inline]
+fn from_total_order_key(key: u32) -> u32 {
+    key ^ (((!key as i32) >> 31) as u32 | 0x8000_0000)
 }
 
 /// A fully hybrid-quantized decomposed layer: 8-bit basis plus ternary
@@ -704,6 +913,54 @@ mod tests {
                     threshold_by_sort(t, target).to_bits(),
                     "shape {:?} target {target}",
                     t.shape()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bracket_that_misses_the_quantile_defers_to_the_whole_key_range() {
+        let c = Tensor::from_fn(&[4, 16, 6], |i| {
+            ((i[0] * 769 + i[1] * 97 + i[2] * 13) as f32 * 0.7315).sin()
+        });
+        let values = c.as_slice();
+        let maxes: Vec<f32> = values.chunks_exact(96).map(max_abs).collect();
+        let n = values.len();
+        for idx in [0, n / 2, n - 1] {
+            let key = select_key(values, 96, &maxes, idx, 0, u32::MAX)
+                .expect("the whole key range holds every ratio");
+            assert_eq!(select_key(values, 96, &maxes, idx, key, key), Some(key));
+            assert_eq!(select_key(values, 96, &maxes, idx, 0, key - 1), None);
+            assert_eq!(select_key(values, 96, &maxes, idx, key + 1, u32::MAX), None);
+        }
+    }
+
+    #[test]
+    fn total_order_keys_sort_as_total_cmp() {
+        let values = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            0.25,
+            1.0,
+            -3.5,
+        ];
+        for a in values {
+            assert_eq!(
+                from_total_order_key(total_order_key(a.to_bits())),
+                a.to_bits()
+            );
+            for b in values {
+                assert_eq!(
+                    total_order_key(a.to_bits()).cmp(&total_order_key(b.to_bits())),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
                 );
             }
         }

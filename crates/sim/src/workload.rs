@@ -9,6 +9,7 @@
 use escalate_core::quant::TernaryCoeffs;
 use escalate_core::CompressedLayer;
 use escalate_models::{LayerShape, ModelProfile};
+use escalate_sparse::pack_byte_flags;
 
 /// Per-layer coefficient bitmasks: for each output channel `k` and basis
 /// index `m`, one bit per input channel `c` (set when `Ce(k,c,m) ≠ 0`).
@@ -17,7 +18,7 @@ use escalate_models::{LayerShape, ModelProfile};
 /// on every walk — the channels in stable nonzero-count order and the
 /// total nonzero count — computed once here instead of per layer per
 /// seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoefMasks {
     k: usize,
     c: usize,
@@ -34,8 +35,36 @@ pub struct CoefMasks {
 }
 
 impl CoefMasks {
-    /// Builds masks from ternary coefficients (`K×C×M`).
+    /// Builds masks from ternary coefficients (`K×C×M`). Each mask word
+    /// is gathered in a register from 64 channels' codes of one basis.
     pub fn from_ternary(t: &TernaryCoeffs) -> Self {
+        let [k, c, m] = t.shape();
+        let words_per_mask = c.div_ceil(64);
+        let mut words = vec![0u64; k * m * words_per_mask];
+        // No words at all when any dimension is zero.
+        if !words.is_empty() {
+            for (ki, masks) in words.chunks_exact_mut(m * words_per_mask).enumerate() {
+                let slice = t.slice(ki); // C×M row-major
+                for (mi, mask) in masks.chunks_exact_mut(words_per_mask).enumerate() {
+                    for (word, channels) in mask.iter_mut().zip(slice.chunks(64 * m)) {
+                        let mut nonzero = [0u8; 64];
+                        for (flag, &v) in
+                            nonzero.iter_mut().zip(channels.iter().skip(mi).step_by(m))
+                        {
+                            *flag = u8::from(v != 0);
+                        }
+                        *word = pack_byte_flags(&nonzero);
+                    }
+                }
+            }
+        }
+        Self::from_words(k, c, m, words)
+    }
+
+    /// [`CoefMasks::from_ternary`] as one branch per coefficient: the
+    /// scalar body the register gather replaced, kept as its differential
+    /// oracle (the tail property test and the `kernels` bench).
+    pub fn from_ternary_scalar(t: &TernaryCoeffs) -> Self {
         let [k, c, m] = t.shape();
         let words_per_mask = c.div_ceil(64);
         let mut words = vec![0u64; k * m * words_per_mask];
@@ -50,6 +79,13 @@ impl CoefMasks {
                 }
             }
         }
+        Self::from_words(k, c, m, words)
+    }
+
+    /// The masks over mask `words` laid out `[k][m][word]`, with the
+    /// per-channel state derived from them.
+    fn from_words(k: usize, c: usize, m: usize, words: Vec<u64>) -> Self {
+        let words_per_mask = c.div_ceil(64);
         let stride = m * words_per_mask;
         let nnz: Vec<usize> = (0..k)
             .map(|ki| {

@@ -89,6 +89,33 @@ impl ButterflyGather {
     }
 }
 
+/// Packs 64 byte flags (each `0` or `1`) into one word, flag `j` to bit
+/// `j`: the host-side way the compression tail and the workload builder
+/// turn a vectorized comparison into a bitmask. Each group of eight
+/// flags is one [`gather_bits`] of the bytes' low bits, done by one
+/// multiply.
+///
+/// # Examples
+///
+/// ```
+/// use escalate_sparse::pack_byte_flags;
+///
+/// let mut flags = [0u8; 64];
+/// flags[0] = 1;
+/// flags[9] = 1;
+/// flags[63] = 1;
+/// assert_eq!(pack_byte_flags(&flags), 1 | 1 << 9 | 1 << 63);
+/// ```
+#[inline]
+pub fn pack_byte_flags(flags: &[u8; 64]) -> u64 {
+    flags.chunks_exact(8).enumerate().fold(0, |w, (i, chunk)| {
+        let bytes = u64::from_le_bytes(chunk.try_into().expect("8 flags"));
+        // Byte `b` times `2^(56 - 7b)` lands on bit `56 + b`; no two
+        // products share a bit, so nothing carries.
+        w | (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +200,25 @@ mod tests {
     fn switch_activity_positive_when_compressing() {
         let g = gather_bits_butterfly(u64::MAX, 0xAAAA_AAAA_AAAA_AAAA);
         assert!(g.switch_activity() > 0);
+    }
+
+    #[test]
+    fn packed_flags_are_the_gather_of_each_bytes_low_bit() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            let mut flags = [0u8; 64];
+            for f in &mut flags {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                *f = (seed >> 63) as u8;
+            }
+            let expected = (0..8).fold(0u64, |w, i| {
+                let bytes = u64::from_le_bytes(flags[8 * i..8 * i + 8].try_into().unwrap());
+                w | gather_bits(bytes, 0x0101_0101_0101_0101) << (8 * i)
+            });
+            assert_eq!(pack_byte_flags(&flags), expected);
+        }
+        assert_eq!(pack_byte_flags(&[1; 64]), u64::MAX);
     }
 }

@@ -28,7 +28,7 @@ pub mod csr;
 pub mod dilution;
 pub mod sparsemap;
 
-pub use bitgather::{gather_bits, gather_bits_butterfly, GATHER_STAGES_64};
+pub use bitgather::{gather_bits, gather_bits_butterfly, pack_byte_flags, GATHER_STAGES_64};
 pub use concentration::{ConcentrationBuffer, ConcentrationStats, MaskConcentration};
 pub use dilution::{dilute, dilute_into, DilutedChunk, DilutionInput, DilutionOutcome};
 pub use sparsemap::{SparseMap, TwoLevelSparseMap};

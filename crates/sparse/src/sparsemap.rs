@@ -214,7 +214,7 @@ impl TwoLevelSparseMap {
     /// Storage cost in bits: one presence bit per chunk, 16 mask bits per
     /// stored chunk, and `value_bits` per nonzero.
     pub fn size_bits(&self, value_bits: usize) -> usize {
-        two_level_bits(
+        Self::size_bits_from_counts(
             self.total_chunks(),
             self.stored_chunks(),
             self.nnz(),
@@ -246,18 +246,21 @@ impl TwoLevelSparseMap {
             stored += usize::from(n > 0);
             nnz += n;
         }
-        two_level_bits(dense.len().div_ceil(CHUNK_BITS), stored, nnz, value_bits)
+        Self::size_bits_from_counts(dense.len().div_ceil(CHUNK_BITS), stored, nnz, value_bits)
     }
-}
 
-/// The 2-level size rule, shared by the encoded map and the counting path.
-fn two_level_bits(
-    total_chunks: usize,
-    stored_chunks: usize,
-    nnz: usize,
-    value_bits: usize,
-) -> usize {
-    total_chunks + stored_chunks * CHUNK_BITS + nnz * value_bits
+    /// The 2-level size rule, shared by the encoded map and the counting
+    /// paths: one presence bit per chunk, [`CHUNK_BITS`] mask bits per
+    /// stored chunk and `value_bits` per nonzero. It is linear in its
+    /// counts, so several maps' totals give the sum of their sizes.
+    pub fn size_bits_from_counts(
+        total_chunks: usize,
+        stored_chunks: usize,
+        nnz: usize,
+        value_bits: usize,
+    ) -> usize {
+        total_chunks + stored_chunks * CHUNK_BITS + nnz * value_bits
+    }
 }
 
 #[cfg(test)]

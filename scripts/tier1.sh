@@ -135,6 +135,15 @@ SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SERVE_DIR/port" ] && break; sleep 0.1; done
 [ -s "$SERVE_DIR/port" ]
 submit() { timeout 120 ./target/release/escalate submit "$@" --port-file "$SERVE_DIR/port"; }
+# A refused or failed job prints its `error` frame and exits non-zero.
+submit_fails() {
+  if submit "$@" > "$SERVE_DIR/failed.txt" 2> "$SERVE_DIR/failed.err"; then
+    echo "submit $* must exit non-zero" >&2
+    exit 1
+  fi
+  grep -q '"type": "error"' "$SERVE_DIR/failed.txt"
+  grep -q "last frame is \"error\"" "$SERVE_DIR/failed.err"
+}
 submit ping | grep -q '"type": "pong"'
 submit simulate MobileNet --seeds 1 > "$SERVE_DIR/simulate.txt"
 test "$(grep -c '"schema": "escalate-run-manifest/v1"' "$SERVE_DIR/simulate.txt")" -eq 4
@@ -146,10 +155,10 @@ submit simulate MobileNet --seeds 1 | grep -q '"type": "done"'
 submit compress MobileNet | grep -q '"type": "done"'
 # An out-of-range M is a bad request, not a job: the daemon answers with
 # an error frame, and the drain count below stays at five jobs.
-submit compress MobileNet --m 0 | grep -q '"type": "error"'
+submit_fails compress MobileNet --m 0
 submit report table4 | grep -q '"type": "done"'
 # An unregistered experiment is a bad request too: an error frame, no job.
-submit report fig99 | grep -q '"type": "error"'
+submit_fails report fig99
 # A served custom-network pipelined job: the daemon resolves the same
 # @FILE spec the CLI does and its done frame carries the pipeline line.
 submit simulate "@$SWEEP_DIR/gen.network" --seeds 1 --schedule pipelined \
