@@ -237,8 +237,8 @@ impl UnitSink for StreamSink<'_> {
 /// Returns `true` when everything (including any `--check`) passed.
 ///
 /// Sizes the process-wide pool first (`ESCALATE_THREADS`, else every
-/// core), as every other entry point does, so the plan's workers honour
-/// the variable.
+/// core), as every other entry point does, so the pool the plan runs on
+/// honours the variable.
 ///
 /// # Errors
 ///

@@ -95,7 +95,7 @@ impl SimulatePlan {
     ///
     /// The first unit failure in unit order, or the sink's write failure.
     pub fn run(&self, sink: &mut dyn UnitSink) -> Result<ModelRun, ExpError> {
-        // Size the pool before `execute` reads it to size its workers.
+        // Size the pool before the first job starts its workers.
         escalate_core::par::configure_threads(self.cfg.threads);
         execute(self, sink)?;
         let mut slots = lock_recover(&self.results);
@@ -290,7 +290,7 @@ impl ReportPlan {
     /// The first experiment failure in unit order, or the sink's write
     /// failure.
     pub fn run(&self, sink: &mut dyn UnitSink) -> Result<String, ExpError> {
-        // Size the pool before `execute` reads it to size its workers.
+        // Size the pool before the first job starts its workers.
         escalate_core::par::configure_threads(0);
         let mut tee = TextTee {
             sink,

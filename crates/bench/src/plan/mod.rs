@@ -170,28 +170,28 @@ fn is_permutation(order: &[usize], n: usize) -> bool {
 
 /// Drives a plan into a sink: enumerate, drop units the sink already
 /// recorded, run the rest, and feed each unit to the sink *as soon as it
-/// and every unit before it have finished* — a JSONL stream grows while
-/// the run is still going, so an interrupted run keeps its finished
-/// prefix, and a served job's client sees records as they complete.
+/// and every unit before it have finished and the calling thread is free*
+/// — a JSONL stream grows while the run is still going, so an interrupted
+/// run keeps its finished prefix, and a served job's client sees records
+/// as they complete.
 ///
-/// Units run on scoped worker threads sized to the global pool
-/// (`rayon::current_num_threads`), or on the calling thread when that is
-/// one thread or one unit. These are plain scoped threads outside the
-/// pool's token budget: rayon parallelism inside `run_unit` shares the
-/// pool, but a plan executed inside a unit (an experiment calling
-/// [`crate::run_model`]) starts workers of its own on top, so total
-/// concurrency is not bounded by the pool size. Workers claim pending
-/// units in [`RunPlan::schedule`] order (enumeration order when the plan
-/// has none, or returns something that is not a permutation), so
-/// cache-friendly neighbours run adjacently; the sink feed stays strictly
-/// in unit order, so neither the schedule nor the thread count can change
-/// a byte the sink sees. The price of a schedule that strays far from
-/// unit order is that the fed prefix can wait on its slowest scheduled
-/// group.
+/// Units are jobs of one [`rayon::scope`] on the process-wide pool, queued
+/// in [`RunPlan::schedule`] order (enumeration order when the plan has
+/// none, or returns something that is not a permutation), so
+/// cache-friendly neighbours run adjacently. The calling thread runs the
+/// first scheduled unit itself, then feeds the sink strictly in unit
+/// order, helping with the plan's queued units while the next one is
+/// unfinished; idle pool workers take the rest. A plan executed inside a
+/// unit (an experiment calling [`crate::run_model`]) queues its units on
+/// the same pool, so nesting adds jobs, not threads, and on a one-thread
+/// pool every unit runs on the caller in schedule order. Neither the
+/// schedule nor the pool size can change a byte the sink sees. The price
+/// of a schedule that strays far from unit order is that the fed prefix
+/// can wait on its slowest scheduled group.
 ///
 /// The first failing unit *in unit order* (or the first sink write
-/// failure) aborts the run: in-flight units finish, but unclaimed units
-/// never start and nothing later reaches the sink.
+/// failure) aborts the run: running units finish, but units not yet
+/// started never start and nothing later reaches the sink.
 ///
 /// # Errors
 ///
@@ -200,8 +200,12 @@ fn is_permutation(order: &[usize], n: usize) -> bool {
 ///
 /// # Panics
 ///
-/// Propagates a panicking `run_unit` after the remaining workers drain.
+/// Propagates a panicking `run_unit` once the units already running have
+/// finished; units not yet started never start.
 pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummary, ExpError> {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+
     let units = plan.units()?;
     let mut pending: Vec<&WorkUnit> = Vec::with_capacity(units.len());
     let mut skipped = 0usize;
@@ -217,105 +221,42 @@ pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummar
         Some(o) if is_permutation(&o, pending.len()) => o,
         _ => (0..pending.len()).collect(),
     };
-    let workers = rayon::current_num_threads().min(pending.len());
-    if workers <= 1 {
-        // One worker is this thread: run in schedule order, feeding each
-        // output once it and every unit before it have run.
-        let mut slots: Vec<Option<Result<UnitOutput, ExpError>>> =
-            pending.iter().map(|_| None).collect();
-        let mut fed = 0;
-        for &i in &order {
-            slots[i] = Some(plan.run_unit(pending[i]));
-            while let Some(out) = slots.get_mut(fed).and_then(Option::take) {
-                sink.write_unit(pending[fed], out?)?;
-                fed += 1;
-            }
+    // One slot per pending unit, filled when that unit finishes.
+    let slots: Vec<Mutex<Option<Result<UnitOutput, ExpError>>>> =
+        pending.iter().map(|_| Mutex::new(None)).collect();
+    // Set on the first error in unit order: units not yet started skip.
+    let abort = AtomicBool::new(false);
+    let run = |i: usize| {
+        if !abort.load(Ordering::Relaxed) {
+            *lock_recover(&slots[i]) = Some(plan.run_unit(pending[i]));
         }
-        return Ok(ExecSummary { ran, skipped });
-    }
-
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex as StdMutex};
-
-    struct Shared {
-        /// One slot per pending unit, filled when that unit finishes.
-        slots: StdMutex<Vec<Option<Result<UnitOutput, ExpError>>>>,
-        /// Signals the feeder that a slot was filled.
-        ready: Condvar,
-        /// Next position in `order` a worker should claim.
-        next: AtomicUsize,
-        /// Set by the feeder on the first error: workers stop claiming.
-        abort: AtomicBool,
-    }
-
-    let shared = Shared {
-        slots: StdMutex::new((0..pending.len()).map(|_| None).collect()),
-        ready: Condvar::new(),
-        next: AtomicUsize::new(0),
-        abort: AtomicBool::new(false),
     };
-    let mut fed = Ok(());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if shared.abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Some(&i) = order.get(shared.next.fetch_add(1, Ordering::Relaxed)) else {
-                    break;
-                };
-                // Fill the slot even if `run_unit` panics, so the feeder
-                // (waiting on this very slot) wakes up instead of
-                // deadlocking; the panic itself resurfaces at scope join.
-                struct FillOnUnwind<'a> {
-                    shared: &'a Shared,
-                    index: usize,
-                    armed: bool,
-                }
-                impl Drop for FillOnUnwind<'_> {
-                    fn drop(&mut self) {
-                        if !self.armed {
-                            return;
-                        }
-                        let mut slots = lock_recover(&self.shared.slots);
-                        slots[self.index] = Some(Err(ExpError::Msg("work unit panicked".into())));
-                        self.shared.ready.notify_all();
-                    }
-                }
-                let mut guard = FillOnUnwind {
-                    shared: &shared,
-                    index: i,
-                    armed: true,
-                };
-                let out = plan.run_unit(pending[i]);
-                guard.armed = false;
-                let mut slots = lock_recover(&shared.slots);
-                slots[i] = Some(out);
-                shared.ready.notify_all();
-            });
+    rayon::scope(|s| {
+        let Some((&first, rest)) = order.split_first() else {
+            return Ok(ExecSummary { ran, skipped });
+        };
+        for &i in rest {
+            s.spawn(move || run(i));
         }
-        // The feeder: consume slots strictly in unit order.
+        run(first);
         for (i, unit) in pending.iter().enumerate() {
-            let out = {
-                let mut slots = lock_recover(&shared.slots);
-                loop {
-                    if let Some(out) = slots[i].take() {
-                        break out;
-                    }
-                    slots = shared
-                        .ready
-                        .wait(slots)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let out = loop {
+                if let Some(out) = lock_recover(&slots[i]).take() {
+                    break out;
+                }
+                // No unit is queued or running, yet this slot is empty:
+                // its unit panicked, and the scope resumes that panic.
+                if !s.help() {
+                    return Err(ExpError::Msg(format!("{} panicked", unit.key)));
                 }
             };
-            fed = out.and_then(|o| sink.write_unit(unit, o));
-            if fed.is_err() {
-                shared.abort.store(true, Ordering::Relaxed);
-                break;
+            if let Err(e) = out.and_then(|o| sink.write_unit(unit, o)) {
+                abort.store(true, Ordering::Relaxed);
+                return Err(e);
             }
         }
-    });
-    fed.map(|()| ExecSummary { ran, skipped })
+        Ok(ExecSummary { ran, skipped })
+    })
 }
 
 /// A sink that accumulates every unit's table in unit order — the

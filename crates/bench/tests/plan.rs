@@ -13,6 +13,13 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
+/// Builds the global pool at its auto width (`ESCALATE_THREADS`, else
+/// every core) before a plan's first job would size it without reading
+/// the variable.
+fn wide_pool() {
+    escalate_core::par::configure_threads(0);
+}
+
 fn small_sweep(threads: usize) -> SweepOptions {
     SweepOptions {
         networks: vec!["MobileNet".into()],
@@ -25,6 +32,7 @@ fn small_sweep(threads: usize) -> SweepOptions {
 
 #[test]
 fn real_sweep_resumes_to_the_cold_run_bytes() {
+    wide_pool();
     let cold_path = tmp("cold.jsonl");
     let resumed_path = tmp("resumed.jsonl");
     std::fs::remove_file(&cold_path).ok();
@@ -68,6 +76,7 @@ fn real_sweep_resumes_to_the_cold_run_bytes() {
 
 #[test]
 fn sweep_records_are_identical_at_any_thread_count() {
+    wide_pool();
     let par_path = tmp("par.jsonl");
     let seq_path = tmp("seq.jsonl");
     std::fs::remove_file(&par_path).ok();
@@ -100,6 +109,7 @@ fn sweep_records_are_identical_at_any_thread_count() {
 
 #[test]
 fn a_sweep_reads_its_network_file_once_when_the_plan_is_built() {
+    wide_pool();
     let network = tmp("once.network");
     std::fs::write(
         &network,

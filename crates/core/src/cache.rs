@@ -5,7 +5,7 @@
 //!
 //! [`SingleFlightCache`] has per-key single-flight semantics — the first
 //! caller for a key runs the computation while holding that key's slot
-//! lock, concurrent callers for the same key block on the slot (not the
+//! lock, concurrent callers for the same key wait on the slot (not the
 //! whole map) and read the finished value, errors are never cached, and a
 //! panic poisons only its own slot — and an LRU capacity bound so a
 //! long-running process (the `escalate serve` daemon) cannot grow the
@@ -20,6 +20,12 @@
 //! resident entry is in flight. The bound is re-enforced on the next
 //! insertion once slots settle.
 //!
+//! The computation runs as a scope of the one rayon pool, and a waiter
+//! runs that scope's queued jobs until none is left before it blocks on
+//! the slot: a thread waiting on a value helps compute it instead of
+//! idling beside its fan-out. It runs no other job, since it may hold
+//! locks of its own that another job needs.
+//!
 //! Victims come from a recency index (`tick → key`, ordered) kept beside
 //! the map: every lookup moves its key to a fresh tick, and eviction pops
 //! from the oldest end, skipping only in-flight slots. Ticks are unique,
@@ -31,7 +37,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 
 use crate::par::lock_recover;
 
@@ -47,8 +53,24 @@ pub struct Lookup<V> {
     pub evicted: u64,
 }
 
+/// One key's value and, while a caller computes it, the pool scope that
+/// computation's parallel work runs under.
+struct Slot<V> {
+    value: Mutex<Option<V>>,
+    computing: Mutex<Option<rayon::ScopeHandle>>,
+}
+
+impl<V> Default for Slot<V> {
+    fn default() -> Self {
+        Slot {
+            value: Mutex::new(None),
+            computing: Mutex::new(None),
+        }
+    }
+}
+
 struct Entry<V> {
-    slot: Arc<Mutex<Option<V>>>,
+    slot: Arc<Slot<V>>,
     last_used: u64,
 }
 
@@ -79,7 +101,7 @@ impl<K: Hash + Eq + Clone, V> Inner<K, V> {
     /// Stamps `key` (inserting an empty slot if absent) with a fresh tick,
     /// moves it to the newest end of the recency index, and returns its
     /// slot.
-    fn touch(&mut self, key: &K) -> Arc<Mutex<Option<V>>> {
+    fn touch(&mut self, key: &K) -> Arc<Slot<V>> {
         self.tick += 1;
         let entry = self.entries.entry(key.clone()).or_default();
         if entry.last_used != 0 {
@@ -202,7 +224,21 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Lookup<V>, E> {
         let slot = lock_recover(&self.inner).touch(&key);
-        let mut guard = lock_recover(&slot);
+        let mut guard = loop {
+            match slot.value.try_lock() {
+                Ok(guard) => break guard,
+                Err(TryLockError::Poisoned(p)) => break p.into_inner(),
+                // Another caller is computing this key: run that
+                // computation's queued pool jobs while it lasts, so a
+                // waiter never idles beside work it is waiting for.
+                Err(TryLockError::WouldBlock) => {
+                    let computing = lock_recover(&slot.computing).clone();
+                    if !computing.is_some_and(|c| c.try_help()) {
+                        break lock_recover(&slot.value);
+                    }
+                }
+            }
+        };
         if let Some(hit) = guard.as_ref() {
             return Ok(Lookup {
                 value: hit.clone(),
@@ -210,7 +246,12 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
                 evicted: 0,
             });
         }
-        match compute() {
+        let computed = rayon::scope(|s| {
+            *lock_recover(&slot.computing) = Some(s.handle());
+            compute()
+        });
+        *lock_recover(&slot.computing) = None;
+        match computed {
             Ok(v) => {
                 *guard = Some(v.clone());
                 drop(guard);

@@ -1,26 +1,29 @@
 //! Process-wide threading knob for every parallel stage of the workspace
-//! (compression units, simulation seeds, layers, and the accelerator
-//! comparison).
+//! (compression units, simulation seeds, layers, the accelerator
+//! comparison, and every run plan's units).
 //!
-//! All parallelism runs on rayon's global pool, so one setting governs
-//! everything. Resolution order for the thread count:
+//! All of them run on the vendored rayon shim's one persistent pool, so
+//! one setting governs everything. Resolution order for its size:
 //!
 //! 1. An explicit request (`SimConfig::threads`, the CLI's `--threads`).
 //! 2. The `ESCALATE_THREADS` environment variable.
 //! 3. The machine's available parallelism.
 //!
-//! Every parallel stage in the workspace is order-preserving and seeds its
-//! RNGs independently per work item, so results are bit-identical for any
+//! The pool is sized once per process, by the first [`configure_threads`]
+//! call or the first parallel call. A run that asks for one thread in a
+//! process whose pool is already wider (a test binary, the daemon) takes
+//! the `threads == 1` forks at the layer and seed fan-outs instead, which
+//! run on the caller without touching the pool; the determinism suites
+//! compare every wider run against those forks.
+//!
+//! Every parallel stage is order-preserving and seeds its RNGs
+//! independently per work item, so results are bit-identical for any
 //! thread count, including 1.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the default thread count.
 pub const THREADS_ENV: &str = "ESCALATE_THREADS";
-
-/// What `configure_threads` resolved to (0 = not yet configured).
-static RESOLVED: AtomicUsize = AtomicUsize::new(0);
 
 /// Locks a mutex, recovering the data from a poisoned lock instead of
 /// cascading the panic: every value the workspace's parallel stages share
@@ -91,32 +94,17 @@ pub fn resolve_threads(requested: usize) -> usize {
     })
 }
 
-/// Configures the global pool to `requested` threads (`0` = auto).
+/// Configures the global pool to `requested` threads (`0` = auto) and
+/// returns the size the pool actually has.
 ///
-/// The first call wins — rayon's global pool is built once per process —
-/// so harness entry points call this before any parallel work. Later calls
-/// with a different count are ignored (the pool cannot be resized), which
-/// is why per-run sequential forcing goes through `threads == 1` fast
-/// paths instead. Returns the thread count the pool actually uses.
+/// The first call wins: the pool is built once per process, so harness
+/// entry points call this before any parallel work, and a later call with
+/// a different count changes nothing.
 pub fn configure_threads(requested: usize) -> usize {
-    let n = resolve_threads(requested);
-    if rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .is_ok()
-    {
-        RESOLVED.store(n, Ordering::Relaxed);
-        return n;
-    }
-    effective_threads()
-}
-
-/// Thread count of the configured pool (or what it would default to).
-pub fn effective_threads() -> usize {
-    match RESOLVED.load(Ordering::Relaxed) {
-        0 => rayon::current_num_threads(),
-        n => n,
-    }
+    let _ = rayon::ThreadPoolBuilder::new()
+        .num_threads(resolve_threads(requested))
+        .build_global();
+    rayon::current_num_threads()
 }
 
 #[cfg(test)]
@@ -174,6 +162,6 @@ mod tests {
         let first = configure_threads(2);
         let second = configure_threads(7);
         assert_eq!(first, second, "the first configuration must win");
-        assert!(effective_threads() >= 1);
+        assert_eq!(first, rayon::current_num_threads());
     }
 }

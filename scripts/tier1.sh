@@ -15,6 +15,14 @@ cd "$(dirname "$0")/.."
 # binaries and test targets.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The plan executor and the determinism suites again on a pool wider
+# than a 2-core host: every parallel call shares the one pool, and its
+# outputs must stay bit-identical and in unit order at any width.
+ESCALATE_THREADS=4 cargo test -q --offline -p escalate-bench --test determinism --test plan
+# The library walk-throughs run, not just compile, so they cannot rot.
+for example in quickstart design_space quantized_network; do
+  cargo run -q --release --offline --example "$example" > /dev/null
+done
 # The observability crate is dependency-free and cheap: exercise its full
 # test matrix (unit + doc tests) explicitly so a workspace-level filter
 # can never silently drop it.
