@@ -1,13 +1,11 @@
 //! Criterion benchmarks for the component models under the throughput
-//! engine: the cycle-stepped slice, the GEMM convolution path, and the
-//! bounded cache every derived-state cache is built on.
+//! engine: the cycle-stepped slice and the bounded cache every
+//! derived-state cache is built on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use escalate_core::cache::SingleFlightCache;
 use escalate_sim::slice::{run_slice, PositionInput};
 use escalate_sim::SimConfig;
-use escalate_tensor::im2col::conv2d_gemm;
-use escalate_tensor::{conv::conv2d, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,23 +38,6 @@ fn bench_slice(c: &mut Criterion) {
     });
 }
 
-fn bench_gemm_vs_direct(c: &mut Criterion) {
-    let input = Tensor::from_fn(&[32, 16, 16], |i| {
-        ((i[0] * 7 + i[1] * 3 + i[2]) % 9) as f32 * 0.1
-    });
-    let weight = Tensor::from_fn(&[32, 32, 3, 3], |i| {
-        ((i[0] + i[1] + i[2] * i[3]) % 7) as f32 * 0.1
-    });
-    let mut g = c.benchmark_group("conv_paths");
-    g.bench_function("direct", |b| {
-        b.iter(|| conv2d(black_box(&input), black_box(&weight), 1, 1))
-    });
-    g.bench_function("im2col_gemm", |b| {
-        b.iter(|| conv2d_gemm(black_box(&input), black_box(&weight), 1, 1))
-    });
-    g.finish();
-}
-
 /// One evicting miss on a full [`SingleFlightCache`]: every iteration
 /// looks up a fresh key in a cache already at its bound, so it pays the
 /// lookup, the insert and one victim search. 512 is the plan cache's
@@ -80,10 +61,5 @@ fn bench_cache_eviction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_slice,
-    bench_gemm_vs_direct,
-    bench_cache_eviction
-);
+criterion_group!(benches, bench_slice, bench_cache_eviction);
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use escalate_bench::plan::splitmix64;
-use escalate_sim::ca::{position_cost_scalar, CaScratch, PositionKernel, MAX_BATCH};
+use escalate_sim::ca::{position_cost_scalar, CaScratch, LayerPlan, PositionKernel, MAX_BATCH};
 use escalate_sim::{PositionCost, SimConfig};
 
 /// Input channels of the benchmarked layer (a mid-network MobileNet
@@ -64,14 +64,22 @@ fn walk_input(c: usize, coef_keep: u64, act_keep: u64) -> WalkInput {
     }
 }
 
+/// A kernel holding the one-channel [`LayerPlan`] of `refs`, as the
+/// walk's plan cache hands it out: binding it is `bind_planned`.
+fn planned_kernel(cfg: &SimConfig, c: usize, refs: &[&[u64]]) -> PositionKernel {
+    let mut kernel = PositionKernel::new(cfg);
+    kernel.install_plan(LayerPlan::build(c, refs.len(), &[0], |_, mi| refs[mi]));
+    kernel
+}
+
 /// Every timed path must agree before we time it — a benchmark of a
 /// wrong kernel is worse than no benchmark.
 fn assert_paths_agree(cfg: &SimConfig, c: usize, input: &WalkInput) {
     let refs: Vec<&[u64]> = input.coef.iter().map(Vec::as_slice).collect();
     let words = c.div_ceil(64);
     let mut scratch = CaScratch::new(cfg);
-    let mut kernel = PositionKernel::new(cfg);
-    kernel.bind(c, refs.iter().copied());
+    let mut kernel = planned_kernel(cfg, c, &refs);
+    kernel.bind_planned(0);
     let mut batched = vec![Default::default(); MAX_BATCH];
     for (p, act) in input.acts.iter().enumerate() {
         let scalar = position_cost_scalar(cfg, c, act, &refs, &mut scratch);
@@ -87,17 +95,17 @@ fn assert_paths_agree(cfg: &SimConfig, c: usize, input: &WalkInput) {
     }
 }
 
-/// One channel visit through the production batched walk: bind, then
-/// `MAX_BATCH` positions per pass over the bound coefficient words.
+/// One channel visit through the production batched walk: bind the
+/// installed plan's channel, then `MAX_BATCH` positions per pass over the
+/// bound coefficient words.
 fn batched_walk(
     kernel: &mut PositionKernel,
     c: usize,
-    refs: &[&[u64]],
     acts_flat: &[u64],
     costs: &mut [PositionCost],
 ) -> u64 {
     let words = c.div_ceil(64);
-    kernel.bind(c, refs.iter().copied());
+    kernel.bind_planned(0);
     let mut total = 0u64;
     let mut p = 0usize;
     while p < POSITIONS {
@@ -135,10 +143,10 @@ fn bench_position_walk(c: &mut Criterion) {
 
     // One position at a time through the kernel, re-binding per iteration
     // like run_positions does per channel.
-    let mut kernel = PositionKernel::new(&cfg);
+    let mut kernel = planned_kernel(&cfg, C, &refs);
     g.bench_function("word_parallel", |b| {
         b.iter(|| {
-            kernel.bind(C, refs.iter().copied());
+            kernel.bind_planned(0);
             let mut total = 0u64;
             for act in &input.acts {
                 total += kernel.cost(black_box(act)).ca_cycles;
@@ -151,7 +159,7 @@ fn bench_position_walk(c: &mut Criterion) {
     // coefficient words.
     let mut costs = vec![PositionCost::default(); MAX_BATCH];
     g.bench_function("batched", |b| {
-        b.iter(|| batched_walk(&mut kernel, C, &refs, &input.acts_flat, &mut costs))
+        b.iter(|| batched_walk(&mut kernel, C, &input.acts_flat, &mut costs))
     });
 
     // Dense coefficients meeting half-dense activations at C = 1024: every
@@ -159,16 +167,9 @@ fn bench_position_walk(c: &mut Criterion) {
     let dense = walk_input(C_DENSE, 900, 500);
     let dense_refs: Vec<&[u64]> = dense.coef.iter().map(Vec::as_slice).collect();
     assert_paths_agree(&cfg, C_DENSE, &dense);
+    let mut kernel = planned_kernel(&cfg, C_DENSE, &dense_refs);
     g.bench_function("batched_dense_c1024", |b| {
-        b.iter(|| {
-            batched_walk(
-                &mut kernel,
-                C_DENSE,
-                &dense_refs,
-                &dense.acts_flat,
-                &mut costs,
-            )
-        })
+        b.iter(|| batched_walk(&mut kernel, C_DENSE, &dense.acts_flat, &mut costs))
     });
 
     g.finish();

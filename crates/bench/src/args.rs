@@ -161,10 +161,7 @@ mod tests {
     /// on the CLI's command table.
     fn parse(line: &[&str]) -> Result<Options, ArgError> {
         let (values, flags): (&[&str], &[&str]) = match line[0] {
-            "simulate" => (
-                &["network", "schedule", "m", "seeds", "threads", "metrics"],
-                &[],
-            ),
+            "simulate" => (&["schedule", "m", "seeds", "threads", "metrics"], &[]),
             "compress" => (&["m", "qat", "seed", "out"], &["layers"]),
             "sweep" => (&["out"], &[]),
             c => panic!("no test declaration for {c}"),
@@ -204,9 +201,9 @@ mod tests {
             // `=` values may contain `=` or start with `-`; only the first
             // `=` splits, and the form never takes the next token.
             (
-                &["simulate", "--network=a=b", "--threads=-5", "next"],
+                &["simulate", "--metrics=a=b", "--threads=-5", "next"],
                 &["next"],
-                &[("network", "a=b"), ("threads", "-5")],
+                &[("metrics", "a=b"), ("threads", "-5")],
                 &[],
             ),
         ];

@@ -106,7 +106,7 @@ impl ReportOptions {
 
     /// The golden corpus directory: `--results`, else `results/` at the
     /// workspace root.
-    pub fn resolve_results_dir(&self) -> PathBuf {
+    fn resolve_results_dir(&self) -> PathBuf {
         self.results_dir
             .clone()
             .unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")))

@@ -40,27 +40,23 @@ pub struct JsonlSink {
     /// the last run is held (keep-last resume semantics).
     records: HashMap<String, Vec<String>>,
     appended: usize,
-    truncated_tail: bool,
 }
 
 /// Drops an unterminated final line (one not ending in `\n`) from the
-/// file, returning whether anything was cut. A missing file is a no-op.
-fn truncate_torn_tail(path: &Path) -> std::io::Result<bool> {
+/// file. A missing file is a no-op.
+fn truncate_torn_tail(path: &Path) -> std::io::Result<()> {
     let raw = match std::fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    match raw.last() {
-        None | Some(b'\n') => Ok(false),
-        Some(_) => {
-            let keep = raw.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            let file = std::fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(keep as u64)?;
-            file.sync_all()?;
-            Ok(true)
-        }
+    if matches!(raw.last(), None | Some(b'\n')) {
+        return Ok(());
     }
+    let keep = raw.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    let file = std::fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(keep as u64)?;
+    file.sync_all()
 }
 
 /// Indexes complete record lines by key with keep-last semantics: a key
@@ -98,14 +94,13 @@ impl JsonlSink {
     ///
     /// Propagates filesystem failures.
     pub fn open(path: &Path) -> std::io::Result<JsonlSink> {
-        let truncated_tail = truncate_torn_tail(path)?;
+        truncate_torn_tail(path)?;
         let records = index_keep_last(escalate_obs::jsonl::read_lines(path)?);
         Ok(JsonlSink {
             path: path.to_path_buf(),
             writer: JsonlWriter::append_to(path)?,
             records,
             appended: 0,
-            truncated_tail,
         })
     }
 
@@ -117,12 +112,6 @@ impl JsonlSink {
     /// Records appended by *this* run (excludes resumed ones).
     pub fn appended(&self) -> usize {
         self.appended
-    }
-
-    /// Whether `open` cut a torn (unterminated) tail line left behind by
-    /// a killed writer.
-    pub fn truncated_tail(&self) -> bool {
-        self.truncated_tail
     }
 
     /// The record lines held for `key` — the last contiguous run in the
@@ -248,7 +237,6 @@ mod tests {
         // A record plus a torn (unterminated) tail from a killed writer.
         std::fs::write(&path, "{\"key\": \"k0\", \"seed\": 1}\n{\"key\": \"k1").expect("write");
         let sink = JsonlSink::open(&path).expect("open");
-        assert!(sink.truncated_tail(), "the torn line must be repaired");
         assert!(sink.recorded("k0"));
         assert!(!sink.recorded("k1"), "a torn line must re-run, not resume");
         drop(sink);
@@ -290,7 +278,11 @@ mod tests {
         std::fs::write(&crashed, torn).expect("write torn");
 
         let mut sink = JsonlSink::open(&crashed).expect("reopen");
-        assert!(sink.truncated_tail());
+        assert_eq!(
+            std::fs::read_to_string(&crashed).expect("repaired bytes"),
+            format!("{k0}\n"),
+            "open cuts the torn tail"
+        );
         assert!(sink.recorded("k0"));
         assert!(!sink.recorded("k1"), "the torn k1 record must re-run");
         let s = execute(&plan, &mut sink).expect("restart");
@@ -311,16 +303,17 @@ mod tests {
         // duplicate: a torn-but-keyed line followed by the unit's real
         // record from the restarted run. Consumers must see the last run.
         let path = tmp("dupes.jsonl");
-        std::fs::write(
-            &path,
-            "{\"key\": \"a\", \"seed\": 1}\n\
-             {\"key\": \"b\", \"seed\"\n\
-             {\"key\": \"a\", \"seed\": 9}\n\
-             {\"key\": \"b\", \"seed\": 2}\n",
-        )
-        .expect("write");
+        let text = "{\"key\": \"a\", \"seed\": 1}\n\
+                    {\"key\": \"b\", \"seed\"\n\
+                    {\"key\": \"a\", \"seed\": 9}\n\
+                    {\"key\": \"b\", \"seed\": 2}\n";
+        std::fs::write(&path, text).expect("write");
         let sink = JsonlSink::open(&path).expect("open");
-        assert!(!sink.truncated_tail(), "every line is newline-terminated");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("bytes"),
+            text,
+            "every line is newline-terminated, so open cuts nothing"
+        );
         assert_eq!(
             sink.lines_for("a"),
             Some(&["{\"key\": \"a\", \"seed\": 9}".to_string()][..]),

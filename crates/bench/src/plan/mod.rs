@@ -132,7 +132,7 @@ pub struct ExecSummary {
 const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The splitmix64 finalizer: mixes one 64-bit value into one output.
-pub fn splitmix64_finalize(mut z: u64) -> u64 {
+fn splitmix64_finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

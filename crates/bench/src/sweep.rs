@@ -24,7 +24,7 @@ use crate::plan::{self, JsonlSink, RunPlan, UnitOutput, WorkUnit};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 use escalate_obs::{json_f64_field, json_string_field, json_u64_field, JsonWriter};
-use escalate_sim::{DesignPoint, ScheduleKind};
+use escalate_sim::{check_basis_count, DesignPoint, ScheduleKind};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -175,17 +175,12 @@ impl SplitMix {
     }
 }
 
-/// Powers of two inside the inclusive PE range.
+/// Powers of two inside the inclusive PE range, ascending.
 fn pe_choices((lo, hi): (usize, usize)) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut p = 1usize;
-    while p <= hi {
-        if p >= lo {
-            out.push(p);
-        }
-        p *= 2;
-    }
-    out
+    (0..usize::BITS)
+        .map(|b| 1usize << b)
+        .filter(|p| (lo..=hi).contains(p))
+        .collect()
 }
 
 /// Draws sample `i`'s design point from its derived seed. The draw
@@ -282,7 +277,7 @@ pub struct SweepRecord {
 
 impl SweepRecord {
     /// Renders the record as one `escalate-sweep/v1` JSON line.
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", SWEEP_SCHEMA);
@@ -356,11 +351,15 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// Returns a usage message when `samples` is zero, the PE range holds
-    /// no power of two, or a network spec does not resolve.
+    /// Returns a usage message when `samples` is zero, either end of the
+    /// `M` range is outside `1..=MAX_M`, the PE range holds no power of
+    /// two, or a network spec does not resolve.
     pub fn new(opts: SweepOptions) -> Result<SweepPlan, ExpError> {
         if opts.samples == 0 {
             return Err(ExpError::Msg("--samples must be positive".into()));
+        }
+        for m in [opts.m_range.0, opts.m_range.1] {
+            check_basis_count(m).map_err(|e| ExpError::Msg(e.to_string()))?;
         }
         let pes = pe_choices(opts.pe_range);
         if pes.is_empty() {
@@ -505,19 +504,6 @@ fn dominates(a: &(f64, f64, f64), b: &(f64, f64, f64)) -> bool {
     a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2 && (a.0 < b.0 || a.1 < b.1 || a.2 < b.2)
 }
 
-/// Indices of the Pareto-optimal points when minimizing every coordinate
-/// of `(cycles, energy, area)`: a point survives unless some other point
-/// is no worse on all three and strictly better on at least one.
-///
-/// The batch reference implementation — O(n²) over the whole set every
-/// call. Streaming consumers use [`ParetoFrontier`], which maintains the
-/// identical set online; this stays as the differential oracle.
-pub fn pareto_indices(points: &[(f64, f64, f64)]) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| !points.iter().any(|p| dominates(p, &points[i])))
-        .collect()
-}
-
 /// An online Pareto frontier over `(cycles, energy, area)`: points stream
 /// in one at a time and the structure keeps exactly the undominated ones.
 ///
@@ -526,8 +512,8 @@ pub fn pareto_indices(points: &[(f64, f64, f64)]) -> Vec<usize> {
 /// if any member strictly dominates it — by transitivity nothing the
 /// member already beat needs re-checking — and otherwise evicting the
 /// members it strictly dominates. Equal points never dominate each other,
-/// so duplicates coexist, exactly as in [`pareto_indices`]; the final
-/// member set is identical to the batch recompute for every input order.
+/// so duplicates coexist; the final member set is identical to the batch
+/// O(n²) recompute (the tests' oracle) for every input order.
 #[derive(Debug, Default)]
 pub struct ParetoFrontier {
     /// Undominated `(insertion index, metrics)` pairs, in insertion order.
@@ -560,8 +546,7 @@ impl ParetoFrontier {
         self.members.push((index, point));
     }
 
-    /// Indices of the surviving points, ascending — the same order
-    /// [`pareto_indices`] returns.
+    /// Indices of the surviving points, ascending.
     pub fn indices(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = self.members.iter().map(|&(i, _)| i).collect();
         idx.sort_unstable();
@@ -753,6 +738,17 @@ pub fn run_sweep(opts: &SweepOptions, out: &mut dyn Write) -> Result<(), ExpErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use escalate_sim::{SimError, MAX_M};
+
+    /// Indices of the Pareto-optimal points when minimizing every
+    /// coordinate of `(cycles, energy, area)`: a point survives unless
+    /// some other point is no worse on all three and strictly better on
+    /// at least one: the batch O(n²) oracle [`ParetoFrontier`] must match.
+    fn pareto_indices(points: &[(f64, f64, f64)]) -> Vec<usize> {
+        (0..points.len())
+            .filter(|&i| !points.iter().any(|p| dominates(p, &points[i])))
+            .collect()
+    }
 
     #[test]
     fn parse_range_accepts_inclusive_ranges_only() {
@@ -765,10 +761,45 @@ mod tests {
     }
 
     #[test]
+    fn plan_rejects_m_ranges_beyond_max_m() {
+        // Both ends are checked: `--m 1025..1025` once swept M = 1025, and
+        // `--m 1..18446744073709551615` simulated M ≈ 1.1e19.
+        let cases = [
+            ((1025, 1025), 1025),
+            ((1, usize::MAX), usize::MAX),
+            ((0, 4), 0),
+            ((MAX_M, MAX_M + 1), MAX_M + 1),
+        ];
+        for (m_range, bad) in cases {
+            let opts = SweepOptions {
+                networks: vec!["MobileNet".into()],
+                m_range,
+                ..SweepOptions::default()
+            };
+            let Err(e) = SweepPlan::new(opts) else {
+                panic!("m range {m_range:?} must be rejected");
+            };
+            let expected = SimError::InvalidBasisCount { m: bad }.to_string();
+            assert_eq!(e.to_string(), expected);
+        }
+        let full = SweepOptions {
+            networks: vec!["MobileNet".into()],
+            m_range: (1, MAX_M),
+            ..SweepOptions::default()
+        };
+        assert!(SweepPlan::new(full).is_ok());
+    }
+
+    #[test]
     fn pe_choices_are_the_powers_of_two_in_range() {
         assert_eq!(pe_choices((8, 64)), [8, 16, 32, 64]);
         assert_eq!(pe_choices((9, 31)), [16]);
         assert!(pe_choices((33, 63)).is_empty());
+        // Doubling past 2^63 once wrapped to 0, so a range ending at
+        // usize::MAX never returned (a debug build panicked).
+        let all = pe_choices((1, usize::MAX));
+        assert_eq!(all.len(), usize::BITS as usize);
+        assert!(all.iter().enumerate().all(|(b, &p)| p == 1 << b), "{all:?}");
     }
 
     #[test]

@@ -89,9 +89,6 @@ COMMANDS:
         --layers       print per-layer detail
         --out <FILE>   save the compressed artifacts (.esca)
     simulate <MODEL>               compare all four accelerators
-        --network <FILE|SPEC>  simulate a custom network instead of a zoo
-                       model: an escalate-network/v1 file (@FILE or a bare
-                       path) or a generator spec (gen:NAME:key=value,...)
         --schedule <S> layer schedule: serial (default; the paper's
                        layer-at-a-time fold) or pipelined (layers split
                        into PE-partitioned stages; adds a pipeline
@@ -181,21 +178,8 @@ fn profile(spec: &str) -> Result<ModelProfile, CliError> {
     escalate_models::resolve(spec).map_err(|e| CliError::UnknownModel(e.to_string()))
 }
 
-/// The model spec of a command: `--network SPEC` when given (a network
-/// description file reads most naturally as `--network @FILE`, but the
-/// `@` is optional there — a bare path works too), else the first
-/// positional argument.
+/// The model spec of a command: its first positional argument.
 fn model_arg(args: &Options) -> Result<ModelProfile, CliError> {
-    if let Some(spec) = args.options.get("network") {
-        let spec = spec.clone();
-        // `--network model.network` means the file, not a zoo name.
-        let spec = if spec.starts_with('@') || spec.starts_with("gen:") || profile(&spec).is_ok() {
-            spec
-        } else {
-            format!("@{spec}")
-        };
-        return profile(&spec);
-    }
     let name = args
         .positional
         .first()
@@ -256,7 +240,7 @@ pub const COMMANDS: &[Command] = &[
     ),
     command(
         "simulate",
-        &["network", "schedule", "m", "seeds", "threads", "metrics"],
+        &["schedule", "m", "seeds", "threads", "metrics"],
         &[],
         cmd_simulate,
     ),

@@ -90,6 +90,41 @@ fn out_of_range_m_fails_cleanly() {
 }
 
 #[test]
+fn sweep_out_of_range_m_fails_before_writing_a_record() {
+    // `sweep --m 1025..1025` once swept M = 1025, and `--m
+    // 1..18446744073709551615` simulated M ≈ 1.1e19; `simulate`,
+    // `compress` and served jobs all reject M outside 1..=MAX_M.
+    for (range, bad) in [
+        ("1025..1025", "1025"),
+        ("1..18446744073709551615", "18446744073709551615"),
+    ] {
+        let args = [
+            "sweep",
+            "MobileNet",
+            "--samples",
+            "1",
+            "--seeds",
+            "1",
+            "--m",
+            range,
+            "--out",
+            "sweep.jsonl",
+        ];
+        let (ok, stdout, stderr, left) = run_in_empty_dir("sweep_m", &args);
+        assert!(!ok, "--m {range} must fail; stdout:\n{stdout}");
+        assert!(
+            stderr.contains(&format!("m = {bad} is out of range")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains(&escalate_sim::MAX_M.to_string()),
+            "{stderr}"
+        );
+        assert!(left.is_empty(), "--m {range} wrote {left:?}");
+    }
+}
+
+#[test]
 fn dash_dash_help_prints_usage() {
     let (ok, stdout, stderr) = run(&["--help"]);
     assert!(ok, "{stderr}");

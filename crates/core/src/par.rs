@@ -73,7 +73,7 @@ pub fn strict_positive_env(var: &str) -> Result<Option<u64>, String> {
 
 /// The pure parser behind [`positive_env`]: `Some(n)` for a positive
 /// integer (surrounding whitespace allowed), `None` otherwise.
-pub fn parse_positive(raw: &str) -> Option<u64> {
+fn parse_positive(raw: &str) -> Option<u64> {
     raw.trim().parse::<u64>().ok().filter(|&n| n > 0)
 }
 

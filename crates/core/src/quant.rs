@@ -180,7 +180,7 @@ impl QuantizedBasis {
 pub const QUOTIENT_SHIFTS: [i8; 4] = [-1, 0, 1, 2];
 
 /// The quotient multiplier for a 2-bit code.
-pub fn quotient_value(code: u8) -> f32 {
+fn quotient_value(code: u8) -> f32 {
     debug_assert!(code < 4, "quotient codes are 2 bits");
     2.0f32.powi(QUOTIENT_SHIFTS[code as usize & 3] as i32)
 }

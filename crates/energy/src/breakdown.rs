@@ -118,11 +118,6 @@ impl EnergyBreakdown {
             + self.output_buf_pj
     }
 
-    /// Total energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() * 1e-9
-    }
-
     fn add(&mut self, other: &EnergyBreakdown) {
         self.dram_pj += other.dram_pj;
         self.mac_pj += other.mac_pj;

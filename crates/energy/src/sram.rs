@@ -8,22 +8,22 @@
 //! ≈1 pJ/B for 8 KB, ≈2.6 pJ/B for 64 KB).
 
 /// Access energy in pJ per byte for an SRAM of the given capacity.
-///
-/// # Examples
-///
-/// ```
-/// use escalate_energy::sram::access_pj_per_byte;
-///
-/// let small = access_pj_per_byte(512);
-/// let big = access_pj_per_byte(64 * 1024);
-/// assert!(big > small);
-/// ```
-pub fn access_pj_per_byte(capacity_bytes: usize) -> f64 {
+fn access_pj_per_byte(capacity_bytes: usize) -> f64 {
     let kb = (capacity_bytes as f64 / 1024.0).max(1.0 / 16.0);
     0.2 + 0.3 * kb.sqrt()
 }
 
 /// Energy of accessing `bytes` from an SRAM of `capacity_bytes`.
+///
+/// # Examples
+///
+/// ```
+/// use escalate_energy::sram::access_energy_pj;
+///
+/// let small = access_energy_pj(512, 64);
+/// let big = access_energy_pj(64 * 1024, 64);
+/// assert!(big > small);
+/// ```
 pub fn access_energy_pj(capacity_bytes: usize, bytes: u64) -> f64 {
     access_pj_per_byte(capacity_bytes) * bytes as f64
 }

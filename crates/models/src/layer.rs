@@ -238,12 +238,12 @@ impl LayerShape {
     }
 
     /// Effective kernel rows after dilation: `dilation·(R−1)+1`.
-    pub fn effective_r(&self) -> usize {
+    fn effective_r(&self) -> usize {
         self.dilation() * self.r.saturating_sub(1) + 1
     }
 
     /// Effective kernel columns after dilation: `dilation·(S−1)+1`.
-    pub fn effective_s(&self) -> usize {
+    fn effective_s(&self) -> usize {
         self.dilation() * self.s.saturating_sub(1) + 1
     }
 

@@ -318,15 +318,7 @@ impl Model {
     }
 
     /// Writes this model as an `escalate-network/v1` description.
-    ///
-    /// The output round-trips through [`Model::from_reader`] bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::Invalid`] when a layer name contains
-    /// whitespace (the format stores names as single tokens), and
-    /// [`NetworkError::Io`] on write failure.
-    pub fn to_writer<W: Write>(&self, mut writer: W) -> Result<(), NetworkError> {
+    fn to_writer<W: Write>(&self, mut writer: W) -> Result<(), NetworkError> {
         writeln!(writer, "{NETWORK_FORMAT_VERSION}")?;
         writeln!(writer, "model {}", self.name().trim())?;
         for l in self.layers() {
@@ -361,11 +353,14 @@ impl Model {
         Ok(())
     }
 
-    /// Serialises this model to an in-memory description string.
+    /// Serialises this model to an `escalate-network/v1` description
+    /// string. The output round-trips through [`Model::from_reader`]
+    /// bit-exactly.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Model::to_writer`].
+    /// Returns [`NetworkError::Invalid`] when a layer name contains
+    /// whitespace (the format stores names as single tokens).
     pub fn to_description(&self) -> Result<String, NetworkError> {
         let mut buf = Vec::new();
         self.to_writer(&mut buf)?;

@@ -223,7 +223,7 @@ mod simd {
     use std::sync::OnceLock;
 
     /// Whether the host has AVX2 and FMA. Detected once, then cached.
-    pub fn available() -> bool {
+    pub(super) fn available() -> bool {
         static CAPS: OnceLock<bool> = OnceLock::new();
         *CAPS.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
@@ -293,7 +293,7 @@ mod simd {
     /// The host must support `avx2` and `fma` (callers dispatch on
     /// [`available`]).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn box_muller(u1: &[u32], u2: &[u32], out: &mut [f32]) -> usize {
+    pub(super) unsafe fn box_muller(u1: &[u32], u2: &[u32], out: &mut [f32]) -> usize {
         let groups = out
             .chunks_exact_mut(8)
             .zip(u1.chunks_exact(8).zip(u2.chunks_exact(8)));
@@ -313,7 +313,7 @@ mod simd {
 
     /// `sqrt(-2 ln u1)` for eight `u1` indices.
     #[target_feature(enable = "avx2,fma")]
-    pub fn radius(i: __m256i) -> __m256 {
+    pub(super) fn radius(i: __m256i) -> __m256 {
         let eps = _mm256_set1_ps(f32::EPSILON);
         let unit = _mm256_mul_ps(_mm256_cvtepi32_ps(i), _mm256_set1_ps(UNIT));
         // A separate multiply and add, rounded as `gen_range` rounds them.
@@ -368,7 +368,7 @@ mod simd {
 
     /// `cos(2π u2)` for eight `u2` indices.
     #[target_feature(enable = "avx2,fma")]
-    pub fn angle(i: __m256i) -> __m256 {
+    pub(super) fn angle(i: __m256i) -> __m256 {
         let unit = _mm256_mul_ps(_mm256_cvtepi32_ps(i), _mm256_set1_ps(UNIT));
         let x = _mm256_mul_ps(_mm256_set1_ps(TWO_PI), unit);
         let lo = cos_f64(_mm256_castps256_ps128(x));
@@ -439,7 +439,7 @@ mod simd {
     ///
     /// The host must support `avx2` (callers dispatch on [`available`]).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn ln_1p(x: &mut [f32]) -> usize {
+    pub(super) unsafe fn ln_1p(x: &mut [f32]) -> usize {
         let mut done = 0;
         for v in x.chunks_exact_mut(8) {
             // SAFETY: each chunk holds exactly eight lanes; loadu/storeu
@@ -538,7 +538,7 @@ mod simd {
     /// [`radius`] and [`angle`] over one group of eight indices, for the
     /// exhaustive tests.
     #[cfg(test)]
-    pub fn lanes(i: [u32; 8], f: unsafe fn(__m256i) -> __m256) -> [f32; 8] {
+    pub(super) fn lanes(i: [u32; 8], f: unsafe fn(__m256i) -> __m256) -> [f32; 8] {
         assert!(available(), "the batch kernel needs avx2 + fma");
         let mut out = [0.0f32; 8];
         // SAFETY: availability asserted above; loadu/storeu take

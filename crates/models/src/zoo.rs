@@ -54,7 +54,7 @@ impl Model {
     }
 
     /// Total conv-layer weight parameters.
-    pub fn conv_params(&self) -> usize {
+    fn conv_params(&self) -> usize {
         self.conv_layers().map(|l| l.weight_params()).sum()
     }
 

@@ -150,7 +150,7 @@ impl Registry {
 
     /// Folds locally-timed instances of the named span into it — the flush
     /// half of [`SpanBatch`].
-    pub fn merge_span(&self, name: &str, stats: &SpanStats) {
+    fn merge_span(&self, name: &str, stats: &SpanStats) {
         if stats.count == 0 {
             return;
         }

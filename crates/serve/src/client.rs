@@ -28,7 +28,7 @@ pub fn submit(port: u16, req: &Request) -> std::io::Result<Vec<String>> {
 }
 
 /// Whether a response frame ends the exchange for a single request.
-pub fn is_terminal(frame: &str) -> bool {
+fn is_terminal(frame: &str) -> bool {
     matches!(
         escalate_obs::json_string_field(frame, "type").as_deref(),
         Some("done" | "pong" | "metrics" | "shutdown" | "rejected" | "error")

@@ -124,11 +124,6 @@ impl InputBuffer {
         self.used
     }
 
-    /// Number of resident chunks.
-    pub fn resident_chunks(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> BufferStats {
         self.stats
@@ -154,9 +149,10 @@ mod tests {
         let id = buf.push(40, 3).unwrap();
         assert!(buf.request(id));
         assert!(buf.request(id));
-        assert_eq!(buf.resident_chunks(), 1);
+        assert_eq!(buf.occupancy_bytes(), 40);
+        assert_eq!(buf.stats().evictions, 0);
         assert!(buf.request(id));
-        assert_eq!(buf.resident_chunks(), 0);
+        assert_eq!(buf.occupancy_bytes(), 0);
         assert_eq!(buf.stats().evictions, 1);
         // A fourth request misses.
         assert!(!buf.request(id));
@@ -183,7 +179,7 @@ mod tests {
             assert!(buf.request(id));
             held -= bytes;
             assert_eq!(buf.occupancy_bytes(), held);
-            assert_eq!(buf.resident_chunks(), ids.len() - served - 1);
+            assert_eq!(buf.stats().evictions, served as u64 + 1);
         }
         assert_eq!(buf.stats().evictions, ids.len() as u64);
     }

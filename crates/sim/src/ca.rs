@@ -419,10 +419,9 @@ impl DrainBuf {
 ///
 /// A kernel is built once per config ([`PositionKernel::new`]) and fed a
 /// compiled [`LayerPlan`] ([`PositionKernel::install_plan`]); per channel
-/// the walk calls [`PositionKernel::bind_planned`] (or the ad-hoc
-/// [`PositionKernel::bind`], which compiles a one-channel plan on the
-/// spot) and then [`PositionKernel::cost_batch`] over the positions. The
-/// fast-path layers, from the outside in:
+/// the walk calls [`PositionKernel::bind_planned`] and then
+/// [`PositionKernel::cost_batch`] over the positions. The fast-path
+/// layers, from the outside in:
 ///
 /// 1. **Compiled plans** — coefficient copies, per-word unions, and
 ///    per-basis nonzero-word skip tables come precomputed from the
@@ -447,7 +446,7 @@ pub struct PositionKernel {
     bus: usize,
     look_ahead: usize,
     look_aside: usize,
-    /// Bound-channel geometry (mirrors the plan entry or the ad-hoc bind).
+    /// Bound-channel geometry (mirrors the plan entry).
     c: usize,
     words: usize,
     m: usize,
@@ -470,8 +469,8 @@ pub struct PositionKernel {
 }
 
 impl PositionKernel {
-    /// Creates an unbound kernel for simulations under `cfg`. Call
-    /// [`PositionKernel::bind`] or [`PositionKernel::bind_planned`] before
+    /// Creates an unbound kernel for simulations under `cfg`. Install a
+    /// plan and call [`PositionKernel::bind_planned`] before
     /// [`PositionKernel::cost`].
     pub fn new(cfg: &SimConfig) -> PositionKernel {
         let bus = cfg.bus_elems().max(1);
@@ -553,39 +552,6 @@ impl PositionKernel {
                 .iter()
                 .map(|&o| o - lo as u32),
         );
-    }
-
-    /// Binds the kernel to one (layer, channel) without a plan: compiles
-    /// the union and skip tables for these masks on the spot. Equivalent
-    /// to installing a one-channel [`LayerPlan`] and binding it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask's word count disagrees with `c`.
-    pub fn bind<'m>(&mut self, c: usize, coef_masks: impl IntoIterator<Item = &'m [u64]>) {
-        let words = c.div_ceil(64);
-        self.c = c;
-        self.words = words;
-        self.coef.clear();
-        self.union_mask.clear();
-        self.union_mask.resize(words, 0);
-        self.nz_words.clear();
-        self.nz_index.clear();
-        self.nz_index.push(0);
-        let mut m = 0usize;
-        for cm in coef_masks {
-            assert_eq!(cm.len(), words, "coefficient mask word count");
-            or_words(&mut self.union_mask, cm);
-            for (wi, &w) in cm.iter().enumerate() {
-                if w != 0 {
-                    self.nz_words.push(wi as u32);
-                }
-            }
-            self.nz_index.push(self.nz_words.len() as u32);
-            self.coef.extend_from_slice(cm);
-            m += 1;
-        }
-        self.m = m;
     }
 
     /// The cost of one position under the bound channel's masks — a batch
@@ -809,9 +775,19 @@ mod tests {
         SimConfig::default()
     }
 
-    /// Runs the same inputs through the scalar path, the kernel bound
-    /// ad hoc (twice — it is stateless), and the kernel bound through a
-    /// one-channel [`LayerPlan`], and requires all answers equal. Returns
+    /// A kernel bound to one channel with `coef_masks` the way the walk
+    /// binds: through a one-channel [`LayerPlan`].
+    fn bound(cfg: &SimConfig, c: usize, coef_masks: &[&[u64]]) -> PositionKernel {
+        let mut kernel = PositionKernel::new(cfg);
+        kernel.install_plan(LayerPlan::build(c, coef_masks.len(), &[0], |_, mi| {
+            coef_masks[mi]
+        }));
+        kernel.bind_planned(0);
+        kernel
+    }
+
+    /// Runs the same inputs through the scalar path and the bound kernel
+    /// (twice — it is stateless), and requires all answers equal. Returns
     /// the agreed cost.
     fn cost_all_paths(
         cfg: &SimConfig,
@@ -820,14 +796,9 @@ mod tests {
         coef_masks: &[&[u64]],
     ) -> PositionCost {
         let scalar = position_cost(cfg, c, act, coef_masks);
-        let mut kernel = PositionKernel::new(cfg);
-        kernel.bind(c, coef_masks.iter().copied());
+        let mut kernel = bound(cfg, c, coef_masks);
         assert_eq!(kernel.cost(act), scalar, "word-parallel kernel");
         assert_eq!(kernel.cost(act), scalar, "repeat call (stateless)");
-        let plan = LayerPlan::build(c, coef_masks.len(), &[0], |_, mi| coef_masks[mi]);
-        kernel.install_plan(plan);
-        kernel.bind_planned(0);
-        assert_eq!(kernel.cost(act), scalar, "planned bind");
         scalar
     }
 
@@ -924,8 +895,7 @@ mod tests {
     fn batched_costs_equal_single_calls() {
         let cfg = cfg();
         let coef = [0x0101_0101_0101_0101u64, 0x00F0_0000_0000_000Fu64];
-        let mut kernel = PositionKernel::new(&cfg);
-        kernel.bind(128, [&coef[..]]);
+        let mut kernel = bound(&cfg, 128, &[&coef[..]]);
         // 7 positions: a ragged tail over any batch split.
         let acts: Vec<[u64; 2]> = (0..7)
             .map(|i| [0xDEAD_BEEF_0BAD_F00Du64.rotate_left(i * 9), 0x1234 << i])
@@ -941,20 +911,19 @@ mod tests {
 
     #[test]
     fn rebinding_changes_answers() {
-        let cfg = cfg();
-        let mut kernel = PositionKernel::new(&cfg);
         let act = [0x0F0F_0F0F_0F0F_0F0Fu64];
         let dense = [u64::MAX];
-        kernel.bind(64, [&dense[..]]);
-        assert_eq!(kernel.cost(&act).matched, 32);
-        // Rebinding to a disjoint basis must replace every table.
         let disjoint = [0xF0F0_F0F0_F0F0_F0F0u64];
-        kernel.bind(64, [&disjoint[..]]);
+        let mut kernel = bound(&cfg(), 64, &[&dense[..]]);
+        assert_eq!(kernel.cost(&act).matched, 32);
+        // Installing a plan over a disjoint basis must replace every table.
+        kernel.install_plan(LayerPlan::build(64, 1, &[0], |_, _| &disjoint[..]));
+        kernel.bind_planned(0);
         assert_eq!(kernel.cost(&act).matched, 0);
     }
 
     #[test]
-    fn plan_binds_match_ad_hoc_binds() {
+    fn plan_binds_match_one_channel_plans() {
         let cfg = cfg();
         let masks: Vec<Vec<Vec<u64>>> = (0..3)
             .map(|k| {
@@ -972,11 +941,11 @@ mod tests {
         let act = [0xFFFF_0000_FFFF_0000u64, 0x0ABC];
         let mut planned = PositionKernel::new(&cfg);
         planned.install_plan(plan);
-        let mut adhoc = PositionKernel::new(&cfg);
         for (idx, &k) in channels.iter().enumerate() {
             planned.bind_planned(idx);
-            adhoc.bind(100, masks[k].iter().map(Vec::as_slice));
-            assert_eq!(planned.cost(&act), adhoc.cost(&act), "channel {k}");
+            let refs: Vec<&[u64]> = masks[k].iter().map(Vec::as_slice).collect();
+            let mut single = bound(&cfg, 100, &refs);
+            assert_eq!(planned.cost(&act), single.cost(&act), "channel {k}");
         }
     }
 
@@ -1002,9 +971,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond width")]
     fn kernel_rejects_bits_beyond_c() {
-        let mut kernel = PositionKernel::new(&cfg());
         let coef = [u64::MAX];
-        kernel.bind(40, [&coef[..]]);
+        let mut kernel = bound(&cfg(), 40, &[&coef[..]]);
         let _ = kernel.cost(&[1u64 << 45]);
     }
 

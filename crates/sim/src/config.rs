@@ -188,11 +188,6 @@ impl SimConfig {
         let l = (budget / (self.n_pe * m)).max(1);
         Ok(SimConfig { m, l, ..*self })
     }
-
-    /// Cycle time in nanoseconds.
-    pub fn cycle_ns(&self) -> f64 {
-        1000.0 / self.frequency_mhz
-    }
 }
 
 /// One sampled point of the accelerator design space: the dimensions the
@@ -288,6 +283,7 @@ mod tests {
         assert_eq!(c.total_macs(), 960);
         assert_eq!(c.bus_elems(), 16);
         assert_eq!(c.sample_channels, 8);
+        assert_eq!(c.frequency_mhz, 800.0);
     }
 
     #[test]
@@ -328,11 +324,6 @@ mod tests {
         let e = ScheduleKind::parse("warp").unwrap_err();
         assert!(e.contains("serial") && e.contains("pipelined"), "{e}");
         assert_eq!(ScheduleKind::default(), ScheduleKind::LayerSerial);
-    }
-
-    #[test]
-    fn cycle_time_at_800mhz() {
-        assert!((SimConfig::default().cycle_ns() - 1.25).abs() < 1e-9);
     }
 
     #[test]

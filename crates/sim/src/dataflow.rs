@@ -38,22 +38,6 @@ impl Mapping {
         self.out_channels.div_ceil(self.n_pe)
     }
 
-    /// The PE block an output channel maps to within its round.
-    pub fn block_of(&self, k: usize) -> usize {
-        k % self.n_pe
-    }
-
-    /// The round an output channel is processed in.
-    pub fn round_of(&self, k: usize) -> usize {
-        k / self.n_pe
-    }
-
-    /// The slice a feature-map row maps to (rows are interleaved at
-    /// stride `l`).
-    pub fn slice_of(&self, row: usize) -> usize {
-        row % self.l
-    }
-
     /// Rows assigned to one slice (`⌈rows / l⌉` for the busiest slice).
     pub fn rows_per_slice(&self) -> usize {
         self.rows.div_ceil(self.l)
@@ -89,31 +73,27 @@ mod tests {
     fn rounds_cover_all_channels() {
         let m = Mapping::new(&cfg(), 100, 32);
         assert_eq!(m.rounds(), 4); // ceil(100/32)
-                                   // Every channel is assigned to exactly one (round, block) pair.
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..100 {
-            assert!(seen.insert((m.round_of(k), m.block_of(k))));
-            assert!(m.block_of(k) < 32);
-            assert!(m.round_of(k) < m.rounds());
+        assert!((m.block_utilization() - 100.0 / 128.0).abs() < 1e-12);
+        // The fewest rounds of 32 blocks that hold every channel.
+        for k in 1..200 {
+            let m = Mapping::new(&cfg(), k, 32);
+            assert!(m.rounds() * 32 >= k, "k={k}");
+            assert!((m.rounds() - 1) * 32 < k, "k={k}");
         }
     }
 
     #[test]
     fn rows_interleave_across_slices() {
+        // With l = 5, 32 rows interleave 7,7,6,6,6 over the slices: the
+        // busiest slice takes ceil(32/5) rows.
         let m = Mapping::new(&cfg(), 32, 32);
-        // With l = 5, rows 0..32 land on slices 0..5 cyclically.
-        let mut counts = [0usize; 5];
-        for r in 0..32 {
-            counts[m.slice_of(r)] += 1;
+        assert_eq!(m.rows_per_slice(), 7);
+        assert!((m.slice_utilization() - 32.0 / 35.0).abs() < 1e-12);
+        for rows in 1..100 {
+            let m = Mapping::new(&cfg(), 32, rows);
+            assert!(m.rows_per_slice() * 5 >= rows, "rows={rows}");
+            assert!((m.rows_per_slice() - 1) * 5 < rows, "rows={rows}");
         }
-        assert_eq!(counts.iter().sum::<usize>(), 32);
-        let max = *counts.iter().max().unwrap();
-        let min = *counts.iter().min().unwrap();
-        assert!(
-            max - min <= 1,
-            "rows must balance across slices: {counts:?}"
-        );
-        assert_eq!(m.rows_per_slice(), max);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn simulate_layer_detailed(
 /// # Errors
 ///
 /// See [`simulate_layer_detailed`].
-pub fn simulate_layer_detailed_observed(
+fn simulate_layer_detailed_observed(
     lw: &LayerWorkload,
     cfg: &SimConfig,
     ifm: &Tensor,

@@ -57,7 +57,7 @@ pub fn simulate_layer_traced(
 /// # Errors
 ///
 /// See [`simulate_layer_traced`].
-pub fn simulate_layer_traced_observed(
+fn simulate_layer_traced_observed(
     lw: &LayerWorkload,
     cfg: &SimConfig,
     ifm: &Tensor,

@@ -1,7 +1,7 @@
 //! Differential suite: the batched word-parallel [`PositionKernel`] —
-//! through ad-hoc binds, compiled [`LayerPlan`]s, every batch shape, and
-//! both sides of the `std::arch` dispatch — against the scalar reference [`position_cost_scalar`],
-//! byte-for-byte equal [`PositionCost`]s across random channel counts,
+//! through one- and multi-channel [`LayerPlan`]s, every batch shape, and
+//! both sides of the `std::arch` dispatch — against the scalar reference
+//! [`position_cost_scalar`], byte-for-byte equal [`PositionCost`]s across random channel counts,
 //! mask patterns, concentration windows, and bus widths — including
 //! multi-word channels and the empty/dense extremes.
 //!
@@ -62,6 +62,13 @@ fn scalar_costs(
         .collect()
 }
 
+/// Binds `kernel` to one channel with masks `refs` the way the walk
+/// binds: through a one-channel [`LayerPlan`].
+fn bind_one(kernel: &mut PositionKernel, c: usize, refs: &[&[u64]]) {
+    kernel.install_plan(LayerPlan::build(c, refs.len(), &[0], |_, mi| refs[mi]));
+    kernel.bind_planned(0);
+}
+
 /// Feeds `acts` through `kernel.cost_batch` in batches of `batch` (ragged
 /// tail included) and asserts each answer equals the scalar reference.
 fn assert_batched_matches(
@@ -83,10 +90,9 @@ fn assert_batched_matches(
 }
 
 proptest! {
-    /// One position, every path: scalar, ad-hoc bind, repeat call (the
-    /// kernel is stateless across calls — the pinning case that replaced
-    /// the deleted memo), and a one-channel compiled plan — all
-    /// byte-for-byte equal.
+    /// One position, every path: scalar, a one-channel compiled plan, and
+    /// a repeat call (the kernel is stateless across calls — the pinning
+    /// case that replaced the deleted memo) — all byte-for-byte equal.
     #[test]
     fn kernel_matches_scalar_on_any_position(
         c in 1usize..200,
@@ -108,13 +114,9 @@ proptest! {
 
         let scalar = position_cost_scalar(&cfg, c, &act, &refs, &mut CaScratch::new(&cfg));
         let mut kernel = PositionKernel::new(&cfg);
-        kernel.bind(c, refs.iter().copied());
+        bind_one(&mut kernel, c, &refs);
         prop_assert_eq!(kernel.cost(&act), scalar);
         prop_assert_eq!(kernel.cost(&act), scalar, "repeat call must recompute identically");
-        let plan = LayerPlan::build(c, m, &[0], |_, mi| refs[mi]);
-        kernel.install_plan(plan);
-        kernel.bind_planned(0);
-        prop_assert_eq!(kernel.cost(&act), scalar, "planned bind");
     }
 
     /// A stream of positions through one bound kernel at batch sizes
@@ -146,17 +148,17 @@ proptest! {
             .collect();
         let expect = scalar_costs(&cfg, c, &acts, &refs);
         let mut kernel = PositionKernel::new(&cfg);
-        kernel.bind(c, refs.iter().copied());
+        bind_one(&mut kernel, c, &refs);
         for batch in [1usize, 3, 4, MAX_BATCH] {
             assert_batched_matches(&mut kernel, c, &acts, &expect, batch)?;
         }
     }
 
     /// Rebinding the kernel to a different channel (the per-channel loop in
-    /// run_positions) never leaks state: after any bind sequence — ad hoc
-    /// or through a multi-channel plan — answers still equal the scalar
-    /// reference for the currently-bound masks, and installing a plan
-    /// invalidates the previous bind's tables.
+    /// run_positions) never leaks state: after any bind sequence — a fresh
+    /// one-channel plan per bind or one multi-channel plan — answers still
+    /// equal the scalar reference for the currently-bound masks, and
+    /// installing a plan invalidates the previous bind's tables.
     #[test]
     fn rebind_sequences_stay_exact(
         c in 1usize..100,
@@ -175,7 +177,7 @@ proptest! {
         for &b in &binds {
             let coef_rows = coef_for(b);
             let refs: Vec<&[u64]> = coef_rows.iter().map(Vec::as_slice).collect();
-            kernel.bind(c, refs.iter().copied());
+            bind_one(&mut kernel, c, &refs);
             let scalar = position_cost_scalar(&cfg, c, &act, &refs, &mut scratch);
             prop_assert_eq!(kernel.cost(&act), scalar);
             prop_assert_eq!(kernel.cost(&act), scalar);
@@ -225,7 +227,7 @@ proptest! {
             .collect();
         let expect = scalar_costs(&cfg, c, &acts, &refs);
         let mut kernel = PositionKernel::new(&cfg);
-        kernel.bind(c, refs.iter().copied());
+        bind_one(&mut kernel, c, &refs);
         for on in [false, true] {
             escalate_sim::simd::set_enabled(on);
             let res = assert_batched_matches(&mut kernel, c, &acts, &expect, MAX_BATCH);

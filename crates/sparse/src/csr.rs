@@ -130,7 +130,7 @@ impl RunLength {
     }
 
     /// Number of stored entries (including overflow padding).
-    pub fn stored_entries(&self) -> usize {
+    fn stored_entries(&self) -> usize {
         self.entries.len()
     }
 
@@ -159,7 +159,7 @@ impl RunLength {
 }
 
 /// Smallest number of bits that can represent values `0..n` (at least 1).
-pub fn bits_for(n: usize) -> usize {
+fn bits_for(n: usize) -> usize {
     ((n.max(2) - 1).ilog2() + 1) as usize
 }
 

@@ -26,7 +26,6 @@
 //! ```
 
 pub mod conv;
-pub mod im2col;
 pub mod linalg;
 pub mod matrix;
 pub mod tensor;

@@ -116,16 +116,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A mutable view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row index out of bounds");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// A flat view of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data

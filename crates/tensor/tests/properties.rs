@@ -1,6 +1,5 @@
 //! Property-based tests for the tensor/linear-algebra substrate.
 
-use escalate_tensor::im2col::conv2d_gemm;
 use escalate_tensor::{conv, linalg, Matrix, Tensor};
 use proptest::prelude::*;
 
@@ -25,19 +24,6 @@ proptest! {
         let lhs = conv::conv2d(&a.add(&b), &w, stride, 1);
         let rhs = conv::conv2d(&a, &w, stride, 1).add(&conv::conv2d(&b, &w, stride, 1));
         prop_assert!(lhs.all_close(&rhs, 1e-3));
-    }
-
-    /// The GEMM lowering equals direct convolution on arbitrary inputs.
-    #[test]
-    fn gemm_equals_direct(
-        input in small_tensor(vec![2, 7, 7]),
-        w in small_tensor(vec![3, 2, 3, 3]),
-        stride in 1usize..3,
-        pad in 0usize..3,
-    ) {
-        let a = conv::conv2d(&input, &w, stride, pad);
-        let b = conv2d_gemm(&input, &w, stride, pad);
-        prop_assert!(a.all_close(&b, 1e-3));
     }
 
     /// Matrix multiplication distributes over the Gram identity:
