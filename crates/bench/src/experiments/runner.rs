@@ -15,7 +15,7 @@
 //! The selected experiments form a [`ReportPlan`] (one work unit per
 //! experiment, the plan a served `report` job runs too); `plan::execute`
 //! fans the units out over worker threads,
-//! and one of four [`UnitSink`]s renders each output as soon as it and
+//! and one of three [`UnitSink`]s renders each output as soon as it and
 //! every earlier experiment have finished, strictly in request order —
 //! so stdout, per-file output, and golden checks (`ok NAME` lines appear
 //! progressively) are byte-identical to a serial run, and the first
@@ -171,24 +171,8 @@ impl UnitSink for CheckSink<'_> {
     }
 }
 
-/// `--update`: rewrites each experiment's golden file.
-struct UpdateSink<'w> {
-    out: &'w mut dyn Write,
-    results_dir: PathBuf,
-}
-
-impl UnitSink for UpdateSink<'_> {
-    fn write_unit(&mut self, _unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
-        let golden_path = self
-            .results_dir
-            .join(format!("{}.txt", out.table.experiment));
-        std::fs::write(&golden_path, out.table.render_text())?;
-        writeln!(self.out, "updated {}", golden_path.display())?;
-        Ok(())
-    }
-}
-
-/// `--out DIR`: one text/JSON file per experiment.
+/// `--out DIR` (one text/JSON file per experiment) and `--update`
+/// (one text file per experiment into the golden corpus).
 struct DirSink<'w> {
     out: &'w mut dyn Write,
     dir: PathBuf,
@@ -260,13 +244,12 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
         args: opts.args.clone(),
         ..ExpContext::default()
     };
-    if let Some(dir) = &opts.out_dir {
-        std::fs::create_dir_all(dir)?;
-    }
     let results_dir = opts.resolve_results_dir();
-    if opts.update {
-        std::fs::create_dir_all(&results_dir)?;
-    }
+    let files = if opts.update {
+        Some((results_dir.clone(), false))
+    } else {
+        opts.out_dir.clone().map(|dir| (dir, opts.json))
+    };
     let plan = ReportPlan::new(exps, ctx);
 
     let clean = if opts.check {
@@ -287,18 +270,12 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
             results_dir.display()
         )?;
         clean
-    } else if opts.update {
-        let mut sink = UpdateSink {
-            out: &mut *out,
-            results_dir,
-        };
-        plan::execute(&plan, &mut sink)?;
-        true
-    } else if let Some(dir) = &opts.out_dir {
+    } else if let Some((dir, json)) = files {
+        std::fs::create_dir_all(&dir)?;
         let mut sink = DirSink {
             out: &mut *out,
-            dir: dir.clone(),
-            json: opts.json,
+            dir,
+            json,
         };
         plan::execute(&plan, &mut sink)?;
         true

@@ -24,7 +24,7 @@ use crate::plan::{self, JsonlSink, RunPlan, UnitOutput, WorkUnit};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::ModelProfile;
 use escalate_obs::{json_f64_field, json_string_field, json_u64_field, JsonWriter};
-use escalate_sim::{check_basis_count, DesignPoint, ScheduleKind};
+use escalate_sim::{check_basis_count, check_pe_count, DesignPoint, ScheduleKind};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -352,14 +352,18 @@ impl SweepPlan {
     /// # Errors
     ///
     /// Returns a usage message when `samples` is zero, either end of the
-    /// `M` range is outside `1..=MAX_M`, the PE range holds no power of
-    /// two, or a network spec does not resolve.
+    /// `M` range is outside `1..=MAX_M`, either end of the PE range is
+    /// outside `1..=MAX_N_PE`, the PE range holds no power of two, or a
+    /// network spec does not resolve.
     pub fn new(opts: SweepOptions) -> Result<SweepPlan, ExpError> {
         if opts.samples == 0 {
             return Err(ExpError::Msg("--samples must be positive".into()));
         }
         for m in [opts.m_range.0, opts.m_range.1] {
             check_basis_count(m).map_err(|e| ExpError::Msg(e.to_string()))?;
+        }
+        for n_pe in [opts.pe_range.0, opts.pe_range.1] {
+            check_pe_count(n_pe).map_err(|e| ExpError::Msg(e.to_string()))?;
         }
         let pes = pe_choices(opts.pe_range);
         if pes.is_empty() {
@@ -738,7 +742,7 @@ pub fn run_sweep(opts: &SweepOptions, out: &mut dyn Write) -> Result<(), ExpErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escalate_sim::{SimError, MAX_M};
+    use escalate_sim::{SimError, MAX_M, MAX_N_PE};
 
     /// Indices of the Pareto-optimal points when minimizing every
     /// coordinate of `(cycles, energy, area)`: a point survives unless
@@ -761,30 +765,44 @@ mod tests {
     }
 
     #[test]
-    fn plan_rejects_m_ranges_beyond_max_m() {
-        // Both ends are checked: `--m 1025..1025` once swept M = 1025, and
-        // `--m 1..18446744073709551615` simulated M ≈ 1.1e19.
+    fn plan_rejects_m_and_pe_ranges_beyond_their_caps() {
+        // Both ends of both ranges are checked: `--m 1025..1025` once
+        // swept M = 1025, `--m 1..18446744073709551615` simulated
+        // M ≈ 1.1e19, and `--pe 1099511627776..9223372036854775808` put
+        // n_pe = 2^55 on the frontier at 7.6e15 mm².
+        let SweepOptions {
+            m_range: m,
+            pe_range: pe,
+            ..
+        } = SweepOptions::default();
+        let bad_m = |m| SimError::InvalidBasisCount { m };
+        let bad_pe = |n_pe| SimError::InvalidPeCount { n_pe };
         let cases = [
-            ((1025, 1025), 1025),
-            ((1, usize::MAX), usize::MAX),
-            ((0, 4), 0),
-            ((MAX_M, MAX_M + 1), MAX_M + 1),
+            ((1025, 1025), pe, bad_m(1025)),
+            ((1, usize::MAX), pe, bad_m(usize::MAX)),
+            ((0, 4), pe, bad_m(0)),
+            ((MAX_M, MAX_M + 1), pe, bad_m(MAX_M + 1)),
+            (m, (1 << 40, 1 << 63), bad_pe(1 << 40)),
+            (m, (1, 1 << 63), bad_pe(1 << 63)),
+            (m, (0, 8), bad_pe(0)),
+            (m, (8, MAX_N_PE + 1), bad_pe(MAX_N_PE + 1)),
         ];
-        for (m_range, bad) in cases {
+        for (m_range, pe_range, expected) in cases {
             let opts = SweepOptions {
                 networks: vec!["MobileNet".into()],
                 m_range,
+                pe_range,
                 ..SweepOptions::default()
             };
             let Err(e) = SweepPlan::new(opts) else {
-                panic!("m range {m_range:?} must be rejected");
+                panic!("m {m_range:?}, pe {pe_range:?} must be rejected");
             };
-            let expected = SimError::InvalidBasisCount { m: bad }.to_string();
-            assert_eq!(e.to_string(), expected);
+            assert_eq!(e.to_string(), expected.to_string());
         }
         let full = SweepOptions {
             networks: vec!["MobileNet".into()],
             m_range: (1, MAX_M),
+            pe_range: (1, MAX_N_PE),
             ..SweepOptions::default()
         };
         assert!(SweepPlan::new(full).is_ok());

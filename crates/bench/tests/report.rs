@@ -90,6 +90,32 @@ fn report_update_then_check_round_trips_in_a_fresh_dir() {
 }
 
 #[test]
+fn report_out_dir_json_writes_each_streamed_document_to_a_file() {
+    let dir = std::env::temp_dir().join(format!("escalate_report_out_json_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let run = |out_dir: Option<std::path::PathBuf>| {
+        let opts = ReportOptions {
+            json: true,
+            names: vec!["table4".to_string()],
+            out_dir,
+            ..ReportOptions::default()
+        };
+        let mut buf = Vec::new();
+        assert!(experiments::run_report(&opts, &mut buf).expect("report runs"));
+        String::from_utf8(buf).expect("utf8")
+    };
+    let stream = run(None);
+    let log = run(Some(dir.clone()));
+    let path = dir.join("table4.json");
+    assert_eq!(log, format!("wrote {}\n", path.display()));
+    let file = std::fs::read_to_string(&path).expect("table4.json written");
+    // The stream ends each document with a newline; the file holds the
+    // document alone.
+    assert_eq!(format!("{file}\n"), stream);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn report_json_is_a_schema_tagged_document() {
     let table = experiments::find("table4")
         .expect("registered")

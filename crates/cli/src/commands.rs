@@ -153,12 +153,6 @@ COMMANDS:
         --port <N>     daemon port, or --port-file <FILE> to read it
         --m/--seeds/--qat/--seed/--layers/--schedule
                        as for the one-shot verbs
-    loadgen                        drive an in-process daemon with a
-                                   seeded request mix and report latency
-        --jobs <N>     requests to send (default 24)
-        --seed <N>     schedule seed (default 42)
-        --workers <N>  daemon workers (default 2)
-        --queue <N>    daemon queue capacity (default 4)
     inspect <FILE>                 summarize a saved .esca artifact
     validate <MODEL>               cross-check the three simulator
                                    fidelities on one layer
@@ -271,12 +265,6 @@ pub const COMMANDS: &[Command] = &[
         &["port", "port-file", "m", "seeds", "qat", "seed", "schedule"],
         &["layers"],
         cmd_submit,
-    ),
-    command(
-        "loadgen",
-        &["jobs", "seed", "workers", "queue"],
-        &[],
-        cmd_loadgen,
     ),
     command("inspect", &[], &[], cmd_inspect),
     command("validate", &["layer"], &[], cmd_validate),
@@ -750,32 +738,6 @@ fn cmd_submit(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         Some(kind) if kind == "error" || kind == "rejected" => Err(CliError::Refused(kind)),
         _ => Ok(()),
     }
-}
-
-fn cmd_loadgen(args: &Options, out: &mut dyn Write) -> Result<(), CliError> {
-    let opts = escalate_serve::LoadgenOptions {
-        jobs: args.get_or("jobs", 24usize)?,
-        seed: args.get_or("seed", 42u64)?,
-        workers: args.get_or("workers", 2usize)?,
-        queue: args.get_or("queue", 4usize)?,
-    };
-    let r = escalate_serve::run_loadgen(&opts).map_err(CliError::Pipeline)?;
-    writeln!(
-        out,
-        "loadgen: {} jobs ({} done, {} failed, {} backpressure retries) in {:.0} ms\n\
-         latency p50 {:.1} ms, p99 {:.1} ms; {:.2} jobs/s ({} workers, queue {})",
-        r.jobs,
-        r.done,
-        r.failed,
-        r.retries,
-        r.wall_ms,
-        r.p50_ms,
-        r.p99_ms,
-        r.jobs_per_sec,
-        r.workers,
-        r.queue
-    )?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -90,13 +90,30 @@ fn out_of_range_m_fails_cleanly() {
 }
 
 #[test]
-fn sweep_out_of_range_m_fails_before_writing_a_record() {
-    // `sweep --m 1025..1025` once swept M = 1025, and `--m
-    // 1..18446744073709551615` simulated M ≈ 1.1e19; `simulate`,
-    // `compress` and served jobs all reject M outside 1..=MAX_M.
-    for (range, bad) in [
-        ("1025..1025", "1025"),
-        ("1..18446744073709551615", "18446744073709551615"),
+fn sweep_out_of_range_m_or_pe_fails_before_writing_a_record() {
+    // `sweep --m 1025..1025` once swept M = 1025, `--m
+    // 1..18446744073709551615` simulated M ≈ 1.1e19, and `--pe
+    // 1099511627776..9223372036854775808` put n_pe = 2^55 on the
+    // frontier; `simulate`, `compress` and served jobs all reject M
+    // outside 1..=MAX_M.
+    use escalate_sim::SimError;
+    for (option, range, error) in [
+        ("--m", "1025..1025", SimError::InvalidBasisCount { m: 1025 }),
+        (
+            "--m",
+            "1..18446744073709551615",
+            SimError::InvalidBasisCount { m: usize::MAX },
+        ),
+        (
+            "--pe",
+            "1099511627776..9223372036854775808",
+            SimError::InvalidPeCount { n_pe: 1 << 40 },
+        ),
+        (
+            "--pe",
+            "8..9223372036854775808",
+            SimError::InvalidPeCount { n_pe: 1 << 63 },
+        ),
     ] {
         let args = [
             "sweep",
@@ -105,22 +122,15 @@ fn sweep_out_of_range_m_fails_before_writing_a_record() {
             "1",
             "--seeds",
             "1",
-            "--m",
+            option,
             range,
             "--out",
             "sweep.jsonl",
         ];
-        let (ok, stdout, stderr, left) = run_in_empty_dir("sweep_m", &args);
-        assert!(!ok, "--m {range} must fail; stdout:\n{stdout}");
-        assert!(
-            stderr.contains(&format!("m = {bad} is out of range")),
-            "{stderr}"
-        );
-        assert!(
-            stderr.contains(&escalate_sim::MAX_M.to_string()),
-            "{stderr}"
-        );
-        assert!(left.is_empty(), "--m {range} wrote {left:?}");
+        let (ok, stdout, stderr, left) = run_in_empty_dir("sweep_range", &args);
+        assert!(!ok, "{option} {range} must fail; stdout:\n{stdout}");
+        assert!(stderr.contains(&error.to_string()), "{stderr}");
+        assert!(left.is_empty(), "{option} {range} wrote {left:?}");
     }
 }
 

@@ -105,7 +105,7 @@ pub const SRAM_MM2_PER_KB: f64 = 0.0538 / 10.75;
 /// model is deliberately coarse (no periphery floors, no wiring
 /// overhead), but it is monotone in every dimension the sweep explores,
 /// which is what a Pareto frontier needs.
-pub fn scaled_block_area_mm2(cfg: &escalate_sim::SimConfig) -> f64 {
+fn scaled_block_area_mm2(cfg: &escalate_sim::SimConfig) -> f64 {
     let d = escalate_sim::SimConfig::default();
     let scale = |q: f64, q0: f64| q / q0;
     let factors = [
@@ -132,8 +132,9 @@ pub fn scaled_block_area_mm2(cfg: &escalate_sim::SimConfig) -> f64 {
 }
 
 /// Whole-accelerator area estimate for an arbitrary configuration:
-/// `N_PE` scaled PE blocks ([`scaled_block_area_mm2`]) plus the
-/// input/output buffer SRAM priced at [`SRAM_MM2_PER_KB`].
+/// `N_PE` PE blocks, each the Table 4 block with every component scaled
+/// linearly in the structure it tracks (`scaled_block_area_mm2`), plus
+/// the input/output buffer SRAM priced at [`SRAM_MM2_PER_KB`].
 pub fn chip_area_mm2(cfg: &escalate_sim::SimConfig) -> f64 {
     let sram_kb = (cfg.total_input_buf_bytes() + cfg.output_buf_bytes) as f64 / 1024.0;
     cfg.n_pe as f64 * scaled_block_area_mm2(cfg) + sram_kb * SRAM_MM2_PER_KB

@@ -19,6 +19,6 @@ pub mod breakdown;
 pub mod sram;
 pub mod units;
 
-pub use area::{chip_area_mm2, scaled_block_area_mm2, PeBlockArea, COMPONENTS, SRAM_MM2_PER_KB};
+pub use area::{chip_area_mm2, PeBlockArea, COMPONENTS, SRAM_MM2_PER_KB};
 pub use breakdown::{layer_energy, model_energy, BufferCaps, EnergyBreakdown};
 pub use units::UnitEnergy;

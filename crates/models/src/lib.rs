@@ -37,5 +37,5 @@ pub mod zoo;
 pub use layer::{LayerKind, LayerShape};
 pub use netdesc::{NetworkError, NETWORK_FORMAT_VERSION};
 pub use profiles::{Dataset, ModelProfile};
-pub use resolve::{resolve, zoo_names, ResolveError};
+pub use resolve::{resolve, ResolveError};
 pub use zoo::Model;

@@ -1,7 +1,7 @@
 //! One front door for turning a network spec string into a profile.
 //!
-//! Every by-name network lookup in the workspace (CLI, sweep, serve jobs,
-//! loadgen) routes through [`resolve`], so the accepted spellings and the
+//! Every by-name network lookup in the workspace (CLI, sweep, serve jobs)
+//! routes through [`resolve`], so the accepted spellings and the
 //! unknown-name error are identical everywhere. A spec is one of:
 //!
 //! - a zoo model name (`ResNet18`),
@@ -64,7 +64,7 @@ impl std::fmt::Display for ResolveError {
 impl std::error::Error for ResolveError {}
 
 /// Names of the six zoo models, in the paper's order.
-pub fn zoo_names() -> Vec<String> {
+fn zoo_names() -> Vec<String> {
     ModelProfile::all().into_iter().map(|p| p.name).collect()
 }
 

@@ -280,12 +280,17 @@ impl Handle {
     }
 }
 
-/// Binds and runs the daemon on a background thread — the in-process
-/// form behind the load generator and the integration tests.
+/// Binds 127.0.0.1:`opts.port`, then runs the daemon on a background
+/// thread until a `shutdown` request drains it — the form behind
+/// `escalate serve` and the integration tests. The daemon installs a
+/// fresh metrics registry for the run (restoring whatever was installed
+/// before on exit) and honours `opts.cache` / `opts.port_file`.
 ///
 /// # Errors
 ///
-/// Returns the bind/startup failure message.
+/// Returns the env-audit, bind or spawn failure message; a port-file
+/// failure is the daemon's result from [`Handle::join`]. Per-connection
+/// failures are reported to that client and survived.
 pub fn start(opts: ServeOptions) -> Result<Handle, String> {
     audit_env()?;
     let listener = TcpListener::bind(("127.0.0.1", opts.port))
@@ -296,29 +301,16 @@ pub fn start(opts: ServeOptions) -> Result<Handle, String> {
         .port();
     let thread = std::thread::Builder::new()
         .name("escalate-serve".into())
-        .spawn(move || serve_on(listener, &opts))
+        .spawn(move || run(listener, port, &opts))
         .map_err(|e| format!("cannot spawn serve thread: {e}"))?;
     Ok(Handle { port, thread })
 }
 
-/// Runs the daemon on an already-bound listener until a `shutdown`
-/// request drains it. Installs a fresh metrics registry for the run
-/// (restoring whatever was installed before on exit) and honours
-/// `opts.cache` / `opts.port_file`.
-///
-/// # Errors
-///
-/// Returns startup failures (env audit, port file) as messages; runtime
-/// per-connection failures are reported to that client and survived.
-pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSummary, String> {
-    audit_env()?;
+/// The daemon's body on [`start`]'s thread, over its bound listener.
+fn run(listener: TcpListener, port: u16, opts: &ServeOptions) -> Result<ServeSummary, String> {
     if let Some(cap) = opts.cache {
         escalate_bench::set_artifact_cache_capacity(cap);
     }
-    let port = listener
-        .local_addr()
-        .map_err(|e| format!("cannot read bound address: {e}"))?
-        .port();
     if let Some(path) = &opts.port_file {
         std::fs::write(path, format!("{port}\n"))
             .map_err(|e| format!("cannot write port file {}: {e}", path.display()))?;

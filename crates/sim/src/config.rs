@@ -22,6 +22,28 @@ pub fn check_basis_count(m: usize) -> Result<usize, SimError> {
     }
 }
 
+/// Largest PE-block count (`N_PE`) a design-space sweep accepts: 2^16,
+/// 2048 times Table 2's 32 blocks and 32 times the widest zoo layer's
+/// 2048 output channels. Output channels are dealt to blocks in rounds
+/// of `N_PE` (`⌈K / N_PE⌉`), so blocks beyond a layer's `K` only idle
+/// while the area model prices each one. The detailed fidelity also
+/// keeps and scans one load counter per block for every channel.
+pub const MAX_N_PE: usize = 1 << 16;
+
+/// The one range check on a PE-block count, `1 ≤ n_pe ≤ MAX_N_PE`:
+/// behind the sweep's `--pe` range.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidPeCount`] outside that range.
+pub fn check_pe_count(n_pe: usize) -> Result<usize, SimError> {
+    if (1..=MAX_N_PE).contains(&n_pe) {
+        Ok(n_pe)
+    } else {
+        Err(SimError::InvalidPeCount { n_pe })
+    }
+}
+
 /// Whole-network schedule mode: how per-layer work shares the PE array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {

@@ -47,6 +47,11 @@ pub enum SimError {
         /// The rejected count.
         m: usize,
     },
+    /// A PE-block count `N_PE` outside `1..=MAX_N_PE`.
+    InvalidPeCount {
+        /// The rejected count.
+        n_pe: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -84,6 +89,13 @@ impl std::fmt::Display for SimError {
                     f,
                     "basis count m = {m} is out of range: expected 1 to {}",
                     crate::config::MAX_M
+                )
+            }
+            SimError::InvalidPeCount { n_pe } => {
+                write!(
+                    f,
+                    "PE-block count n_pe = {n_pe} is out of range: expected 1 to {}",
+                    crate::config::MAX_N_PE
                 )
             }
         }

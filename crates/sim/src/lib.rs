@@ -101,7 +101,9 @@ pub mod workload;
 
 pub use accel::{Accelerator, Escalate};
 pub use ca::{LayerPlan, PositionCost, PositionKernel, MAX_BATCH};
-pub use config::{check_basis_count, DesignPoint, ScheduleKind, SimConfig, MAX_M};
+pub use config::{
+    check_basis_count, check_pe_count, DesignPoint, ScheduleKind, SimConfig, MAX_M, MAX_N_PE,
+};
 pub use context::{LayerContext, NoopObserver, SimObserver};
 pub use engine::{simulate_layer, simulate_model};
 pub use error::SimError;

@@ -3,7 +3,9 @@
 //! both sides of the `std::arch` dispatch — against the scalar reference
 //! [`position_cost_scalar`], byte-for-byte equal [`PositionCost`]s across random channel counts,
 //! mask patterns, concentration windows, and bus widths — including
-//! multi-word channels and the empty/dense extremes.
+//! multi-word channels, the empty/dense extremes, and adder trees on
+//! both sides of 64 elements (the kernel drains through a bitmask up to
+//! 64 and through the slot buffer beyond).
 //!
 //! This is the contract the kernel's three fast-path layers rest on (see
 //! DESIGN.md, "the sampled-fidelity hot path"): any divergence here is a
@@ -101,7 +103,7 @@ proptest! {
         raw_coef in prop::collection::vec(any::<u64>(), 18),
         styles in (0u8..4, 0u8..4),
         windows in (0usize..8, 0usize..3),
-        bus_bytes in 1usize..33,
+        bus_bytes in 1usize..129,
     ) {
         let (act_style, coef_style) = styles;
         let (la, ls) = windows;
@@ -213,7 +215,7 @@ proptest! {
         act_style in 0u8..4,
         coef_style in 0u8..4,
         windows in (0usize..8, 0usize..3),
-        bus_bytes in 1usize..33,
+        bus_bytes in 1usize..129,
     ) {
         let (la, ls) = windows;
         let cfg = config(la, ls, bus_bytes);

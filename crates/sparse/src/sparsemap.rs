@@ -77,11 +77,6 @@ impl SparseMap {
         self.mask[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// The raw mask words (little-endian bit order within each word).
-    pub fn mask_words(&self) -> &[u64] {
-        &self.mask
-    }
-
     /// Reconstructs the dense vector.
     pub fn decode(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.len];

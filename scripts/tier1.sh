@@ -11,19 +11,44 @@ cd "$(dirname "$0")/.."
 
 # Dead-API scan: every `pub fn` / `pub(crate) fn` under crates/*/src must
 # be named, as a whole word, in some other .rs file of the workspace or
-# of the benchmark. A function only its own file calls is private, and
-# one nothing calls is deleted (~3 s on a 2-core host).
+# of the benchmark. A `pub use` re-export is not a use: the scan reads
+# copies of the files with those statements cut out. A function only its
+# own file calls is private, and one nothing calls is deleted (~3 s on a
+# 2-core host).
 mapfile -t RS_FILES < <(find crates src tests examples perfbench/src -name '*.rs' | sort)
-DEAD_API="$(grep -rHoE --include='*.rs' \
+SCAN_DIR="$(mktemp -d)"
+printf '%s\n' "${RS_FILES[@]}" | sed 's|/[^/]*$||' | sort -u | (cd "$SCAN_DIR" && xargs mkdir -p)
+awk -v out="$SCAN_DIR" '
+  FNR == 1 { close(dst); dst = out "/" FILENAME; printf "" > dst; skip = 0 }
+  !skip && /^[ \t]*pub(\(crate\))? use / { skip = 1 }
+  skip { if (index($0, ";")) skip = 0; next }
+  { print > dst }' "${RS_FILES[@]}"
+DEAD_API="$(cd "$SCAN_DIR" && grep -rHoE --include='*.rs' \
     '^\s*pub(\(crate\))? (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
   | sed -E 's/^([^:]*):.* fn ([A-Za-z0-9_]+)$/\1 \2/' | sort -u \
   | while read -r file name; do
       grep -lw -- "$name" "${RS_FILES[@]}" | grep -vxF -- "$file" > /dev/null \
         || echo "  $file: $name"
     done)"
+rm -rf "$SCAN_DIR"
 if [ -n "$DEAD_API" ]; then
   echo "public functions no other file names (make them private or delete them):" >&2
   echo "$DEAD_API" >&2
+  exit 1
+fi
+# Command coverage: every row of the CLI's `COMMANDS` table is run by a
+# test (`run(&["NAME"` in the CLI's tests) or by a line of this script;
+# a command nothing runs is deleted.
+mapfile -t COMMAND_NAMES < <(sed -n '/^pub const COMMANDS/,/^];/p' crates/cli/src/commands.rs \
+  | tr -d '\n' | grep -oE '(command\(|name:) *"[^"]+"' | grep -oE '"[^"]+"' | tr -d '"')
+UNRUN="$(for name in "${COMMAND_NAMES[@]}"; do
+  grep -qF -- "run(&[\"$name\"" crates/cli/src/commands.rs crates/cli/tests/cli.rs \
+    || grep -qE -- "target/release/escalate $name( |\$)" scripts/tier1.sh \
+    || echo "  $name"
+done)"
+if [ "${#COMMAND_NAMES[@]}" -eq 0 ] || [ -n "$UNRUN" ]; then
+  echo "commands no test and no line of scripts/tier1.sh runs (test them or delete them):" >&2
+  echo "${UNRUN:-  (no COMMANDS rows found in crates/cli/src/commands.rs)}" >&2
   exit 1
 fi
 
